@@ -8,10 +8,12 @@ with Re f <= 0 everywhere, Re f <= -beta off a neighborhood U, and
 Re f(x0) >= -alpha) is exposed as a second, independent certificate type.
 
 The LP backend is untrusted: every certificate is re-verified by direct
-evaluation of its inequalities before it is returned. Complex modulus
-constraints are handled through a polygonal outer approximation refined by
-exact-phase cutting planes, so acceptances are verified and rejections are
-certified by the relaxation's optimum.
+evaluation of its inequalities before it is returned. Modulus constraints
+are linearised as Re(e^{-i phi} h(y)) <= cap at finitely many phases phi
+(0 and pi suffice for a real span). One working-set loop serves both
+fields: it starts from a polygon at a budget of grid points and adds
+exact-phase cutting planes at violators (Kelley's method), so acceptances
+are verified and rejections are certified by a relaxation's optimum.
 """
 
 from __future__ import annotations
@@ -36,11 +38,19 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# rows in the peak LP's starting working set, and the cap on its rounds
+_ROW_BUDGET = 256
+_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
 class ChoquetParams:
-    """Scan parameters; radii default to fractions of the grid diameter."""
+    """Scan parameters; radii default to fractions of the grid diameter.
+
+    `directions` is the number of phases in the peak LP's starting polygon
+    on a complex grid; cuts at exact phases refine it, so it changes the
+    work done, not which constraints a certificate satisfies.
+    """
 
     r_list: tuple[float, ...] | None = None
     r_factors: tuple[float, ...] = (0.05, 0.1, 0.2)
@@ -128,80 +138,6 @@ def _solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
     raise SolverError(f"LP backend returned status {res.status}: {res.message}")
 
 
-def _peak_lp_real(b_mat, x0, far, near, delta_cap_rows, coeff_bound):
-    k = b_mat.shape[1]
-    rows = []
-    rhs = []
-    for sign in (1.0, -1.0):
-        if far.size:
-            rows.append(np.column_stack([sign * b_mat[far], np.ones(far.size)]))
-            rhs.append(np.ones(far.size))
-        if near.size:
-            rows.append(np.column_stack([sign * b_mat[near], np.zeros(near.size)]))
-            rhs.append(np.full(near.size, delta_cap_rows))
-    a_ub = np.vstack(rows) if rows else None
-    b_ub = np.concatenate(rhs) if rows else None
-    a_eq = np.concatenate([b_mat[x0], [0.0]])[None, :]
-    obj = np.zeros(k + 1)
-    obj[-1] = -1.0
-    bounds = [(-coeff_bound, coeff_bound)] * k + [(-4.0, 1.0)]
-    res = _solve(obj, a_ub, b_ub, a_eq, [1.0], bounds)
-    if res.status != 0:
-        return None, -np.inf
-    return res.x[:k], float(res.x[k])
-
-
-def _peak_lp_complex(b_mat, x0, far, near, coeff_bound, directions, far_cuts, near_cuts):
-    k = b_mat.shape[1]
-    theta = 2.0 * np.pi * np.arange(directions) / directions
-    dirs = np.exp(-1j * theta)
-
-    def direction_rows(idx, with_delta):
-        z = dirs[:, None, None] * b_mat[idx][None, :, :]  # (K, m, k)
-        gu = z.real.reshape(-1, k)
-        gv = (-z.imag).reshape(-1, k)
-        dcol = np.ones((gu.shape[0], 1)) if with_delta else np.zeros((gu.shape[0], 1))
-        return np.hstack([gu, gv, dcol])
-
-    def cut_rows(cuts, with_delta):
-        # one exact-phase constraint Re(e^{-i phase} h(y)) (+ delta) <= 1 per cut
-        out = np.empty((len(cuts), 2 * k + 1))
-        for i, (y, phase) in enumerate(cuts):
-            row = np.exp(-1j * phase) * b_mat[y]
-            out[i, :k] = row.real
-            out[i, k : 2 * k] = -row.imag
-            out[i, 2 * k] = 1.0 if with_delta else 0.0
-        return out
-
-    rows = []
-    rhs = []
-    if far.size:
-        rows.append(direction_rows(far, True))
-        rhs.append(np.ones(rows[-1].shape[0]))
-    if near.size:
-        rows.append(direction_rows(near, False))
-        rhs.append(np.ones(rows[-1].shape[0]))
-    if far_cuts:
-        rows.append(cut_rows(far_cuts, True))
-        rhs.append(np.ones(len(far_cuts)))
-    if near_cuts:
-        rows.append(cut_rows(near_cuts, False))
-        rhs.append(np.ones(len(near_cuts)))
-    a_ub = np.vstack(rows) if rows else None
-    b_ub = np.concatenate(rhs) if rows else None
-    row_re = np.concatenate([b_mat[x0].real, -b_mat[x0].imag, [0.0]])
-    row_im = np.concatenate([b_mat[x0].imag, b_mat[x0].real, [0.0]])
-    a_eq = np.vstack([row_re, row_im])
-    obj = np.zeros(2 * k + 1)
-    obj[-1] = -1.0
-    bounds = [(-coeff_bound, coeff_bound)] * (2 * k) + [(-4.0, 1.0)]
-    res = _solve(obj, a_ub, b_ub, a_eq, [1.0, 0.0], bounds)
-    if res.status != 0:
-        return None, -np.inf
-    coeffs = res.x[:k] + 1j * res.x[k : 2 * k]
-    return coeffs, float(res.x[2 * k])
-
-
 def _peak_search(
     span: FunctionSpan,
     x0: int,
@@ -209,60 +145,66 @@ def _peak_search(
     delta_min: float,
     directions: int,
     coeff_bound: float,
-    max_rounds: int = 16,
 ) -> tuple[PeakCertificate | None, float]:
-    """Run the peak LP at one radius.
+    """Run the peak LP at one radius as a working-set (Kelley) loop.
 
     Returns (certificate-or-None, evidence). For a certificate the evidence
-    is its exact margin; for a rejection it is the final LP optimum, which
-    over-approximates the true best margin, so a value below delta_min is a
-    solver-certified infeasibility verdict.
+    is its exact margin: a certified lower bound on the best margin, found
+    once the loop clears delta_min, not the best margin itself. For a
+    rejection it is the LP optimum over the working set; that LP is a
+    relaxation, so a value below delta_min certifies infeasibility.
 
-    Complex modulus constraints start from a polygonal outer approximation;
-    whenever the exact modulus of the candidate violates a cap, a cutting
-    plane at the violating point's exact phase is added and the LP is
-    re-solved.
+    A constraint at point y and phase phi reads Re(e^{-i phi} h(y)) <= 1,
+    minus the margin where y is farther than r from x0; a real span only
+    needs the phases {0, pi}. The working set starts as a polygon of
+    `directions` phases (or {0, pi}) at grid points spread by distance from
+    x0, as many as fit _ROW_BUDGET rows. Each round evaluates |h| exactly on
+    the whole grid and adds one cut at the exact phase arg h(y) per
+    violating point, until the exact margin clears delta_min with every
+    near modulus within the unit cap, or the LP optimum falls below it.
     """
-    space = span.space
-    d = space.pairwise[x0]
-    far = np.nonzero(d >= r)[0]
-    near = np.array([i for i in np.nonzero(d < r)[0] if i != x0], dtype=int)
     b_mat = span.value_matrix
-    is_complex = space.field is Field.COMPLEX
+    k = b_mat.shape[1]
+    is_complex = span.space.field is Field.COMPLEX
+    d = span.space.pairwise[x0]
+    far = d >= r
+    others = np.argsort(d, kind="stable")
+    others = others[others != x0]
 
-    if not is_complex:
-        coeffs, delta_lp = _peak_lp_real(b_mat, x0, far, near, 1.0, coeff_bound)
-        if coeffs is None:
-            return None, -np.inf
-        h = b_mat @ coeffs
-        pin = h[x0]
-        if abs(pin - 1.0) > PEAK_TOL:
-            if abs(pin) < 0.5:
-                raise SolverError(f"peak pin drifted to {pin!r} at point {x0}")
-            coeffs = coeffs / pin
-            h = b_mat @ coeffs
-        margin = 1.0 - float(np.max(np.abs(h[far]))) if far.size else 1.0
-        if margin < delta_min:
-            return None, delta_lp
-        cert = PeakCertificate(x0=int(x0), coeffs=tuple(coeffs), margin=margin, radius=float(r))
-        ok, why = verify_peak_certificate(span, cert)
-        if not ok:
-            raise SolverError(f"peak certificate failed re-verification: {why}")
-        return cert, margin
+    if is_complex:
+        phases = 2.0 * np.pi * np.arange(directions) / directions
+    else:
+        phases = np.array([0.0, np.pi])
+    n_start = min(others.size, max(1, _ROW_BUDGET // phases.size))
+    start = others[np.linspace(0, others.size - 1, n_start).round().astype(int)]
+    cut_y = np.repeat(start, phases.size)
+    cut_phase = np.tile(phases, start.size)
 
-    far_cuts: list[tuple[int, float]] = []
-    near_cuts: list[tuple[int, float]] = []
-    delta_lp = -np.inf
-    for _ in range(max_rounds):
-        coeffs, delta_lp = _peak_lp_complex(
-            b_mat, x0, far, near, coeff_bound, directions, far_cuts, near_cuts
-        )
-        if coeffs is None:
+    def rows(y, phase):
+        g = np.exp(-1j * phase)[:, None] * b_mat[y]
+        parts = [g.real, -g.imag] if is_complex else [g.real]
+        return np.column_stack(parts + [far[y]])
+
+    b0 = b_mat[x0]
+    if is_complex:
+        a_eq = np.vstack([np.r_[b0.real, -b0.imag, 0.0], np.r_[b0.imag, b0.real, 0.0]])
+        b_eq = [1.0, 0.0]
+    else:
+        a_eq, b_eq = np.r_[b0, 0.0][None, :], [1.0]
+    n_var = a_eq.shape[1]
+    obj = np.zeros(n_var)
+    obj[-1] = -1.0
+    bounds = [(-coeff_bound, coeff_bound)] * (n_var - 1) + [(-4.0, 1.0)]
+
+    for _ in range(_MAX_ROUNDS):
+        a_ub = rows(cut_y, cut_phase)
+        res = _solve(obj, a_ub, np.ones(a_ub.shape[0]), a_eq, b_eq, bounds)
+        if res.status != 0:
             return None, -np.inf
+        delta_lp = float(res.x[-1])
         if delta_lp < delta_min:
-            # the LP is an outer approximation, so its optimum bounds the
-            # true best margin from above: certified rejection
             return None, delta_lp
+        coeffs = res.x[:k] + 1j * res.x[k : 2 * k] if is_complex else res.x[:k]
         h = b_mat @ coeffs
         pin = h[x0]
         if abs(pin - 1.0) > PEAK_TOL:
@@ -271,12 +213,10 @@ def _peak_search(
             coeffs = coeffs / pin
             h = b_mat @ coeffs
         mods = np.abs(h)
-        near_viol = near[mods[near] > 1.0 + PEAK_TOL] if near.size else np.array([], dtype=int)
-        if near_viol.size:
-            near_cuts.extend((int(y), float(np.angle(h[y]))) for y in near_viol)
-            continue
-        margin = 1.0 - float(np.max(mods[far])) if far.size else 1.0
-        if margin >= delta_min:
+        excess = mods + np.where(far, delta_lp, 0.0) - 1.0
+        excess[x0] = -np.inf
+        margin = 1.0 - float(np.max(mods[far])) if far.any() else 1.0
+        if margin >= delta_min and not np.any(excess[~far] > PEAK_TOL):
             cert = PeakCertificate(
                 x0=int(x0), coeffs=tuple(coeffs), margin=margin, radius=float(r)
             )
@@ -284,15 +224,15 @@ def _peak_search(
             if not ok:
                 raise SolverError(f"peak certificate failed re-verification: {why}")
             return cert, margin
-        # exact far modulus beat the polygonal estimate: cut the violators
-        # (at least the worst one) so the relaxation optimum keeps dropping;
-        # None is only ever returned once that optimum falls below delta_min
-        far_viol = far[mods[far] > 1.0 - delta_lp + 1e-12]
-        if not far_viol.size:
-            far_viol = far[[int(np.argmax(mods[far]))]]
-        far_cuts.extend((int(y), float(np.angle(h[y]))) for y in far_viol)
+        viol = np.flatnonzero(excess > PEAK_TOL)
+        if not viol.size:
+            # the exact far modulus missed delta_min by less than the
+            # tolerance: cut the worst far point so the optimum keeps dropping
+            viol = np.flatnonzero(far)[[int(np.argmax(mods[far]))]]
+        cut_y = np.r_[cut_y, viol]
+        cut_phase = np.r_[cut_phase, np.angle(h[viol])]
     raise SolverError(
-        f"peak search at point {x0} (radius {r}) did not settle in {max_rounds} rounds"
+        f"peak search at point {x0} (radius {r}) did not settle in {_MAX_ROUNDS} rounds"
     )
 
 
@@ -309,7 +249,8 @@ def find_peak_function(
     Maximizes the margin delta subject to h(x0) = 1, |h| <= 1 at every
     other grid point, and |h| <= 1 - delta at points with distance >= r
     from x0. Returns a re-verified certificate when the achievable margin
-    is at least delta_min, otherwise None.
+    is at least delta_min, otherwise None. The certificate's margin is a
+    certified lower bound on the best margin, not the best margin itself.
     """
     if r <= 0:
         raise ValueError("peak radius must be positive")

@@ -16,12 +16,13 @@ import jsonschema
 
 from .choquet import ChoquetParams
 from .engine import ExperimentConfig
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 from .functions import FunctionSpan, ScalarFunction, default_probes, named_function
 from .operators import (
     OperatorFamily,
     averaging_operator,
     bernstein_family,
+    check_fejer_grid,
     fejer_family,
     identity_isometry,
     inject_weight,
@@ -228,7 +229,7 @@ def build_space(name: str, block: dict) -> CompactSpace:
         return make_custom_space(
             _require(block, "points", where), field=field, space_id=name
         )
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -377,6 +378,13 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> BuiltExperi
             probes = tuple(named_function(n, family.source) for n in probes_spec)
         except ValueError as exc:
             raise ConfigError(f"experiment.probes: {exc}") from None
+    indices = tuple(exp["indices"])
+    if cfg["family"]["name"] == "fejer":
+        try:
+            for n in indices:
+                check_fejer_grid(n, family.source.n_points)
+        except ValueError as exc:
+            raise ConfigError(f"experiment.indices: {exc}") from None
     tol = exp.get("tolerances", {})
     seed = seed_override if seed_override is not None else exp.get("seed", 0)
     try:
@@ -384,7 +392,7 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> BuiltExperi
             family=family,
             test_span=test_span,
             probes=probes,
-            indices=tuple(exp["indices"]),
+            indices=indices,
             seed=int(seed),
             positivity_trials=exp.get("positivity_trials", 100),
             abs_threshold=tol.get("abs_threshold", 0.05),

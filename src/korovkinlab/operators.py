@@ -175,6 +175,12 @@ def _fejer_kernel(s: np.ndarray, n: int) -> np.ndarray:
     return ratio * ratio / (n + 1)
 
 
+def check_fejer_grid(n: int, m: int) -> None:
+    """Raise ValueError unless an m-point circle grid can carry fejer(n)."""
+    if m <= 2 * n + 2:
+        raise ValueError(f"circle grid with m={m} points is too coarse for n={n}; need m > 2n+2")
+
+
 def fejer(n: int, space: CompactSpace) -> KernelOperator:
     """Fejér (Cesàro-mean) convolution operator on a uniform circle grid.
 
@@ -186,8 +192,7 @@ def fejer(n: int, space: CompactSpace) -> KernelOperator:
     if space.kind is not SpaceKind.CIRCLE:
         raise ValueError("fejer needs a circle grid")
     m = space.n_points
-    if m <= 2 * n + 2:
-        raise ValueError(f"circle grid with m={m} points is too coarse for n={n}; need m > 2n+2")
+    check_fejer_grid(n, m)
     theta = 2.0 * np.pi * np.arange(m) / m
     w = _fejer_kernel(theta[:, None] - theta[None, :], n) / m
     return KernelOperator(space, space, space.eval_points, w)

@@ -208,6 +208,64 @@ class TestEstimateChoquetBoundary:
         assert all(lbl is Classification.BOUNDARY for lbl in others)
 
 
+# eight points of a seeded cloud in the unit disc, without symmetry; point 1
+# at radius 0.4 needs more than 16 exact-phase cutting-plane rounds
+STALL_CLOUD = make_custom_space(
+    [
+        0.2696 - 0.8911j,
+        0.2126 - 0.8335j,
+        -0.132 - 0.6267j,
+        -0.1046 + 0.1557j,
+        -0.1726 + 0.2827j,
+        0.7061 - 0.7082j,
+        0.6957 + 0.7183j,
+        -0.8609 - 0.5088j,
+    ],
+    space_id="cloud8",
+)
+
+
+class TestWorkingSetLoop:
+    def test_cloud_point_is_certified_not_indeterminate(self):
+        basis = ("const1", "z", "zbar", "|z|^2")
+        span = FunctionSpan(tuple(named_function(n, STALL_CLOUD) for n in basis))
+        est = estimate_choquet_boundary(span, ChoquetParams(r_list=(0.4,)))
+        assert est.counts() == {"Boundary": 8, "NotDetected": 0, "Indeterminate": 0}
+        for p in est.points:
+            ok, why = verify_peak_certificate(span, p.certificate)
+            assert ok, why
+
+    @pytest.mark.parametrize("basis", [("const1", "z"), ("const1", "z", "zbar", "|z|^2")])
+    def test_labels_do_not_depend_on_directions(self, basis):
+        g = make_disc_grid(3, 8)
+        span = FunctionSpan(tuple(named_function(n, g) for n in basis))
+        labels = []
+        for k in (4, 16, 32):
+            est = estimate_choquet_boundary(span, ChoquetParams(directions=k))
+            labels.append([p.label for p in est.points])
+        assert labels[0] == labels[1] == labels[2]
+
+    def test_small_real_grid_solves_one_lp_per_search(self, monkeypatch):
+        import korovkinlab.choquet as choquet_mod
+
+        counts = {"lp": 0, "search": 0}
+        real_solve, real_search = choquet_mod._solve, choquet_mod._peak_search
+
+        def solve(*args, **kwargs):
+            counts["lp"] += 1
+            return real_solve(*args, **kwargs)
+
+        def search(*args, **kwargs):
+            counts["search"] += 1
+            return real_search(*args, **kwargs)
+
+        monkeypatch.setattr(choquet_mod, "_solve", solve)
+        monkeypatch.setattr(choquet_mod, "_peak_search", search)
+        est = estimate_choquet_boundary(QUAD_SPAN)  # 101 points
+        assert est.counts()["Boundary"] == 101
+        assert counts["search"] > 0 and counts["lp"] == counts["search"]
+
+
 class TestIsBoundaryFor:
     def test_whole_grid_is_a_boundary(self):
         ok, ratio = is_boundary_for(

@@ -163,6 +163,22 @@ class TestKorovkinRun:
         path = write_config(tmp_path, cfg)
         assert run_cli("korovkin", "run", "--config", path) == 1
 
+    def test_over_cap_box_grid_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example42_tensor")
+        cfg["spaces"]["K"].update({"p": 7, "m": 9})
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spaces.K:") and err.count("\n") == 1
+
+    def test_coarse_fejer_index_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example43_fejer")
+        cfg["experiment"]["indices"] = [4, 16, 71]  # 144 points need n < 71
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
+
     def test_seed_flag_changes_nothing_structural(self, tmp_path):
         code = run_cli(
             "korovkin",
