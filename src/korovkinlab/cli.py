@@ -8,7 +8,8 @@ Commands:
 Exit codes: 0 on success, 1 on configuration or solver failure, 2 when a
 convergence run completed but its hypothesis or convergence checks failed.
 CSV output uses shortest round-trip float formatting, so identical
-configurations (including seeds) produce byte-identical files.
+configurations produce byte-identical files. ``--seed`` is accepted but no
+longer changes any result: nothing in a run is sampled.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a JSON run configuration")
     p.add_argument("--preset", help=f"built-in preset name ({', '.join(preset_names())})")
     p.add_argument("--out", help="output directory (overrides config and environment)")
-    p.add_argument("--seed", type=_seed, help="seed override (non-negative)")
+    p.add_argument(
+        "--seed", type=_seed, help="seed override (non-negative; accepted, changes no result)"
+    )
 
 
 def _load(args) -> dict:

@@ -29,6 +29,9 @@ ZERO_ERROR_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
+    """One experiment. Positivity is certified from the kernel weight signs,
+    so ``seed`` and ``positivity_trials`` are accepted but change no result."""
+
     family: OperatorFamily
     test_span: FunctionSpan
     probes: tuple[ScalarFunction, ...]

@@ -1,8 +1,13 @@
 """Scalar functions on a grid, and finite-dimensional spans of them.
 
 A function is an evaluation rule, not a value vector: composing with a
-point map or evaluating at off-grid kernel nodes stays exact. The sampled
-value vector over the grid is computed lazily and cached on the function.
+point map or evaluating at off-grid kernel nodes stays exact. A rule takes
+an array of points in the form of ``CompactSpace.points`` (shape ``(N,)``,
+complex or float, or ``(N, dim)`` coordinate rows) and returns their
+values with shape ``(N,)``, or one scalar for a constant function. One
+call evaluates every grid point or every kernel node. Built-in rules also
+accept a single point. The sampled value vector over the grid is computed
+lazily and cached on the function.
 
 Span membership (and the unital / self-conjugate flags derived from it) is
 decided by least-squares fitting over the grid value vectors with a fixed
@@ -26,19 +31,9 @@ MEMBERSHIP_TOL = 1e-10
 SEPARATION_TOL = 1e-12
 
 
-def _point_key(x) -> tuple:
-    if isinstance(x, (complex, np.complexfloating)):
-        z = complex(x)
-        return ("c", z.real, z.imag)
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 0:
-        return ("r", float(arr))
-    return ("v",) + tuple(float(v) for v in arr)
-
-
 @dataclass(frozen=True, eq=False)
 class ScalarFunction:
-    """An evaluation rule point -> scalar bound to one grid."""
+    """An array evaluation rule points -> values bound to one grid."""
 
     space: CompactSpace
     rule: Callable
@@ -50,53 +45,59 @@ class ScalarFunction:
     @cached_property
     def values(self) -> np.ndarray:
         """Sampled value vector over the grid; validated once and cached."""
-        raw = np.array([self.rule(p) for p in self.space.eval_points])
+        raw = evaluate(self, self.space.points)
         if not np.all(np.isfinite(raw)):
             raise InvalidFunctionError(
                 f"function {self.name!r} takes a non-finite value on the grid"
             )
-        if self.space.field is Field.REAL:
-            if np.iscomplexobj(raw) and np.max(np.abs(raw.imag)) > 0.0:
-                raise InvalidFunctionError(
-                    f"function {self.name!r} is complex-valued on a real-field grid"
-                )
-            out = np.asarray(raw.real if np.iscomplexobj(raw) else raw, dtype=float)
-        else:
-            out = np.asarray(raw, dtype=complex)
-        out.setflags(write=False)
-        return out
+        return _field_vector(raw, self.space, f"function {self.name!r}")
+
+
+def _field_vector(raw: np.ndarray, space: CompactSpace, what: str) -> np.ndarray:
+    """A new read-only copy of raw in the grid's field: complex, or real
+    when the imaginary part vanishes on a real-field grid."""
+    if space.field is Field.COMPLEX:
+        out = np.array(raw, dtype=complex)
+    elif np.iscomplexobj(raw) and np.max(np.abs(raw.imag)) > 0.0:
+        raise InvalidFunctionError(f"{what} is complex-valued on a real-field grid")
+    else:
+        out = np.array(raw.real, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def evaluate(f: ScalarFunction, points: np.ndarray) -> np.ndarray:
+    """Values of f at an array of points from one rule call, as a new
+    contiguous array of shape ``(len(points),)``."""
+    raw = np.asarray(f.rule(points))
+    n = len(points)
+    if raw.shape not in ((), (n,)):
+        raise InvalidFunctionError(
+            f"function {f.name!r} returned shape {raw.shape} for {n} points"
+        )
+    return np.array(np.broadcast_to(raw, (n,)))
 
 
 def function_from_values(space: CompactSpace, values, name: str = "") -> ScalarFunction:
     """Wrap a grid-sampled value vector as an evaluation rule.
 
-    The returned function is only defined at the grid's own points; asking
-    for any other point is an error rather than an interpolation.
+    The returned function is only defined at the grid's own points, found
+    through the grid's cached point index; asking for any other point is an
+    error rather than an interpolation.
     """
     vals = np.asarray(values)
     if vals.shape != (space.n_points,):
         raise ValueError("value vector length must match the grid")
-    if space.field is Field.REAL:
-        if np.iscomplexobj(vals):
-            if np.max(np.abs(vals.imag)) > 0.0:
-                raise InvalidFunctionError(
-                    f"values for {name!r} are complex on a real-field grid"
-                )
-            vals = vals.real
-        vals = np.asarray(vals, dtype=float)
-    else:
-        vals = np.asarray(vals, dtype=complex)
-    vals = vals.copy()
-    vals.setflags(write=False)
-    index = {_point_key(p): i for i, p in enumerate(space.eval_points)}
+    vals = _field_vector(vals, space, f"values for {name!r}")
 
     def rule(x):
-        try:
-            return vals[index[_point_key(x)]]
-        except KeyError:
+        idx = space.locate(x)
+        if np.any(idx < 0):
+            off = np.asarray(x)[tuple(np.argwhere(idx < 0)[0])]
             raise InvalidFunctionError(
-                f"{name!r} is grid-sampled and has no value at point {x!r}"
-            ) from None
+                f"{name!r} is grid-sampled and has no value at point {off!r}"
+            )
+        return vals[idx]
 
     return ScalarFunction(space, rule, name=name)
 
@@ -105,7 +106,9 @@ def conjugate(f: ScalarFunction) -> ScalarFunction:
     """Complex conjugate of a function; identity on real-field grids."""
     if f.space.field is Field.REAL:
         return f
-    return ScalarFunction(f.space, lambda x: complex(f.rule(x)).conjugate(), name=f"conj({f.name})")
+    return ScalarFunction(
+        f.space, lambda x: np.conj(np.asarray(f.rule(x), dtype=complex)), name=f"conj({f.name})"
+    )
 
 
 def sup_norm(f: ScalarFunction) -> float:
@@ -114,11 +117,16 @@ def sup_norm(f: ScalarFunction) -> float:
 
 
 def oscillation(f: ScalarFunction) -> float:
-    """Largest |f(x) - f(x')| over all grid pairs."""
+    """Largest |f(x) - f(x')| over all grid pairs.
+
+    Complex values are compared in blocks of rows of about 2**18 pairs, so
+    memory stays flat on large grids.
+    """
     v = f.values
     if f.space.field is Field.REAL:
         return float(v.max() - v.min())
-    return float(np.max(np.abs(v[:, None] - v[None, :])))
+    step = max(1, 2**18 // v.size)
+    return float(max(np.max(np.abs(v[i : i + step, None] - v)) for i in range(0, v.size, step)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +186,8 @@ class FunctionSpan:
 
 
 def span_eval(span: FunctionSpan, coeffs: Sequence, x):
-    """Evaluate the combination sum(coeffs[i] * basis[i]) at a point."""
+    """Evaluate the combination sum(coeffs[i] * basis[i]) at a point or an
+    array of points."""
     if len(coeffs) != span.dim:
         raise ValueError(
             f"expected {span.dim} coefficients, got {len(coeffs)}"
@@ -239,66 +248,76 @@ def span_union(first: FunctionSpan, *rest: FunctionSpan) -> FunctionSpan:
 # ---------------------------------------------------------------------------
 # named function catalog (used by configuration files and default probe sets)
 
+
+def _square(z) -> tuple:
+    """Real and imaginary parts of z**2 as Python's complex power forms
+    them: (1+0j) * (z*z), whose 0 * re term fixes the sign of a zero
+    imaginary part."""
+    re = z.real * z.real - z.imag * z.imag
+    return re, z.real * z.imag + z.imag * z.real + 0.0 * re
+
+
+# Array expressions by grid type. Each agrees bit for bit with the scalar
+# Python formula it replaced (tests/oracles.py keeps those): float_power is
+# C pow like Python's `**`, and hypot is Python's abs(complex).
+_COMPLEX_RULES = {
+    "z": lambda z: z,
+    "zbar": np.conj,
+    "|z|^2": lambda z: np.float_power(np.hypot(z.real, z.imag), 2),
+    "re_z2": lambda z: _square(z)[0],
+    "im_z2": lambda z: _square(z)[1],
+    "abs_im_z": lambda z: np.abs(z.imag),
+    "abs(z-1/2)": lambda z: np.hypot(z.real - 0.5, z.imag),
+    "cos": lambda z: z.real,
+    "sin": lambda z: z.imag,
+}
+_INTERVAL_RULES = {
+    "x": lambda x: x,
+    "x^2": lambda x: np.float_power(x, 2),
+    "x^3": lambda x: np.float_power(x, 3),
+    "abs(x-1/2)": lambda x: np.abs(x - 0.5),
+    "runge": lambda x: 1.0 / (1.0 + 25.0 * np.float_power(x, 2)),
+    "cos": lambda x: np.cos(2.0 * np.pi * x),
+    "sin": lambda x: np.sin(2.0 * np.pi * x),
+}
+# on (..., dim) coordinate rows
+_COORDINATE_RULES = {
+    "sum_sq": lambda X: np.sum(X**2, axis=-1),
+    "prod_coords": lambda X: np.prod(X, axis=-1),
+    "abs(x1-1/2)": lambda X: np.abs(X[..., 0] - 0.5),
+}
 _COORD_RE = re.compile(r"^coord\s+(\d+)(\^2)?$")
 
 
 def _build_named(name: str, space: CompactSpace) -> Callable:
-    real_1d = space.field is Field.REAL and space.dim == 1
-    cx = space.field is Field.COMPLEX
-
     if name == "const1":
         return lambda x: 1.0
+    if space.field is Field.COMPLEX:
+        rule, dtype = _COMPLEX_RULES.get(name), complex
+    elif space.dim == 1 and name in _INTERVAL_RULES:
+        rule, dtype = _INTERVAL_RULES[name], float
+    else:
+        rule, dtype = _coordinate_rule(name, space.dim), float
+    if rule is None:
+        raise ValueError(
+            f"unknown function name {name!r} for a {space.kind.value}/{space.field.value} grid"
+        )
+    return lambda x: rule(np.asarray(x, dtype=dtype))
 
-    if real_1d:
-        table = {
-            "x": lambda x: float(x),
-            "x^2": lambda x: float(x) ** 2,
-            "x^3": lambda x: float(x) ** 3,
-            "abs(x-1/2)": lambda x: abs(float(x) - 0.5),
-            "runge": lambda x: 1.0 / (1.0 + 25.0 * float(x) ** 2),
-            "cos": lambda x: float(np.cos(2.0 * np.pi * float(x))),
-            "sin": lambda x: float(np.sin(2.0 * np.pi * float(x))),
-        }
-        if name in table:
-            return table[name]
 
-    if cx:
-        table = {
-            "z": lambda z: complex(z),
-            "zbar": lambda z: complex(z).conjugate(),
-            "|z|^2": lambda z: abs(complex(z)) ** 2,
-            "re_z2": lambda z: (complex(z) ** 2).real,
-            "im_z2": lambda z: (complex(z) ** 2).imag,
-            "abs_im_z": lambda z: abs(complex(z).imag),
-            "abs(z-1/2)": lambda z: abs(complex(z) - 0.5),
-            "cos": lambda z: complex(z).real,
-            "sin": lambda z: complex(z).imag,
-        }
-        if name in table:
-            return table[name]
-
-    if space.field is Field.REAL:
-        m = _COORD_RE.match(name)
-        if m:
-            k = int(m.group(1))
-            if not 1 <= k <= space.dim:
-                raise ValueError(
-                    f"coordinate index {k} out of range for a {space.dim}-d grid"
-                )
-            if m.group(2):
-                return lambda x, _k=k - 1: float(np.atleast_1d(np.asarray(x, float))[_k]) ** 2
-            return lambda x, _k=k - 1: float(np.atleast_1d(np.asarray(x, float))[_k])
-        table = {
-            "sum_sq": lambda x: float(np.sum(np.atleast_1d(np.asarray(x, float)) ** 2)),
-            "prod_coords": lambda x: float(np.prod(np.atleast_1d(np.asarray(x, float)))),
-            "abs(x1-1/2)": lambda x: abs(float(np.atleast_1d(np.asarray(x, float))[0]) - 0.5),
-        }
-        if name in table:
-            return table[name]
-
-    raise ValueError(
-        f"unknown function name {name!r} for a {space.kind.value}/{space.field.value} grid"
-    )
+def _coordinate_rule(name: str, dim: int) -> Callable | None:
+    """Rule of a real grid's coordinates, or None; 1-d grids gain a row axis."""
+    m = _COORD_RE.match(name)
+    if m:
+        k = int(m.group(1)) - 1
+        if not 0 <= k < dim:
+            raise ValueError(f"coordinate index {k + 1} out of range for a {dim}-d grid")
+        rule = (lambda X: np.float_power(X[..., k], 2)) if m.group(2) else (lambda X: X[..., k])
+    else:
+        rule = _COORDINATE_RULES.get(name)
+    if rule is None or dim > 1:
+        return rule
+    return lambda x: rule(x[..., None])
 
 
 def named_function(name: str, space: CompactSpace) -> ScalarFunction:

@@ -121,20 +121,57 @@ class CompactSpace:
         return d
 
     @cached_property
-    def eval_points(self) -> tuple:
-        """The points as passed to function evaluation rules.
+    def points(self) -> np.ndarray:
+        """All grid points in the form evaluation rules take.
 
-        Complex grids yield complex scalars, 1-d real grids plain floats,
-        higher-dimensional real grids read-only coordinate rows.
+        Complex grids give a complex array of shape ``(n,)``, 1-d real grids
+        a float array of shape ``(n,)``, higher-dimensional real grids the
+        ``(n, dim)`` coordinate rows. One point drops the leading axis.
         """
         if self.field is Field.COMPLEX:
-            return tuple(complex(z) for z in self.complex_points)
-        if self.dim == 1:
-            return tuple(float(x) for x in self.coords[:, 0])
-        return tuple(self.coords[i] for i in range(self.n_points))
+            return self.complex_points
+        return self.coords[:, 0] if self.dim == 1 else self.coords
+
+    @cached_property
+    def eval_points(self) -> tuple:
+        """The points one at a time: complex or float scalars, or read-only rows."""
+        pts = self.points
+        return tuple(pts) if pts.ndim == 2 else tuple(pts.tolist())
 
     def point(self, i: int):
         return self.eval_points[i]
+
+    def _records(self, points) -> np.ndarray:
+        # one sortable record per point; complex points on a real grid, or a
+        # last axis of the wrong width, become NaN records that match nothing
+        pts = np.asarray(points)
+        if self.field is Field.COMPLEX:
+            rows = np.stack([pts.real, pts.imag], axis=-1)
+        else:
+            rows = pts[..., None] if self.dim == 1 else pts
+        width = self.coords.shape[1]
+        if rows.shape[-1:] != (width,) or np.iscomplexobj(rows):
+            rows = np.full(rows.shape[:-1] + (width,), np.nan)
+        rows = np.ascontiguousarray(rows, dtype=float)
+        return rows.view(np.dtype([("", float)] * width))[..., 0]
+
+    @cached_property
+    def _sorted_records(self) -> tuple[np.ndarray, np.ndarray]:
+        records = self._records(self.points)
+        order = np.argsort(records)
+        return records[order], order
+
+    def locate(self, points) -> np.ndarray:
+        """Grid index of each point in an array shaped like ``points``.
+
+        ``points`` takes the form of ``self.points``, or is one point. The
+        result has its leading shape and holds -1 where a point is not on
+        the grid. The sorted index behind it is built once per grid.
+        """
+        records = self._records(points)
+        keys, order = self._sorted_records
+        pos = np.searchsorted(keys, records).clip(max=self.n_points - 1)
+        return np.where(keys[pos] == records, order[pos], -1)
 
     def distance(self, i: int, j: int) -> float:
         return float(self.pairwise[i, j])

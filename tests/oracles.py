@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different computational route than the
 implementation under test: exact rational arithmetic for polynomial
 operator moments, a discrete Fourier multiplier route for the circle
-convolution operator, and brute-force coefficient scans for LP
-feasibility questions.
+convolution operator, brute-force coefficient scans for LP
+feasibility questions, and the per-point Python formulas of the named
+function catalog.
 """
 
 from __future__ import annotations
@@ -82,3 +83,52 @@ def affine_lemma_scan(xs: np.ndarray, x0: int, alpha: float, beta: float,
         ok &= (f[:, :, outside] <= -beta + tol).all(axis=2)
     ok &= f[:, :, x0] >= -alpha - tol
     return bool(ok.any())
+
+
+def _row(x) -> np.ndarray:
+    return np.atleast_1d(np.asarray(x, float))
+
+
+# The catalog as it was written before rules took arrays: one point in, one
+# Python scalar out. The array rules must reproduce these bit for bit.
+SCALAR_COMPLEX = {
+    "const1": lambda z: 1.0,
+    "z": lambda z: complex(z),
+    "zbar": lambda z: complex(z).conjugate(),
+    "|z|^2": lambda z: abs(complex(z)) ** 2,
+    "re_z2": lambda z: (complex(z) ** 2).real,
+    "im_z2": lambda z: (complex(z) ** 2).imag,
+    "abs_im_z": lambda z: abs(complex(z).imag),
+    "abs(z-1/2)": lambda z: abs(complex(z) - 0.5),
+    "cos": lambda z: complex(z).real,
+    "sin": lambda z: complex(z).imag,
+}
+SCALAR_INTERVAL = {
+    "const1": lambda x: 1.0,
+    "x": lambda x: float(x),
+    "x^2": lambda x: float(x) ** 2,
+    "x^3": lambda x: float(x) ** 3,
+    "abs(x-1/2)": lambda x: abs(float(x) - 0.5),
+    "runge": lambda x: 1.0 / (1.0 + 25.0 * float(x) ** 2),
+    "cos": lambda x: float(np.cos(2.0 * np.pi * float(x))),
+    "sin": lambda x: float(np.sin(2.0 * np.pi * float(x))),
+}
+SCALAR_COORDINATES = {
+    "const1": lambda x: 1.0,
+    "sum_sq": lambda x: float(np.sum(_row(x) ** 2)),
+    "prod_coords": lambda x: float(np.prod(_row(x))),
+    "abs(x1-1/2)": lambda x: abs(float(_row(x)[0]) - 0.5),
+}
+
+
+def scalar_catalog(field: str, dim: int) -> dict:
+    """Name -> per-point formula for every catalog entry on a grid type."""
+    if field == "complex":
+        return dict(SCALAR_COMPLEX)
+    table = dict(SCALAR_COORDINATES)
+    for k in range(dim):
+        table[f"coord {k + 1}"] = lambda x, _k=k: float(_row(x)[_k])
+        table[f"coord {k + 1}^2"] = lambda x, _k=k: float(_row(x)[_k]) ** 2
+    if dim == 1:
+        table.update(SCALAR_INTERVAL)
+    return table

@@ -284,7 +284,7 @@ class TestIsBoundaryFor:
     def test_interior_fails_for_even_span(self):
         g = make_custom_space([-1.0, -0.5, 0.0, 0.5, 1.0], space_id="sym5")
         one = ScalarFunction(g, lambda x: 1.0, name="1")
-        sq = ScalarFunction(g, lambda x: float(x) ** 2, name="x^2")
+        sq = ScalarFunction(g, lambda x: x**2, name="x^2")
         span = FunctionSpan((one, sq))
         ok, ratio = is_boundary_for(span, PointSet(g, (1, 2, 3)), [sq])
         assert not ok

@@ -47,7 +47,11 @@ class TestSupNorm:
         assert sup_norm(named_function("z", g)) == pytest.approx(1.0)
 
     def test_nonfinite_rejected(self):
-        f = ScalarFunction(GRID5, lambda x: np.inf if x == 0.0 else 1.0 / x, name="pole")
+        f = ScalarFunction(
+            GRID5,
+            lambda x: np.divide(1.0, x, out=np.full_like(x, np.inf), where=x != 0.0),
+            name="pole",
+        )
         with pytest.raises(InvalidFunctionError):
             sup_norm(f)
 

@@ -309,6 +309,17 @@ class TestCheckPositivity:
         rep = check_positivity(identity_isometry(INTERVAL), trials=50, seed=0)
         assert rep.passed
 
+    def test_witness_is_a_node_indicator(self):
+        bad = inject_weight(bernstein(10, INTERVAL), 5, 3, -0.1)
+        rep = check_positivity(bad)
+        assert rep.witness == (3, 5, -0.1)
+        assert rep.worst_violation == 0.1
+        indicator = ScalarFunction(
+            INTERVAL, lambda x: (x == bad.nodes[3]).astype(float), name="e_3"
+        )
+        assert bad.apply(indicator).values[5] == -0.1
+        assert check_positivity(bad, trials=7, seed=99) == rep
+
 
 class TestOperatorNorm:
     def test_unital_positive_kernel_attains_norm_at_one(self):
@@ -320,6 +331,18 @@ class TestOperatorNorm:
         op = bernstein(10, INTERVAL)
         doubled = KernelOperator(INTERVAL, INTERVAL, op.nodes, 2.0 * op.weights)
         assert estimate_operator_norm(doubled).estimate == pytest.approx(2.0, abs=1e-12)
+
+    def test_exact_for_mixed_signs(self):
+        op = inject_weight(bernstein(10, INTERVAL), 5, 3, -0.5)
+        est = estimate_operator_norm(op)
+        assert est.estimate == float(np.abs(op.weights).sum(axis=1).max())
+        # the sign pattern of row 5 at the 11 nodes attains it
+        pattern = ScalarFunction(
+            INTERVAL, lambda x: np.where(op.weights[5] >= 0.0, 1.0, -1.0), name="signs"
+        )
+        assert np.max(np.abs(op.apply(pattern).values)) == pytest.approx(est.estimate, abs=1e-12)
+        assert est.t_one_sup < est.estimate
+        assert estimate_operator_norm(identity_isometry(INTERVAL)).estimate == 1.0
 
     @pytest.mark.parametrize(
         "op",
