@@ -55,7 +55,6 @@ from .operators import (
     OperatorFamily,
     OperatorFlags,
     PositivityReport,
-    apply,
     averaging_operator,
     bernstein,
     bernstein_family,

@@ -38,6 +38,9 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+# box on every LP coefficient variable; certificates are re-verified, but an
+# infeasibility verdict is relative to this box
+COEFF_BOUND = 1e6
 # rows in the peak LP's starting working set, and the cap on its rounds
 _ROW_BUDGET = 256
 _MAX_ROUNDS = 64
@@ -56,7 +59,6 @@ class ChoquetParams:
     r_factors: tuple[float, ...] = (0.05, 0.1, 0.2)
     delta_min: float = DEFAULT_DELTA_MIN
     directions: int = 16
-    coeff_bound: float = 1e6
 
     def radii(self, space: CompactSpace) -> tuple[float, ...]:
         if self.r_list is not None:
@@ -144,7 +146,6 @@ def _peak_search(
     r: float,
     delta_min: float,
     directions: int,
-    coeff_bound: float,
 ) -> tuple[PeakCertificate | None, float]:
     """Run the peak LP at one radius as a working-set (Kelley) loop.
 
@@ -194,7 +195,7 @@ def _peak_search(
     n_var = a_eq.shape[1]
     obj = np.zeros(n_var)
     obj[-1] = -1.0
-    bounds = [(-coeff_bound, coeff_bound)] * (n_var - 1) + [(-4.0, 1.0)]
+    bounds = [(-COEFF_BOUND, COEFF_BOUND)] * (n_var - 1) + [(-4.0, 1.0)]
 
     for _ in range(_MAX_ROUNDS):
         a_ub = rows(cut_y, cut_phase)
@@ -242,7 +243,6 @@ def find_peak_function(
     r: float,
     delta_min: float = DEFAULT_DELTA_MIN,
     directions: int = 16,
-    coeff_bound: float = 1e6,
 ) -> PeakCertificate | None:
     """Search the span for a function peaking at x0.
 
@@ -260,7 +260,7 @@ def find_peak_function(
         raise ValueError("peak search needs a separating span")
     if not 0 <= int(x0) < span.space.n_points:
         raise ValueError("peak point index out of range")
-    cert, _ = _peak_search(span, int(x0), float(r), delta_min, directions, coeff_bound)
+    cert, _ = _peak_search(span, int(x0), float(r), delta_min, directions)
     return cert
 
 
@@ -294,7 +294,6 @@ def lemma_b_feasible(
     alpha: float,
     beta: float,
     u_set: PointSet,
-    coeff_bound: float = 1e6,
 ) -> LemmaBCertificate | None:
     """Feasibility of the neighborhood-separation system at x0.
 
@@ -328,7 +327,7 @@ def lemma_b_feasible(
     rhs.append(np.array([float(alpha)]))
     a_ub = np.vstack(rows)
     b_ub = np.concatenate(rhs)
-    bounds = [(-coeff_bound, coeff_bound)] * nv
+    bounds = [(-COEFF_BOUND, COEFF_BOUND)] * nv
     res = _solve(np.zeros(nv), a_ub, b_ub, None, None, bounds)
     if res.status != 0:
         return None
@@ -371,7 +370,6 @@ def lemma_b_scan(
     span: FunctionSpan,
     x0: int,
     params: ChoquetParams = ChoquetParams(),
-    alpha_beta_grid=DEFAULT_ALPHA_BETA_GRID,
 ) -> LemmaBCertificate | None:
     """Sampled form of the separation criterion at one point.
 
@@ -383,11 +381,9 @@ def lemma_b_scan(
     """
     from .space import open_ball
 
-    for alpha, beta in alpha_beta_grid:
+    for alpha, beta in DEFAULT_ALPHA_BETA_GRID:
         for r in params.radii(span.space):
-            cert = lemma_b_feasible(
-                span, x0, alpha, beta, open_ball(span.space, x0, r), params.coeff_bound
-            )
+            cert = lemma_b_feasible(span, x0, alpha, beta, open_ball(span.space, x0, r))
             if cert is not None:
                 return cert
     return None
@@ -432,9 +428,7 @@ def estimate_choquet_boundary(
                         best_cert = cand
                     continue
             try:
-                cert, delta = _peak_search(
-                    span, i, r, params.delta_min, params.directions, params.coeff_bound
-                )
+                cert, delta = _peak_search(span, i, r, params.delta_min, params.directions)
             except SolverError as exc:
                 solver_trouble = True
                 note = str(exc)

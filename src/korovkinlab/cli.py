@@ -2,14 +2,13 @@
 
 Commands:
     operators list [--json]
-    choquet (--config FILE | --preset NAME) [--span NAME] [--out DIR] [--seed N]
-    korovkin run (--config FILE | --preset NAME) [--out DIR] [--seed N]
+    choquet (--config FILE | --preset NAME) [--span NAME] [--out DIR]
+    korovkin run (--config FILE | --preset NAME) [--out DIR]
 
 Exit codes: 0 on success, 1 on configuration or solver failure, 2 when a
 convergence run completed but its hypothesis or convergence checks failed.
 CSV output uses shortest round-trip float formatting, so identical
-configurations produce byte-identical files. ``--seed`` is accepted but no
-longer changes any result: nothing in a run is sampled.
+configurations produce byte-identical files: nothing in a run is sampled.
 """
 
 from __future__ import annotations
@@ -68,20 +67,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _seed(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return n
-
-
 def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a JSON run configuration")
     p.add_argument("--preset", help=f"built-in preset name ({', '.join(preset_names())})")
     p.add_argument("--out", help="output directory (overrides config and environment)")
-    p.add_argument(
-        "--seed", type=_seed, help="seed override (non-negative; accepted, changes no result)"
-    )
 
 
 def _load(args) -> dict:
@@ -235,7 +224,7 @@ def _hypotheses_payload(report: ConvergenceReport) -> dict:
 
 def cmd_korovkin_run(args) -> int:
     cfg = _load(args)
-    built = build_experiment(cfg, seed_override=args.seed)
+    built = build_experiment(cfg)
     hyp = verify_hypotheses(built.experiment)
     report = run_convergence(built.experiment, hypotheses=hyp, override=True)
     out = _resolve_out(args, cfg)

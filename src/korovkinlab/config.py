@@ -139,8 +139,10 @@ CONFIG_SCHEMA = {
                     "items": {"type": "integer", "minimum": 1},
                     "minItems": 1,
                 },
+                # `seed` is accepted and ignored: nothing in a run is sampled,
+                # but configurations written for earlier versions (and the
+                # benchmark's generated ones) still carry the key
                 "seed": {"type": "integer", "minimum": 0},
-                "positivity_trials": {"type": "integer", "minimum": 1},
                 "tolerances": {
                     "type": "object",
                     "additionalProperties": False,
@@ -325,9 +327,7 @@ def _tampered(fam: OperatorFamily, tamper: dict) -> OperatorFamily:
     def build(n: int):
         return inject_weight(fam.kernel_builder(n), yi, ni, val)
 
-    return OperatorFamily(
-        f"{fam.name}(tampered)", fam.source, fam.target, build, fam.limit, fam.index_hint
-    )
+    return OperatorFamily(f"{fam.name}(tampered)", fam.source, fam.target, build, fam.limit)
 
 
 def build_choquet_params(block: dict | None) -> ChoquetParams:
@@ -354,7 +354,7 @@ class BuiltExperiment:
     output_dir: str | None
 
 
-def build_experiment(cfg: dict, seed_override: int | None = None) -> BuiltExperiment:
+def build_experiment(cfg: dict) -> BuiltExperiment:
     """Turn a validated config dict into a ready-to-run experiment."""
     spaces = build_spaces(cfg)
     spans = build_spans(cfg, spaces)
@@ -386,15 +386,12 @@ def build_experiment(cfg: dict, seed_override: int | None = None) -> BuiltExperi
         except ValueError as exc:
             raise ConfigError(f"experiment.indices: {exc}") from None
     tol = exp.get("tolerances", {})
-    seed = seed_override if seed_override is not None else exp.get("seed", 0)
     try:
         experiment = ExperimentConfig(
             family=family,
             test_span=test_span,
             probes=probes,
             indices=indices,
-            seed=int(seed),
-            positivity_trials=exp.get("positivity_trials", 100),
             abs_threshold=tol.get("abs_threshold", 0.05),
             improvement_factor=tol.get("improvement_factor", 2.0),
             transient_slack=tol.get("transient_slack", 1.2),

@@ -29,15 +29,14 @@ ZERO_ERROR_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment. Positivity is certified from the kernel weight signs,
-    so ``seed`` and ``positivity_trials`` are accepted but change no result."""
+    """One experiment: a family, its test span and probes, the indices to
+    run, and the convergence thresholds. Nothing in a run is sampled:
+    positivity is certified from the kernel weight signs."""
 
     family: OperatorFamily
     test_span: FunctionSpan
     probes: tuple[ScalarFunction, ...]
     indices: tuple[int, ...]
-    seed: int = 0
-    positivity_trials: int = 100
     abs_threshold: float = 0.05
     improvement_factor: float = 2.0
     transient_slack: float = 1.2
@@ -97,12 +96,7 @@ class HypothesisReport:
 def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     """Certify the structural hypotheses of a convergence experiment."""
     fam = config.family
-    positivity = {
-        n: check_positivity(
-            fam.operator(n), trials=config.positivity_trials, seed=config.seed + n
-        )
-        for n in config.indices
-    }
+    positivity = {n: check_positivity(fam.operator(n)) for n in config.indices}
     t1_bound = max(
         float(np.max(np.abs(fam.operator(n).t_one_values))) for n in config.indices
     )

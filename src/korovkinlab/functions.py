@@ -195,13 +195,6 @@ def span_eval(span: FunctionSpan, coeffs: Sequence, x):
     return sum(c * f.rule(x) for c, f in zip(coeffs, span.basis))
 
 
-def combination_values(span: FunctionSpan, coeffs: Sequence) -> np.ndarray:
-    """Grid value vector of the combination sum(coeffs[i] * basis[i])."""
-    if len(coeffs) != span.dim:
-        raise ValueError(f"expected {span.dim} coefficients, got {len(coeffs)}")
-    return span.value_matrix @ np.asarray(coeffs)
-
-
 def separates_points(span: FunctionSpan) -> tuple[bool, tuple[int, int] | None]:
     """Whether basis value vectors distinguish every grid pair.
 

@@ -133,7 +133,6 @@ class OperatorFamily:
     target: CompactSpace
     kernel_builder: Callable[[int], KernelOperator]
     limit: CompositionIsometry
-    index_hint: tuple[int, int] = (1, 256)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def operator(self, n: int) -> KernelOperator:
@@ -146,11 +145,6 @@ class OperatorFamily:
         if f.space is not self.source:
             raise ValueError("function lives on a different grid than the family source")
         return self.operator(n).apply(f)
-
-
-def apply(family: OperatorFamily, n: int, f: ScalarFunction) -> ScalarFunction:
-    """Apply the family member with index n to f."""
-    return family.apply(n, f)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +275,7 @@ def eps_schedule(spec) -> Callable[[int], float]:
     return from_list
 
 
-def perturbed_composition(
-    phi: CompositionIsometry,
-    mix: KernelOperator,
-    eps,
-    name: str = "perturbed_composition",
-    index_hint: tuple[int, int] = (1, 256),
-) -> OperatorFamily:
+def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) -> OperatorFamily:
     """Family T_n f = (1 - eps_n) f(phi(.)) + eps_n (mix f).
 
     The mix must be positive (nonnegative weights) and unital, which makes
@@ -313,7 +301,7 @@ def perturbed_composition(
         w = np.hstack([comp, e * mix.weights])
         return KernelOperator(phi.source, phi.target, nodes, w)
 
-    return OperatorFamily(name, phi.source, phi.target, build, limit=phi, index_hint=index_hint)
+    return OperatorFamily("perturbed_composition", phi.source, phi.target, build, limit=phi)
 
 
 def inject_weight(op: KernelOperator, target_index: int, node_index: int, value: float) -> KernelOperator:
@@ -372,16 +360,19 @@ class PositivityReport:
     weight_witness: tuple[int, int, float] | None
 
 
-def check_positivity(op, trials: int = 100, seed: int = 0) -> PositivityReport:
+def check_positivity(op) -> PositivityReport:
     """Certify positivity from the weight signs alone; nothing is sampled.
 
     A kernel operator passes when its weight certificate holds. Otherwise
-    the witness is constructive: with weights[y, i] the most negative
-    weight, the indicator e_i of node i is a nonnegative input with
-    (T e_i)(y) = weights[y, i] < 0. ``witness`` is (i, y, that value),
-    ``weight_witness`` is (y, i, that value), and ``worst_violation`` is
-    max(0, -min_weight). A composition isometry passes trivially.
-    ``trials`` and ``seed`` are accepted and change nothing.
+    the weight columns of equal nodes are summed first, since a function
+    takes one value at a point however often it is listed, and the merged
+    weights decide. When they fail, the witness is constructive: with
+    weights[y, i] the most negative merged weight, the indicator e_i of
+    node i is a nonnegative input with (T e_i)(y) = weights[y, i] < 0.
+    ``witness`` is (i, y, that value) and ``weight_witness`` is (y, i, that
+    value), where i is the first index of that node in ``op.nodes``;
+    ``worst_violation`` is max(0, -min_weight). A composition isometry
+    passes trivially.
     """
     if isinstance(op, CompositionIsometry):
         return PositivityReport(True, 0.0, None, None, None, None)
@@ -390,13 +381,17 @@ def check_positivity(op, trials: int = 100, seed: int = 0) -> PositivityReport:
             "check_positivity expects a KernelOperator or CompositionIsometry; "
             "for a family, pass family.operator(n)"
         )
-    min_weight = op.min_weight
-    passed = op.weight_certificate()
+    weights, first = op.weights, None
+    if not op.weight_certificate():
+        weights, first = _distinct_node_weights(op)
+    min_weight = float(weights.min())
+    passed = min_weight >= WEIGHT_SIGN_TOL
     witness = weight_witness = None
     if not passed:
-        y, i = np.unravel_index(int(np.argmin(op.weights)), op.weights.shape)
-        witness = (int(i), int(y), min_weight)
-        weight_witness = (int(y), int(i), min_weight)
+        y, j = np.unravel_index(int(np.argmin(weights)), weights.shape)
+        i = int(first[j])
+        witness = (i, int(y), min_weight)
+        weight_witness = (int(y), i, min_weight)
     return PositivityReport(
         passed=passed,
         worst_violation=max(0.0, -min_weight),
@@ -407,23 +402,40 @@ def check_positivity(op, trials: int = 100, seed: int = 0) -> PositivityReport:
     )
 
 
+def _distinct_node_weights(op: KernelOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The weights with the columns of equal nodes summed, and the first
+    index in ``op.nodes`` of each distinct node.
+
+    Built on each call and not kept: on a large kernel a kept copy would
+    double its memory.
+    """
+    _, first, inverse = np.unique(op.nodes, axis=0, return_index=True, return_inverse=True)
+    if first.size == len(op.nodes):
+        return op.weights, np.arange(first.size)
+    inverse = inverse.reshape(-1)
+    starts = np.r_[0, np.cumsum(np.bincount(inverse))[:-1]]
+    order = np.argsort(inverse, kind="stable")
+    return np.add.reduceat(op.weights[:, order], starts, axis=1), first
+
+
 @dataclass(frozen=True)
 class NormEstimate:
     estimate: float
     t_one_sup: float
 
 
-def estimate_operator_norm(op, trials: int = 64, seed: int = 2024) -> NormEstimate:
+def estimate_operator_norm(op) -> NormEstimate:
     """The sup-norm operator norm, computed exactly.
 
     A kernel operator's norm is its largest absolute row sum
-    max_j sum_i |w_ji|, attained by the sign (or phase) pattern of that
-    row; with repeated nodes and mixed signs this is an upper bound. A
-    composition isometry has norm 1. ``trials`` and ``seed`` are accepted
-    and change nothing.
+    max_j sum_i |w_ji| over distinct nodes, attained by the sign (or phase)
+    pattern of that row. With mixed signs the weight columns of equal nodes
+    are summed first; with nonnegative weights that changes no row sum. A
+    composition isometry has norm 1.
     """
     if isinstance(op, KernelOperator):
-        norm = float(np.abs(op.weights).sum(axis=1).max())
+        weights = op.weights if op.min_weight >= 0.0 else _distinct_node_weights(op)[0]
+        norm = float(np.abs(weights).sum(axis=1).max())
     elif isinstance(op, CompositionIsometry):
         norm = 1.0
     else:
@@ -439,12 +451,11 @@ class OperatorFlags:
     corollary_consistent: bool
 
 
-def classify_operator(op, trials: int = 100, seed: int = 0) -> OperatorFlags:
+def classify_operator(op) -> OperatorFlags:
     """Unital / contraction / positive flags, plus a consistency check.
 
     On real-field spaces a unital contraction must act positively; any
-    failure of that implication is flagged. ``trials`` and ``seed`` are
-    accepted and change nothing.
+    failure of that implication is flagged.
     """
     norm = estimate_operator_norm(op)
     unital = float(np.max(np.abs(op.t_one_values - 1.0))) <= UNITAL_TOL

@@ -23,7 +23,6 @@ PRESETS: dict[str, dict] = {
             "test_span": "quadratic",
             "probes": "default",
             "indices": [16, 64, 256],
-            "seed": 20240811,
         },
     },
     "example42_tensor": {
@@ -41,7 +40,6 @@ PRESETS: dict[str, dict] = {
             "test_span": "quadratic2d",
             "probes": "default",
             "indices": [8, 32, 128],
-            "seed": 20240811,
         },
     },
     "example43_fejer": {
@@ -54,7 +52,6 @@ PRESETS: dict[str, dict] = {
             "test_span": "analytic",
             "probes": "default",
             "indices": [4, 16, 64],
-            "seed": 20240811,
         },
     },
     "example43_disc": {
@@ -69,7 +66,6 @@ PRESETS: dict[str, dict] = {
             "test_span": "hermitian",
             "probes": "default",
             "indices": [2, 4, 8, 32],
-            "seed": 20240811,
         },
     },
     "remark44_fejer": {
@@ -82,7 +78,6 @@ PRESETS: dict[str, dict] = {
             "test_span": "trig",
             "probes": "default",
             "indices": [4, 16, 64],
-            "seed": 20240811,
         },
     },
 }

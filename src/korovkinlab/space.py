@@ -1,6 +1,6 @@
 """Finite point grids standing in for compact spaces.
 
-A grid stores its points as coordinates in R^d together with a metric.
+A grid stores its points as coordinates in R^d under the Euclidean metric.
 Complex-valued grids (circle, disc) additionally carry each point as a
 complex number, and that complex view is the one functions are evaluated
 on. Grids and point sets are immutable after construction, so they are
@@ -13,13 +13,15 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError
 
-DEFAULT_POINT_CAP = 10**6
+# the dense pairwise distance matrix of this many points takes 2 GiB, the
+# memory budget of one grid; larger grids are refused before any n x n work
+DEFAULT_POINT_CAP = 2**14
 
 # full pairwise metric validation is O(n^2); skipped above this size
 _VALIDATE_PAIRWISE_LIMIT = 4096
@@ -38,13 +40,9 @@ class SpaceKind(Enum):
     CUSTOM = "custom"
 
 
-def euclidean_metric(p, q) -> float:
-    return float(np.linalg.norm(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)))
-
-
 @dataclass(frozen=True, eq=False)
 class CompactSpace:
-    """An ordered finite point set with a metric.
+    """An ordered finite point set with the Euclidean metric.
 
     ``coords`` has shape ``(n_points, dim)``. For complex-field grids,
     ``complex_points`` holds the authoritative complex value of each point;
@@ -56,7 +54,6 @@ class CompactSpace:
     field: Field
     kind: SpaceKind
     coords: np.ndarray
-    metric: Callable[[np.ndarray, np.ndarray], float] = euclidean_metric
     complex_points: np.ndarray | None = None
     boundary_mask: np.ndarray | None = None
 
@@ -68,6 +65,11 @@ class CompactSpace:
             raise ValueError("coords must have shape (n_points, dim)")
         if coords.shape[0] < 2:
             raise ValueError("a grid needs at least 2 points")
+        if coords.shape[0] > DEFAULT_POINT_CAP:
+            raise ResourceLimitError(
+                f"grid would have {coords.shape[0]} points, above the cap of "
+                f"{DEFAULT_POINT_CAP} (a dense distance matrix of 2 GiB)"
+            )
         if not np.all(np.isfinite(coords)):
             raise ValueError("grid coordinates must be finite")
         if len(np.unique(coords, axis=0)) != coords.shape[0]:
@@ -106,17 +108,10 @@ class CompactSpace:
 
     @cached_property
     def pairwise(self) -> np.ndarray:
-        """Full distance matrix under the grid metric."""
-        if self.metric is euclidean_metric:
-            from scipy.spatial.distance import cdist
+        """Full Euclidean distance matrix."""
+        from scipy.spatial.distance import cdist
 
-            d = cdist(self.coords, self.coords)
-        else:
-            n = self.n_points
-            d = np.empty((n, n))
-            for i in range(n):
-                for j in range(n):
-                    d[i, j] = self.metric(self.coords[i], self.coords[j])
+        d = cdist(self.coords, self.coords)
         d.setflags(write=False)
         return d
 
@@ -311,10 +306,7 @@ def make_box_grid(p: int, m: int, point_cap: int = DEFAULT_POINT_CAP) -> Compact
 
 
 def make_custom_space(
-    points: Sequence,
-    field: Field = Field.REAL,
-    space_id: str = "custom",
-    metric: Callable[[np.ndarray, np.ndarray], float] = euclidean_metric,
+    points: Sequence, field: Field = Field.REAL, space_id: str = "custom"
 ) -> CompactSpace:
     """Wrap an explicit point list; complex input becomes a complex-field grid.
 
@@ -338,15 +330,12 @@ def make_custom_space(
             field=Field.COMPLEX,
             kind=SpaceKind.CUSTOM,
             coords=coords,
-            metric=metric,
             complex_points=cp,
         )
     coords = np.asarray(arr, dtype=float)
     if coords.ndim == 1:
         coords = coords[:, None]
-    return CompactSpace(
-        id=space_id, field=Field.REAL, kind=SpaceKind.CUSTOM, coords=coords, metric=metric
-    )
+    return CompactSpace(id=space_id, field=Field.REAL, kind=SpaceKind.CUSTOM, coords=coords)
 
 
 def open_ball(space: CompactSpace, x0: int, r: float) -> PointSet:

@@ -232,7 +232,7 @@ def test_criterion_07_nontrivial_isometry():
     span = FunctionSpan((named_function("const1", space), named_function("z", space)))
     probes = default_probes(space)
     cfg = ExperimentConfig(
-        family=fam, test_span=span, probes=probes, indices=(1, 4, 16, 64), seed=11
+        family=fam, test_span=span, probes=probes, indices=(1, 4, 16, 64)
     )
     hyp = verify_hypotheses(cfg)
     report = run_convergence(cfg, hypotheses=hyp)
@@ -297,10 +297,10 @@ def test_criterion_09_positivity_property_suite():
     ]
     ok = True
     for fam in families:
-        rep = check_positivity(fam.operator(8), trials=1000, seed=2024)
+        rep = check_positivity(fam.operator(8))
         ok &= rep.passed and rep.worst_violation <= 1e-12
     bad = inject_weight(bernstein(8, make_interval_grid(50)), 7, 2, -0.3)
-    rep_bad = check_positivity(bad, trials=1000, seed=2024)
+    rep_bad = check_positivity(bad)
     counterexample_ok = (
         not rep_bad.passed
         and rep_bad.weight_witness == (7, 2, -0.3)
@@ -308,7 +308,7 @@ def test_criterion_09_positivity_property_suite():
     )
     record(
         9,
-        "1000 seeded nonnegative trials >= -1e-12 through 5 families at n=8; "
+        "weight-sign certificate (worst violation <= 1e-12) for 5 families at n=8; "
         f"tampered family flagged with witness={counterexample_ok}",
         ok and counterexample_ok,
     )

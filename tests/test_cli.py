@@ -1,10 +1,16 @@
+import argparse
 import csv
 import json
+import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from korovkinlab.cli import main
+from korovkinlab.cli import build_parser, main
 from korovkinlab.presets import get_preset, preset_names
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*argv):
@@ -179,18 +185,48 @@ class TestKorovkinRun:
         err = capsys.readouterr().err
         assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
 
-    def test_seed_flag_changes_nothing_structural(self, tmp_path):
-        code = run_cli(
-            "korovkin",
-            "run",
-            "--preset",
-            "example41_bernstein",
-            "--seed",
-            "77",
-            "--out",
-            str(tmp_path),
-        )
-        assert code == 0
+    def test_over_cap_interval_grid_exit_1(self, tmp_path, capsys, monkeypatch):
+        import scipy.spatial.distance
+
+        def no_matrix(*args):
+            raise AssertionError("pairwise distances computed")
+
+        monkeypatch.setattr(scipy.spatial.distance, "cdist", no_matrix)
+        cfg = get_preset("example41_bernstein")
+        cfg["spaces"]["I"]["m"] = 2**14  # 2**14 + 1 points
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = run_cli("korovkin", "run", "--config", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spaces.I:") and err.count("\n") == 1
+        assert peak < 2**24  # the 2**14 x 2**14 distance matrix would take 2 GiB
+
+    def test_seed_flag_exit_1(self, capsys):
+        assert run_cli("korovkin", "run", "--preset", "example41_bernstein", "--seed", "7") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_positivity_trials_key_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example41_bernstein")
+        cfg["experiment"]["positivity_trials"] = 100
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        assert "positivity_trials" in capsys.readouterr().err
+
+    def test_seed_key_changes_no_output(self, tmp_path):
+        cfg = get_preset("example41_bernstein")
+        plain = write_config(tmp_path, cfg, "plain.json")
+        cfg["experiment"]["seed"] = 20240811
+        seeded = write_config(tmp_path, cfg, "seeded.json")
+        for name, path in (("a", plain), ("b", seeded)):
+            assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path / name)) == 0
+        for output in ("report.csv", "hypotheses.json"):
+            assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
 
 
 class TestPresets:
@@ -215,6 +251,21 @@ class TestPresets:
 
     def test_unknown_preset(self):
         assert run_cli("korovkin", "run", "--preset", "nope") == 1
+
+
+def _long_flags(parser: argparse.ArgumentParser, path: tuple[str, ...]) -> set[str]:
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return {s for a in parser._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+
+@pytest.mark.parametrize("path", [("operators", "list"), ("choquet",), ("korovkin", "run")])
+def test_readme_synopsis_matches_parser(path):
+    prefix = " ".join(("korovkinlab",) + path) + " "
+    lines = [ln for ln in README.read_text().splitlines() if ln.startswith(prefix)]
+    assert len(lines) == 1, f"expected one README synopsis line for {prefix!r}"
+    assert set(re.findall(r"--[a-z][a-z-]*", lines[0])) == _long_flags(build_parser(), path)
 
 
 class TestOutputDirEnvVar:

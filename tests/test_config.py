@@ -102,8 +102,3 @@ class TestBuilders:
         cfg["experiment"]["probes"] = ["x", "runge"]
         built = build_experiment(validate_config(cfg))
         assert [p.name for p in built.experiment.probes] == ["x", "runge"]
-
-    def test_seed_override(self):
-        cfg = get_preset("example41_bernstein")
-        built = build_experiment(validate_config(cfg), seed_override=99)
-        assert built.experiment.seed == 99

@@ -36,7 +36,6 @@ def bernstein_config(indices=(4, 16, 64), probes=None):
         test_span=QUAD,
         probes=probes or default_probes(INTERVAL),
         indices=indices,
-        seed=123,
     )
 
 
@@ -69,7 +68,6 @@ class TestVerifyHypotheses:
             test_span=QUAD,
             probes=default_probes(INTERVAL),
             indices=(4, 8),
-            seed=1,
         )
         hyp = verify_hypotheses(cfg)
         assert not hyp.passed
@@ -83,7 +81,6 @@ class TestVerifyHypotheses:
             test_span=QUAD,
             probes=default_probes(INTERVAL),
             indices=(4, 8),
-            seed=1,
             n_generators=(
                 named_function("const1", INTERVAL),
                 named_function("x", INTERVAL),
@@ -102,7 +99,6 @@ class TestRunConvergence:
             test_span=QUAD,
             probes=default_probes(INTERVAL),
             indices=(4, 8),
-            seed=1,
         )
         with pytest.raises(ValueError):
             run_convergence(cfg)
@@ -129,7 +125,7 @@ class TestRunConvergence:
         )
         span = FunctionSpan((named_function("const1", space), named_function("z", space)))
         cfg = ExperimentConfig(
-            family=fam, test_span=span, probes=default_probes(space), indices=(1, 2, 4), seed=0
+            family=fam, test_span=span, probes=default_probes(space), indices=(1, 2, 4)
         )
         report = run_convergence(cfg)
         for row in report.rows:
@@ -143,7 +139,7 @@ class TestRunConvergence:
         span = FunctionSpan((named_function("const1", space), named_function("z", space)))
         probes = default_probes(space)
         cfg = ExperimentConfig(
-            family=fam, test_span=span, probes=probes, indices=(1, 2, 4, 8), seed=0
+            family=fam, test_span=span, probes=probes, indices=(1, 2, 4, 8)
         )
         report = run_convergence(cfg)
         norms = {f.name: sup_norm(f) for f in probes}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from korovkinlab import (
+    CompactSpace,
     Field,
     PointSet,
     ResourceLimitError,
@@ -13,6 +14,7 @@ from korovkinlab import (
     make_interval_grid,
     open_ball,
 )
+from korovkinlab.space import DEFAULT_POINT_CAP
 
 
 class TestIntervalGrid:
@@ -87,6 +89,23 @@ class TestBoxGrid:
             make_box_grid(3, 100, point_cap=10**6)
 
 
+class TestPointCap:
+    def test_grids_over_the_cap_are_refused(self, monkeypatch):
+        def no_pairwise(space):
+            raise AssertionError("pairwise distances computed")
+
+        monkeypatch.setattr(CompactSpace, "pairwise", property(no_pairwise))
+        with pytest.raises(ResourceLimitError, match=str(DEFAULT_POINT_CAP)):
+            make_interval_grid(DEFAULT_POINT_CAP)
+        with pytest.raises(ResourceLimitError):
+            make_custom_space(np.arange(DEFAULT_POINT_CAP + 1.0))
+        make_interval_grid(DEFAULT_POINT_CAP - 1)
+
+    def test_box_cap_cannot_raise_the_grid_cap(self):
+        with pytest.raises(ResourceLimitError, match="grid would have 40401 points"):
+            make_box_grid(2, 200, point_cap=10**6)
+
+
 class TestMetricInvariants:
     @pytest.mark.parametrize(
         "grid",
@@ -108,6 +127,11 @@ class TestMetricInvariants:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             make_custom_space([[0.0], [0.5], [0.5]])
+
+    def test_underflowing_distance_rejected(self):
+        # distinct points whose squared difference underflows to distance 0
+        with pytest.raises(ValueError, match="positive distance"):
+            make_custom_space([[0.0], [1e-200]])
 
 
 class TestRefinement:
