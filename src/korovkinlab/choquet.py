@@ -14,6 +14,11 @@ are linearised as Re(e^{-i phi} h(y)) <= cap at finitely many phases phi
 fields: it starts from a polygon at a budget of grid points and adds
 exact-phase cutting planes at violators (Kelley's method), so acceptances
 are verified and rejections are certified by a relaxation's optimum.
+
+A boundary scan solves one point per orbit of the grid symmetries that
+preserve the metric and the span, and moves each Boundary verdict along the
+orbit as a re-verified certificate (Bödi, Herr & Joswig, Math. Program.
+137, 2013). A rejection is never moved.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ COEFF_BOUND = 1e6
 # rows in the peak LP's starting working set, and the cap on its rounds
 _ROW_BUDGET = 256
 _MAX_ROUNDS = 64
+# a grid symmetry must preserve every distance to this tolerance; the check
+# compares this many distance entries at a time
+_ISOMETRY_TOL = 1e-12
+_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,9 @@ class PointClassification:
     label: Classification
     certificate: PeakCertificate | None
     best_delta: float
+    # the point whose own peak search produced the certificate: an orbit
+    # representative for a moved verdict, otherwise the point itself
+    source: int
     note: str = ""
 
 
@@ -389,6 +401,142 @@ def lemma_b_scan(
     return None
 
 
+def _accepted_generators(span: FunctionSpan) -> list[np.ndarray]:
+    """The grid's candidate symmetries that preserve distances and the span.
+
+    A candidate g is kept when d(g[i], g[j]) = d(i, j) to _ISOMETRY_TOL,
+    compared a block of rows at a time, and every basis function composed
+    with g lies in the span.
+    """
+    space = span.space
+    d = space.pairwise
+    n = space.n_points
+    rows = max(1, _BLOCK_ENTRIES // n)
+    out = []
+    for g in space.generators:
+        isometry = all(
+            np.max(np.abs(d[g[s : s + rows]][:, g] - d[s : s + rows])) <= _ISOMETRY_TOL
+            for s in range(0, n, rows)
+        )
+        if isometry and all(span.contains_values(col) for col in span.value_matrix[g].T):
+            out.append(g)
+    return out
+
+
+def _orbit_tree(n: int, gens: list[np.ndarray]) -> tuple[list[int], list[int], list[int]]:
+    """Breadth-first trees of the orbits under the generators.
+
+    Returns (parent, via, order): point i = gens[via[i]][parent[i]], parent
+    -1 marks an orbit's representative (its smallest index), and `order`
+    lists each orbit from its representative, parents first.
+    """
+    parent = [-1] * n
+    via = [-1] * n
+    seen = [False] * n
+    order: list[int] = []
+    maps = [g.tolist() for g in gens]
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        orbit = [root]
+        for u in orbit:  # grows while it is walked
+            for j, g in enumerate(maps):
+                v = g[u]
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v], via[v] = u, j
+                    orbit.append(v)
+        order.extend(orbit)
+    return parent, via, order
+
+
+def _recheck(
+    span: FunctionSpan, i: int, coeffs, r: float, delta_min: float
+) -> PeakCertificate | None:
+    """The certificate of `coeffs` peaking at point i outside radius r, with
+    its exact margin, when that clears delta_min and re-verifies."""
+    h = span.value_matrix @ np.asarray(coeffs)
+    far = span.space.pairwise[i] >= r
+    margin = 1.0 - float(np.max(np.abs(h[far]))) if far.any() else 1.0
+    cert = PeakCertificate(i, tuple(coeffs), margin, float(r))
+    if margin >= delta_min and verify_peak_certificate(span, cert)[0]:
+        return cert
+    return None
+
+
+def _scan_point(
+    span: FunctionSpan, i: int, radii: tuple[float, ...], params: ChoquetParams
+) -> PointClassification:
+    """Classify one point by its own peak searches, radius by radius."""
+    best_cert: PeakCertificate | None = None
+    best_delta = -np.inf
+    solver_trouble = False
+    note = ""
+    for r in radii:
+        if best_cert is not None:
+            # a peak inside a smaller radius stays one for larger radii:
+            # the far set only shrinks, so re-evaluate instead of re-solving
+            cand = _recheck(span, i, best_cert.coeffs, r, params.delta_min)
+            if cand is not None:
+                best_delta = max(best_delta, cand.margin)
+                if cand.margin > best_cert.margin:
+                    best_cert = cand
+                continue
+        try:
+            cert, delta = _peak_search(span, i, r, params.delta_min, params.directions)
+        except SolverError as exc:
+            solver_trouble = True
+            note = str(exc)
+            continue
+        best_delta = max(best_delta, delta)
+        if cert is not None and (best_cert is None or cert.margin > best_cert.margin):
+            best_cert = cert
+    if best_cert is not None:
+        label = Classification.BOUNDARY
+    elif solver_trouble:
+        label = Classification.INDETERMINATE
+    else:
+        label = Classification.NOT_DETECTED
+    return PointClassification(
+        index=i,
+        label=label,
+        certificate=best_cert,
+        best_delta=float(best_delta) if np.isfinite(best_delta) else -np.inf,
+        source=i,
+        note=note,
+    )
+
+
+def _move_verdict(
+    span: FunctionSpan, known: PointClassification, g: np.ndarray, delta_min: float
+) -> PointClassification | None:
+    """Carry a Boundary verdict from point p to g[p] along the symmetry g.
+
+    The peaking function moves by permuting its values, h'(g[y]) = h(y);
+    its coefficients come from least squares on the basis values. The
+    margin is recomputed on the new point's own far set at the
+    certificate's radius, and the certificate is re-verified. Returns None
+    when the moved certificate does not pass.
+    """
+    b_mat = span.value_matrix
+    h = b_mat @ np.asarray(known.certificate.coeffs)
+    moved = np.empty_like(h)
+    moved[g] = h
+    coeffs = np.linalg.lstsq(b_mat, moved, rcond=None)[0]
+    i = int(g[known.index])
+    cert = _recheck(span, i, coeffs, known.certificate.radius, delta_min)
+    if cert is None:
+        return None
+    return PointClassification(
+        index=i,
+        label=Classification.BOUNDARY,
+        certificate=cert,
+        best_delta=cert.margin,
+        source=known.source,
+    )
+
+
 def estimate_choquet_boundary(
     span: FunctionSpan, params: ChoquetParams = ChoquetParams()
 ) -> BoundaryEstimate:
@@ -398,6 +546,13 @@ def estimate_choquet_boundary(
     largest-margin certificate is kept), NotDetected when the LP proves
     every radius infeasible at the margin threshold, and Indeterminate when
     the solver failed and no certificate was found.
+
+    Points are scanned one orbit at a time under the grid symmetries that
+    preserve the metric and the span. Each orbit's representative is
+    solved directly; a Boundary verdict moves along the orbit as a
+    re-verified certificate. A point whose moved certificate fails, or
+    whose parent in the orbit's walk is not Boundary, is solved directly,
+    so every rejection rests on the point's own relaxation optimum.
     """
     if not span.unital:
         raise ValueError("boundary estimation needs a unital span")
@@ -406,51 +561,15 @@ def estimate_choquet_boundary(
     radii = tuple(sorted(params.radii(span.space)))
     if not radii or radii[0] <= 0:
         raise ValueError("radius list must contain positive radii")
-    b_mat = span.value_matrix
-    results = []
-    for i in range(span.space.n_points):
-        best_cert: PeakCertificate | None = None
-        best_delta = -np.inf
-        solver_trouble = False
-        note = ""
-        d = span.space.pairwise[i]
-        for r in radii:
-            if best_cert is not None:
-                # a peak inside a smaller radius stays one for larger radii:
-                # the far set only shrinks, so re-evaluate instead of re-solving
-                h = b_mat @ np.asarray(best_cert.coeffs)
-                far = d >= r
-                margin = 1.0 - float(np.max(np.abs(h[far]))) if far.any() else 1.0
-                cand = PeakCertificate(i, best_cert.coeffs, margin, float(r))
-                if margin >= params.delta_min and verify_peak_certificate(span, cand)[0]:
-                    best_delta = max(best_delta, margin)
-                    if margin > best_cert.margin:
-                        best_cert = cand
-                    continue
-            try:
-                cert, delta = _peak_search(span, i, r, params.delta_min, params.directions)
-            except SolverError as exc:
-                solver_trouble = True
-                note = str(exc)
-                continue
-            best_delta = max(best_delta, delta)
-            if cert is not None and (best_cert is None or cert.margin > best_cert.margin):
-                best_cert = cert
-        if best_cert is not None:
-            label = Classification.BOUNDARY
-        elif solver_trouble:
-            label = Classification.INDETERMINATE
-        else:
-            label = Classification.NOT_DETECTED
-        results.append(
-            PointClassification(
-                index=i,
-                label=label,
-                certificate=best_cert,
-                best_delta=float(best_delta) if np.isfinite(best_delta) else -np.inf,
-                note=note,
-            )
-        )
+    gens = _accepted_generators(span)
+    parent, via, order = _orbit_tree(span.space.n_points, gens)
+    results: list[PointClassification | None] = [None] * span.space.n_points
+    for i in order:
+        p = parent[i]
+        moved = None
+        if p >= 0 and results[p].label is Classification.BOUNDARY:
+            moved = _move_verdict(span, results[p], gens[via[i]], params.delta_min)
+        results[i] = moved or _scan_point(span, i, radii, params)
     return BoundaryEstimate(
         span=span, points=tuple(results), r_list=radii, delta_min=params.delta_min
     )

@@ -135,6 +135,7 @@ def _write_certificates_json(path: Path, estimate: BoundaryEstimate) -> None:
         "certificates": [
             {
                 "point_index": pc.index,
+                "source": pc.source,
                 "margin": pc.certificate.margin,
                 "radius": pc.certificate.radius,
                 "coeffs": [_coeff_json(c) for c in pc.certificate.coeffs],

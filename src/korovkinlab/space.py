@@ -23,7 +23,8 @@ from .errors import ResourceLimitError
 # memory budget of one grid; larger grids are refused before any n x n work
 DEFAULT_POINT_CAP = 2**14
 
-# full pairwise metric validation is O(n^2); skipped above this size
+# full pairwise metric validation is O(n^2); above this size only the
+# nearest-neighbour distances are checked
 _VALIDATE_PAIRWISE_LIMIT = 4096
 
 
@@ -47,7 +48,10 @@ class CompactSpace:
     ``coords`` has shape ``(n_points, dim)``. For complex-field grids,
     ``complex_points`` holds the authoritative complex value of each point;
     ``boundary_mask`` (when present) flags points placed on the topological
-    boundary by the constructing factory.
+    boundary by the constructing factory. ``generators`` holds candidate
+    symmetries as index arrays: ``g`` maps point ``i`` to point ``g[i]``.
+    They are candidates only; a boundary scan keeps those that preserve
+    every distance and its span.
     """
 
     id: str
@@ -56,6 +60,7 @@ class CompactSpace:
     coords: np.ndarray
     complex_points: np.ndarray | None = None
     boundary_mask: np.ndarray | None = None
+    generators: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         coords = np.asarray(self.coords, dtype=float)
@@ -95,8 +100,19 @@ class CompactSpace:
             bm.setflags(write=False)
             object.__setattr__(self, "boundary_mask", bm)
 
-        if self.n_points <= _VALIDATE_PAIRWISE_LIMIT:
-            self.validate_metric()
+        gens = []
+        for g in self.generators:
+            g = np.asarray(g)
+            if g.dtype.kind not in "iu" or not np.array_equal(
+                np.sort(g), np.arange(coords.shape[0])
+            ):
+                raise ValueError("a generator must be a permutation of the point indices")
+            g = g.astype(np.intp)
+            g.setflags(write=False)
+            gens.append(g)
+        object.__setattr__(self, "generators", tuple(gens))
+
+        self.validate_metric()
 
     @property
     def n_points(self) -> int:
@@ -176,7 +192,18 @@ class CompactSpace:
         return float(self.pairwise.max())
 
     def validate_metric(self) -> None:
-        """Check symmetry, zero diagonal, and positivity over all grid pairs."""
+        """Check symmetry, zero diagonal, and positivity over all grid pairs.
+
+        Above _VALIDATE_PAIRWISE_LIMIT points only positivity is checked,
+        on each point's nearest neighbour, without an n x n array.
+        """
+        if self.n_points > _VALIDATE_PAIRWISE_LIMIT:
+            from scipy.spatial import cKDTree
+
+            nearest, _ = cKDTree(self.coords).query(self.coords, k=2)
+            if nearest[:, 1].min() <= 0.0:
+                raise ValueError("distinct grid points must have positive distance")
+            return
         d = self.pairwise
         if np.max(np.abs(d - d.T)) > 1e-12:
             raise ValueError("metric is not symmetric on the grid")
@@ -228,18 +255,38 @@ class PointSet:
         return PointSet(self.space, outside)
 
 
+def _ring_generators(center: int, rings: int, per_ring: int) -> tuple[np.ndarray, ...]:
+    """Rotation by one step on every ring, and conjugation (t -> -t).
+
+    Points ``0..center-1`` stay fixed; ring j holds the next ``per_ring``
+    indices, point k at angle 2 pi k / per_ring.
+    """
+    k = np.arange(per_ring)
+    base = center + per_ring * np.arange(rings)[:, None]
+    fixed = np.arange(center)
+    return tuple(
+        np.r_[fixed, (base + step % per_ring).ravel()] for step in (k + 1, -k)
+    )
+
+
 def make_interval_grid(m: int) -> CompactSpace:
-    """Equispaced grid {k/m : k = 0..m} on the unit interval."""
+    """Equispaced grid {k/m : k = 0..m} on the unit interval, with the
+    reflection k -> m - k as its candidate symmetry."""
     if m < 1:
         raise ValueError("interval grid needs m >= 1")
     coords = np.arange(m + 1, dtype=float)[:, None] / m
     return CompactSpace(
-        id=f"interval_m{m}", field=Field.REAL, kind=SpaceKind.INTERVAL, coords=coords
+        id=f"interval_m{m}",
+        field=Field.REAL,
+        kind=SpaceKind.INTERVAL,
+        coords=coords,
+        generators=(np.arange(m, -1, -1),),
     )
 
 
 def make_circle_grid(m: int) -> CompactSpace:
-    """m-th roots of unity with the chordal (ambient Euclidean) metric."""
+    """m-th roots of unity with the chordal (ambient Euclidean) metric;
+    rotation by one step and conjugation are its candidate symmetries."""
     if m < 3:
         raise ValueError("circle grid needs m >= 3")
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -252,6 +299,7 @@ def make_circle_grid(m: int) -> CompactSpace:
         coords=coords,
         complex_points=cp,
         boundary_mask=np.ones(m, dtype=bool),
+        generators=_ring_generators(0, 1, m),
     )
 
 
@@ -259,7 +307,8 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
     """Center point plus concentric rings at radii j/rings.
 
     Points on the outermost ring sit at radius exactly 1 and are flagged as
-    boundary points.
+    boundary points. Rotation by one step on each ring and conjugation are
+    the candidate symmetries.
     """
     if rings < 1:
         raise ValueError("disc grid needs rings >= 1")
@@ -284,11 +333,16 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
         coords=coords,
         complex_points=cp,
         boundary_mask=np.array(boundary),
+        generators=_ring_generators(1, rings, per_ring),
     )
 
 
 def make_box_grid(p: int, m: int, point_cap: int = DEFAULT_POINT_CAP) -> CompactSpace:
-    """Tensor grid {k/m}^p on the unit box, guarded by a point-count cap."""
+    """Tensor grid {k/m}^p on the unit box, guarded by a point-count cap.
+
+    The candidate symmetries reflect one axis (k_a -> m - k_a) or swap two
+    adjacent axes.
+    """
     if p < 1:
         raise ValueError("box grid needs p >= 1")
     if m < 1:
@@ -300,8 +354,24 @@ def make_box_grid(p: int, m: int, point_cap: int = DEFAULT_POINT_CAP) -> Compact
         )
     axis = np.arange(m + 1, dtype=float) / m
     coords = np.array(list(itertools.product(axis, repeat=p)))
+    # digits of each point in itertools.product (C) order
+    shape = (m + 1,) * p
+    digits = np.indices(shape).reshape(p, -1)
+    moves = []
+    for a in range(p):
+        reflected = digits.copy()
+        reflected[a] = m - digits[a]
+        moves.append(reflected)
+    for a in range(p - 1):
+        swapped = digits.copy()
+        swapped[[a, a + 1]] = digits[[a + 1, a]]
+        moves.append(swapped)
     return CompactSpace(
-        id=f"box_p{p}_m{m}", field=Field.REAL, kind=SpaceKind.BOX, coords=coords
+        id=f"box_p{p}_m{m}",
+        field=Field.REAL,
+        kind=SpaceKind.BOX,
+        coords=coords,
+        generators=tuple(np.ravel_multi_index(d, shape) for d in moves),
     )
 
 

@@ -266,6 +266,28 @@ class TestWorkingSetLoop:
         assert counts["search"] > 0 and counts["lp"] == counts["search"]
 
 
+class TestOrbitScan:
+    def test_disc_preset_solves_one_point_per_orbit(self, monkeypatch):
+        import korovkinlab.choquet as choquet_mod
+        from korovkinlab.config import build_spaces, build_spans
+        from korovkinlab.presets import get_preset
+
+        cfg = get_preset("example43_disc")
+        span = build_spans(cfg, build_spaces(cfg))["hermitian"]
+        calls = []
+        real_linprog = choquet_mod.linprog
+
+        def counting_linprog(*args, **kwargs):
+            calls.append(1)
+            return real_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(choquet_mod, "linprog", counting_linprog)
+        est = estimate_choquet_boundary(span)
+        assert est.counts() == {"Boundary": 257, "NotDetected": 0, "Indeterminate": 0}
+        assert len(calls) <= 40
+        assert len({p.source for p in est.points}) == 9  # the center and 8 rings
+
+
 class TestIsBoundaryFor:
     def test_whole_grid_is_a_boundary(self):
         ok, ratio = is_boundary_for(

@@ -62,6 +62,31 @@ class TestChoquetCommand:
         certs = json.loads((tmp_path / "certificates.json").read_text())
         assert len(certs["certificates"]) == 101
 
+    def test_disc_certificates_move_along_rings(self, tmp_path):
+        from korovkinlab.choquet import PeakCertificate, verify_peak_certificate
+        from korovkinlab.config import build_spaces, build_spans
+
+        assert run_cli("choquet", "--preset", "example43_disc", "--out", str(tmp_path)) == 0
+        cfg = get_preset("example43_disc")
+        span = build_spans(cfg, build_spaces(cfg))["hermitian"]
+        entries = json.loads((tmp_path / "certificates.json").read_text())["certificates"]
+        assert len(entries) == 257
+        rings: dict[int, list[float]] = {}
+        for e in entries:
+            i = e["point_index"]
+            coeffs = tuple(complex(*c) if isinstance(c, list) else c for c in e["coeffs"])
+            ok, why = verify_peak_certificate(
+                span, PeakCertificate(i, coeffs, e["margin"], e["radius"])
+            )
+            assert ok, why
+            ring = (i - 1) // 32  # -1 for the center, point 0
+            assert (e["source"] - 1) // 32 == ring
+            rings.setdefault(ring, []).append(e["margin"])
+        assert len(rings) == 9
+        for margins in rings.values():
+            assert max(margins) - min(margins) <= 1e-9
+        assert len({e["source"] for e in entries}) == 9
+
     def test_exit_zero_even_with_undetected_points(self, tmp_path):
         cfg = {
             "version": 1,

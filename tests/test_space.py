@@ -133,6 +133,49 @@ class TestMetricInvariants:
         with pytest.raises(ValueError, match="positive distance"):
             make_custom_space([[0.0], [1e-200]])
 
+    def test_underflowing_distance_rejected_above_pairwise_limit(self):
+        # 4097 points: too many for the n x n check, so nearest neighbours decide
+        with pytest.raises(ValueError, match="positive distance"):
+            make_custom_space(np.r_[0.0, 1e-200, np.arange(1, 4096.0)])
+
+
+class TestGenerators:
+    @pytest.mark.parametrize(
+        "grid, count",
+        [
+            (make_interval_grid(7), 1),
+            (make_circle_grid(9), 2),
+            (make_disc_grid(3, 8), 2),
+            (make_box_grid(3, 2), 5),
+        ],
+        ids=["interval", "circle", "disc", "box"],
+    )
+    def test_factory_generators_are_isometries(self, grid, count):
+        assert len(grid.generators) == count
+        d = grid.pairwise
+        for g in grid.generators:
+            assert sorted(g) == list(range(grid.n_points))
+            assert np.max(np.abs(d[g][:, g] - d)) <= 1e-12
+
+    def test_box_generators_move_digits(self):
+        grid = make_box_grid(2, 2)  # point 3*a + b is (a/2, b/2)
+        reflect_first, reflect_second, swap = (g.tolist() for g in grid.generators)
+        assert reflect_first == [6, 7, 8, 3, 4, 5, 0, 1, 2]
+        assert reflect_second == [2, 1, 0, 5, 4, 3, 8, 7, 6]
+        assert swap == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+
+    def test_custom_grids_carry_none(self):
+        assert make_custom_space([0.0, 0.5, 1.0]).generators == ()
+
+    @pytest.mark.parametrize(
+        "g", [[0, 0, 1], [0, 1], [0, 1, 3], [0.0, 2.0, 1.0]], ids=["repeat", "short", "range", "float"]
+    )
+    def test_non_permutation_rejected(self, g):
+        with pytest.raises(ValueError, match="permutation"):
+            CompactSpace(
+                id="t", field=Field.REAL, kind=SpaceKind.CUSTOM, coords=[0.0, 0.5, 1.0], generators=(g,)
+            )
+
 
 class TestRefinement:
     def test_interval_refinement_superset(self):
