@@ -49,6 +49,10 @@ COEFF_BOUND = 1e6
 # rows in the peak LP's starting working set, and the cap on its rounds
 _ROW_BUDGET = 256
 _MAX_ROUNDS = 64
+# phases of the starting polygon on a complex grid; cuts at exact phases
+# refine it, so it changes the work done, not which constraints a
+# certificate satisfies
+_START_PHASES = 16
 # a grid symmetry must preserve every distance to this tolerance; the check
 # compares this many distance entries at a time
 _ISOMETRY_TOL = 1e-12
@@ -57,17 +61,11 @@ _BLOCK_ENTRIES = 2**18
 
 @dataclass(frozen=True)
 class ChoquetParams:
-    """Scan parameters; radii default to fractions of the grid diameter.
-
-    `directions` is the number of phases in the peak LP's starting polygon
-    on a complex grid; cuts at exact phases refine it, so it changes the
-    work done, not which constraints a certificate satisfies.
-    """
+    """Scan parameters; radii default to fractions of the grid diameter."""
 
     r_list: tuple[float, ...] | None = None
     r_factors: tuple[float, ...] = (0.05, 0.1, 0.2)
     delta_min: float = DEFAULT_DELTA_MIN
-    directions: int = 16
 
     def radii(self, space: CompactSpace) -> tuple[float, ...]:
         if self.r_list is not None:
@@ -153,11 +151,7 @@ def _solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
 
 
 def _peak_search(
-    span: FunctionSpan,
-    x0: int,
-    r: float,
-    delta_min: float,
-    directions: int,
+    span: FunctionSpan, x0: int, r: float, delta_min: float
 ) -> tuple[PeakCertificate | None, float]:
     """Run the peak LP at one radius as a working-set (Kelley) loop.
 
@@ -170,11 +164,12 @@ def _peak_search(
     A constraint at point y and phase phi reads Re(e^{-i phi} h(y)) <= 1,
     minus the margin where y is farther than r from x0; a real span only
     needs the phases {0, pi}. The working set starts as a polygon of
-    `directions` phases (or {0, pi}) at grid points spread by distance from
-    x0, as many as fit _ROW_BUDGET rows. Each round evaluates |h| exactly on
-    the whole grid and adds one cut at the exact phase arg h(y) per
-    violating point, until the exact margin clears delta_min with every
-    near modulus within the unit cap, or the LP optimum falls below it.
+    _START_PHASES phases (or {0, pi}) at grid points spread by distance
+    from x0, as many as fit _ROW_BUDGET rows. Each round evaluates |h|
+    exactly on the whole grid and adds one cut at the exact phase arg h(y)
+    per violating point, until _recheck accepts the solution (its exact
+    margin clears delta_min and it re-verifies), or the LP optimum falls
+    below delta_min.
     """
     b_mat = span.value_matrix
     k = b_mat.shape[1]
@@ -185,7 +180,7 @@ def _peak_search(
     others = others[others != x0]
 
     if is_complex:
-        phases = 2.0 * np.pi * np.arange(directions) / directions
+        phases = 2.0 * np.pi * np.arange(_START_PHASES) / _START_PHASES
     else:
         phases = np.array([0.0, np.pi])
     n_start = min(others.size, max(1, _ROW_BUDGET // phases.size))
@@ -225,18 +220,12 @@ def _peak_search(
                 raise SolverError(f"peak pin drifted to {pin!r} at point {x0}")
             coeffs = coeffs / pin
             h = b_mat @ coeffs
+        cert = _recheck(span, x0, coeffs, r, delta_min)
+        if cert is not None:
+            return cert, cert.margin
         mods = np.abs(h)
         excess = mods + np.where(far, delta_lp, 0.0) - 1.0
         excess[x0] = -np.inf
-        margin = 1.0 - float(np.max(mods[far])) if far.any() else 1.0
-        if margin >= delta_min and not np.any(excess[~far] > PEAK_TOL):
-            cert = PeakCertificate(
-                x0=int(x0), coeffs=tuple(coeffs), margin=margin, radius=float(r)
-            )
-            ok, why = verify_peak_certificate(span, cert)
-            if not ok:
-                raise SolverError(f"peak certificate failed re-verification: {why}")
-            return cert, margin
         viol = np.flatnonzero(excess > PEAK_TOL)
         if not viol.size:
             # the exact far modulus missed delta_min by less than the
@@ -254,7 +243,6 @@ def find_peak_function(
     x0: int,
     r: float,
     delta_min: float = DEFAULT_DELTA_MIN,
-    directions: int = 16,
 ) -> PeakCertificate | None:
     """Search the span for a function peaking at x0.
 
@@ -272,7 +260,7 @@ def find_peak_function(
         raise ValueError("peak search needs a separating span")
     if not 0 <= int(x0) < span.space.n_points:
         raise ValueError("peak point index out of range")
-    cert, _ = _peak_search(span, int(x0), float(r), delta_min, directions)
+    cert, _ = _peak_search(span, int(x0), float(r), delta_min)
     return cert
 
 
@@ -484,7 +472,7 @@ def _scan_point(
                     best_cert = cand
                 continue
         try:
-            cert, delta = _peak_search(span, i, r, params.delta_min, params.directions)
+            cert, delta = _peak_search(span, i, r, params.delta_min)
         except SolverError as exc:
             solver_trouble = True
             note = str(exc)

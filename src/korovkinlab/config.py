@@ -32,6 +32,7 @@ from .operators import (
     tensor_bernstein_family,
 )
 from .space import (
+    DEFAULT_POINT_CAP,
     CompactSpace,
     Field,
     make_box_grid,
@@ -149,7 +150,6 @@ CONFIG_SCHEMA = {
                     "properties": {
                         "abs_threshold": {"type": "number", "exclusiveMinimum": 0},
                         "improvement_factor": {"type": "number", "minimum": 1},
-                        "transient_slack": {"type": "number", "minimum": 1},
                     },
                 },
                 "choquet": {
@@ -167,7 +167,6 @@ CONFIG_SCHEMA = {
                             "minItems": 1,
                         },
                         "delta_min": {"type": "number", "exclusiveMinimum": 0},
-                        "directions": {"type": "integer", "minimum": 4},
                     },
                 },
             },
@@ -180,14 +179,16 @@ CONFIG_SCHEMA = {
     },
 }
 
+# built once: jsonschema.validate re-checks the schema itself on every call
+_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
 
 def validate_config(cfg: dict) -> dict:
     """Schema-validate a configuration dict; returns it on success."""
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from None
+        raise ConfigError(f"config field {path}: {exc.message}")
     version = cfg["version"]
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -296,7 +297,19 @@ def build_family(cfg: dict, spaces: dict[str, CompactSpace]) -> OperatorFamily:
     tamper = block.get("tamper")
     if tamper:
         fam = _tampered(fam, tamper)
-    return fam
+    return _config_errors(fam)
+
+
+def _config_errors(fam: OperatorFamily) -> OperatorFamily:
+    # kernels are built lazily, inside the run; report a bad index or
+    # parameter as the configuration error it is
+    def build(n: int):
+        try:
+            return fam.kernel_builder(n)
+        except ValueError as exc:
+            raise ConfigError(f"family: index {n}: {exc}") from None
+
+    return OperatorFamily(fam.name, fam.source, fam.target, build, fam.limit)
 
 
 def _build_perturbed(space: CompactSpace, params: dict) -> OperatorFamily:
@@ -340,9 +353,26 @@ def build_choquet_params(block: dict | None) -> ChoquetParams:
         kwargs["r_factors"] = tuple(block["r_factors"])
     if "delta_min" in block:
         kwargs["delta_min"] = block["delta_min"]
-    if "directions" in block:
-        kwargs["directions"] = block["directions"]
     return ChoquetParams(**kwargs)
+
+
+def _check_kernel_sizes(family: str, space: CompactSpace, indices) -> None:
+    """Refuse indices whose kernel cannot be built, before anything is
+    allocated: Fejér indices too fine for the circle grid, and Bernstein
+    kernels above the grid cap's budget of DEFAULT_POINT_CAP**2 weights."""
+    for n in indices:
+        try:
+            if family == "fejer":
+                check_fejer_grid(n, space.n_points)
+            nodes = {"bernstein": n + 1, "tensor_bernstein": (n + 1) ** space.dim}
+            entries = space.n_points * nodes.get(family, 0)
+            if entries > DEFAULT_POINT_CAP**2:
+                raise ValueError(
+                    f"the kernel at index {n} would hold {entries} weights, above "
+                    f"the budget of {DEFAULT_POINT_CAP**2} (2 GiB)"
+                )
+        except ValueError as exc:
+            raise ConfigError(f"experiment.indices: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,12 +409,7 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
         except ValueError as exc:
             raise ConfigError(f"experiment.probes: {exc}") from None
     indices = tuple(exp["indices"])
-    if cfg["family"]["name"] == "fejer":
-        try:
-            for n in indices:
-                check_fejer_grid(n, family.source.n_points)
-        except ValueError as exc:
-            raise ConfigError(f"experiment.indices: {exc}") from None
+    _check_kernel_sizes(cfg["family"]["name"], family.source, indices)
     tol = exp.get("tolerances", {})
     try:
         experiment = ExperimentConfig(
@@ -394,7 +419,6 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
             indices=indices,
             abs_threshold=tol.get("abs_threshold", 0.05),
             improvement_factor=tol.get("improvement_factor", 2.0),
-            transient_slack=tol.get("transient_slack", 1.2),
             choquet=build_choquet_params(exp.get("choquet")),
         )
     except ValueError as exc:

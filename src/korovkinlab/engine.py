@@ -39,7 +39,6 @@ class ExperimentConfig:
     indices: tuple[int, ...]
     abs_threshold: float = 0.05
     improvement_factor: float = 2.0
-    transient_slack: float = 1.2
     choquet: ChoquetParams = dc_field(default_factory=ChoquetParams)
     n_generators: tuple[ScalarFunction, ...] | None = None
 
@@ -158,7 +157,6 @@ class ConvergenceRow:
 class ProbeTrend:
     function: str
     errors: tuple[float, ...]
-    nonincreasing_ok: bool
     final_below_threshold: bool
     improved: bool
 
@@ -191,10 +189,7 @@ def error_bound_constant(f: ScalarFunction) -> float:
     return 2.0 + 4.0 * oscillation(f) + sup_norm(f)
 
 
-def _trend(name, errors, abs_threshold, improvement_factor, slack) -> ProbeTrend:
-    nonincreasing = all(
-        e1 <= slack * e0 + ZERO_ERROR_FLOOR for e0, e1 in zip(errors, errors[1:])
-    )
+def _trend(name, errors, abs_threshold, improvement_factor) -> ProbeTrend:
     final_ok = errors[-1] < abs_threshold
     if errors[0] <= ZERO_ERROR_FLOOR and errors[-1] <= ZERO_ERROR_FLOOR:
         improved = True  # exactly reproduced from the start
@@ -203,7 +198,6 @@ def _trend(name, errors, abs_threshold, improvement_factor, slack) -> ProbeTrend
     return ProbeTrend(
         function=name,
         errors=tuple(errors),
-        nonincreasing_ok=nonincreasing,
         final_below_threshold=final_ok,
         improved=improved,
     )
@@ -267,13 +261,7 @@ def run_convergence(
             )
 
     trends = tuple(
-        _trend(
-            name,
-            errs,
-            config.abs_threshold,
-            config.improvement_factor,
-            config.transient_slack,
-        )
+        _trend(name, errs, config.abs_threshold, config.improvement_factor)
         for name, errs in per_probe.items()
     )
     return ConvergenceReport(
@@ -341,7 +329,6 @@ def equicontinuity_probe(
 @dataclass(frozen=True)
 class SubsetSummaryRow:
     n: int
-    subset_pointwise_max: float
     subset_sup: float
     global_sup: float
 
@@ -349,12 +336,8 @@ class SubsetSummaryRow:
 def uniform_vs_pointwise(
     report: ConvergenceReport, subset: PointSet
 ) -> tuple[SubsetSummaryRow, ...]:
-    """Per-index error maxima restricted to a point subset vs globally.
-
-    On a finite grid the pointwise maximum over the subset and the sup-norm
-    over the subset coincide; both are reported so the restriction gap to
-    the global column is visible in the data.
-    """
+    """Per-index error maxima restricted to a point subset vs globally,
+    so the restriction gap to the global column is visible in the data."""
     if len(subset) == 0:
         raise ValueError("subset must be nonempty")
     if subset.space is not report.config.family.target:
@@ -363,12 +346,7 @@ def uniform_vs_pointwise(
     out = []
     for n in report.config.indices:
         fields = [report.error_fields[(n, f.name)] for f in report.config.probes]
-        pointwise = max(float(np.max(vec[idx])) for vec in fields)
         sup = float(np.max(np.vstack([vec[idx] for vec in fields])))
         global_sup = max(float(vec.max()) for vec in fields)
-        out.append(
-            SubsetSummaryRow(
-                n=n, subset_pointwise_max=pointwise, subset_sup=sup, global_sup=global_sup
-            )
-        )
+        out.append(SubsetSummaryRow(n=n, subset_sup=sup, global_sup=global_sup))
     return tuple(out)

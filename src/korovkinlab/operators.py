@@ -28,7 +28,10 @@ class KernelOperator:
     """(Tf)(y_j) = sum_i weights[j, i] * f(nodes[i]).
 
     ``nodes`` is one array in the form of the source grid's ``points``:
-    shape ``(N,)``, or ``(N, dim)`` on a box grid.
+    shape ``(N,)``, or ``(N, dim)`` on a box grid. A function takes one
+    value at a point however often it is listed, so the weight columns of
+    equal nodes are summed on construction, keeping the order of first
+    occurrence: every kernel holds distinct nodes.
     """
 
     source: CompactSpace
@@ -48,6 +51,13 @@ class KernelOperator:
             )
         if not np.all(np.isfinite(w)):
             raise ValueError("kernel weights must be finite")
+        _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
+        if first.size < len(nodes):
+            rank = np.empty_like(first)
+            rank[np.argsort(first)] = np.arange(first.size)
+            merged = np.zeros((w.shape[0], first.size))
+            np.add.at(merged, (slice(None), rank[inverse.reshape(-1)]), w)
+            nodes, w = nodes[np.sort(first)], merged
         w = w.copy()
         for a in (nodes, w):
             a.setflags(write=False)
@@ -308,9 +318,16 @@ def inject_weight(op: KernelOperator, target_index: int, node_index: int, value:
     """Copy of a kernel operator with one weight overridden.
 
     Used to construct positivity counterexamples in tests and demos.
+    ``node_index`` counts the kernel's distinct nodes.
     """
     w = op.weights.copy()
-    w[int(target_index), int(node_index)] = float(value)
+    y, i = int(target_index), int(node_index)
+    if not (0 <= y < w.shape[0] and 0 <= i < w.shape[1]):
+        raise ValueError(
+            f"weight index ({y}, {i}) is outside the kernel's {w.shape[0]} target "
+            f"points x {w.shape[1]} nodes"
+        )
+    w[y, i] = float(value)
     return KernelOperator(op.source, op.target, op.nodes, w)
 
 
@@ -363,16 +380,12 @@ class PositivityReport:
 def check_positivity(op) -> PositivityReport:
     """Certify positivity from the weight signs alone; nothing is sampled.
 
-    A kernel operator passes when its weight certificate holds. Otherwise
-    the weight columns of equal nodes are summed first, since a function
-    takes one value at a point however often it is listed, and the merged
-    weights decide. When they fail, the witness is constructive: with
-    weights[y, i] the most negative merged weight, the indicator e_i of
-    node i is a nonnegative input with (T e_i)(y) = weights[y, i] < 0.
-    ``witness`` is (i, y, that value) and ``weight_witness`` is (y, i, that
-    value), where i is the first index of that node in ``op.nodes``;
-    ``worst_violation`` is max(0, -min_weight). A composition isometry
-    passes trivially.
+    A kernel operator passes when its weight certificate holds. When it
+    fails, the witness is constructive: with weights[y, i] the most negative
+    weight, the indicator e_i of the (distinct) node i is a nonnegative
+    input with (T e_i)(y) = weights[y, i] < 0. ``witness`` is (i, y, that
+    value) and ``weight_witness`` is (y, i, that value); ``worst_violation``
+    is max(0, -min_weight). A composition isometry passes trivially.
     """
     if isinstance(op, CompositionIsometry):
         return PositivityReport(True, 0.0, None, None, None, None)
@@ -381,17 +394,13 @@ def check_positivity(op) -> PositivityReport:
             "check_positivity expects a KernelOperator or CompositionIsometry; "
             "for a family, pass family.operator(n)"
         )
-    weights, first = op.weights, None
-    if not op.weight_certificate():
-        weights, first = _distinct_node_weights(op)
-    min_weight = float(weights.min())
-    passed = min_weight >= WEIGHT_SIGN_TOL
+    min_weight = op.min_weight
+    passed = op.weight_certificate()
     witness = weight_witness = None
     if not passed:
-        y, j = np.unravel_index(int(np.argmin(weights)), weights.shape)
-        i = int(first[j])
-        witness = (i, int(y), min_weight)
-        weight_witness = (int(y), i, min_weight)
+        y, i = np.unravel_index(int(np.argmin(op.weights)), op.weights.shape)
+        witness = (int(i), int(y), min_weight)
+        weight_witness = (int(y), int(i), min_weight)
     return PositivityReport(
         passed=passed,
         worst_violation=max(0.0, -min_weight),
@@ -400,22 +409,6 @@ def check_positivity(op) -> PositivityReport:
         min_weight=min_weight,
         weight_witness=weight_witness,
     )
-
-
-def _distinct_node_weights(op: KernelOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The weights with the columns of equal nodes summed, and the first
-    index in ``op.nodes`` of each distinct node.
-
-    Built on each call and not kept: on a large kernel a kept copy would
-    double its memory.
-    """
-    _, first, inverse = np.unique(op.nodes, axis=0, return_index=True, return_inverse=True)
-    if first.size == len(op.nodes):
-        return op.weights, np.arange(first.size)
-    inverse = inverse.reshape(-1)
-    starts = np.r_[0, np.cumsum(np.bincount(inverse))[:-1]]
-    order = np.argsort(inverse, kind="stable")
-    return np.add.reduceat(op.weights[:, order], starts, axis=1), first
 
 
 @dataclass(frozen=True)
@@ -428,14 +421,11 @@ def estimate_operator_norm(op) -> NormEstimate:
     """The sup-norm operator norm, computed exactly.
 
     A kernel operator's norm is its largest absolute row sum
-    max_j sum_i |w_ji| over distinct nodes, attained by the sign (or phase)
-    pattern of that row. With mixed signs the weight columns of equal nodes
-    are summed first; with nonnegative weights that changes no row sum. A
-    composition isometry has norm 1.
+    max_j sum_i |w_ji| over its distinct nodes, attained by the sign (or
+    phase) pattern of that row. A composition isometry has norm 1.
     """
     if isinstance(op, KernelOperator):
-        weights = op.weights if op.min_weight >= 0.0 else _distinct_node_weights(op)[0]
-        norm = float(np.abs(weights).sum(axis=1).max())
+        norm = float(np.abs(op.weights).sum(axis=1).max())
     elif isinstance(op, CompositionIsometry):
         norm = 1.0
     else:

@@ -1,10 +1,11 @@
 """Finite point grids standing in for compact spaces.
 
 A grid stores its points as coordinates in R^d under the Euclidean metric.
-Complex-valued grids (circle, disc) additionally carry each point as a
-complex number, and that complex view is the one functions are evaluated
-on. Grids and point sets are immutable after construction, so they are
-safe to share between concurrent tasks.
+Complex-valued grids (circle, disc) have 2-d coordinates and read each
+point as the complex number x + iy, a view of the same memory; that complex
+view is the one functions are evaluated on. Grids and point sets are
+immutable after construction, so they are safe to share between concurrent
+tasks.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ from .errors import ResourceLimitError
 # the dense pairwise distance matrix of this many points takes 2 GiB, the
 # memory budget of one grid; larger grids are refused before any n x n work
 DEFAULT_POINT_CAP = 2**14
-
-# full pairwise metric validation is O(n^2); above this size only the
-# nearest-neighbour distances are checked
-_VALIDATE_PAIRWISE_LIMIT = 4096
 
 
 class Field(Enum):
@@ -45,10 +42,10 @@ class SpaceKind(Enum):
 class CompactSpace:
     """An ordered finite point set with the Euclidean metric.
 
-    ``coords`` has shape ``(n_points, dim)``. For complex-field grids,
-    ``complex_points`` holds the authoritative complex value of each point;
-    ``boundary_mask`` (when present) flags points placed on the topological
-    boundary by the constructing factory. ``generators`` holds candidate
+    ``coords`` has shape ``(n_points, dim)`` and defines every point; a
+    complex-field grid has ``dim == 2`` and derives ``complex_points`` from
+    it. ``boundary_mask`` (when present) flags points placed on the
+    topological boundary by the constructing factory. ``generators`` holds candidate
     symmetries as index arrays: ``g`` maps point ``i`` to point ``g[i]``.
     They are candidates only; a boundary scan keeps those that preserve
     every distance and its span.
@@ -58,12 +55,11 @@ class CompactSpace:
     field: Field
     kind: SpaceKind
     coords: np.ndarray
-    complex_points: np.ndarray | None = None
     boundary_mask: np.ndarray | None = None
     generators: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
+        coords = np.ascontiguousarray(self.coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
         if coords.ndim != 2:
@@ -79,19 +75,10 @@ class CompactSpace:
             raise ValueError("grid coordinates must be finite")
         if len(np.unique(coords, axis=0)) != coords.shape[0]:
             raise ValueError("grid points must be pairwise distinct")
+        if self.field is Field.COMPLEX and coords.shape[1] != 2:
+            raise ValueError("complex-field grids need 2-d coordinates")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-
-        if self.field is Field.COMPLEX:
-            if self.complex_points is None:
-                raise ValueError("complex-field grids must carry complex point values")
-            cp = np.asarray(self.complex_points, dtype=complex)
-            if cp.shape != (coords.shape[0],):
-                raise ValueError("complex_points must have one entry per grid point")
-            cp.setflags(write=False)
-            object.__setattr__(self, "complex_points", cp)
-        elif self.complex_points is not None:
-            raise ValueError("real-field grids must not carry complex point values")
 
         if self.boundary_mask is not None:
             bm = np.asarray(self.boundary_mask, dtype=bool)
@@ -122,6 +109,13 @@ class CompactSpace:
     def dim(self) -> int:
         return self.coords.shape[1]
 
+    @property
+    def complex_points(self) -> np.ndarray:
+        """Each point of a complex grid as x + iy: a read-only view of ``coords``."""
+        if self.field is not Field.COMPLEX:
+            raise AttributeError("real-field grids have no complex points")
+        return np.ascontiguousarray(self.coords).view(np.complex128)[:, 0]
+
     @cached_property
     def pairwise(self) -> np.ndarray:
         """Full Euclidean distance matrix."""
@@ -148,9 +142,6 @@ class CompactSpace:
         """The points one at a time: complex or float scalars, or read-only rows."""
         pts = self.points
         return tuple(pts) if pts.ndim == 2 else tuple(pts.tolist())
-
-    def point(self, i: int):
-        return self.eval_points[i]
 
     def _records(self, points) -> np.ndarray:
         # one sortable record per point; complex points on a real grid, or a
@@ -192,25 +183,15 @@ class CompactSpace:
         return float(self.pairwise.max())
 
     def validate_metric(self) -> None:
-        """Check symmetry, zero diagonal, and positivity over all grid pairs.
+        """Check that every point's nearest neighbour is at positive distance.
 
-        Above _VALIDATE_PAIRWISE_LIMIT points only positivity is checked,
-        on each point's nearest neighbour, without an n x n array.
+        Distinct coordinates can still be at distance 0.0 when the squared
+        difference underflows. The check builds no n x n array.
         """
-        if self.n_points > _VALIDATE_PAIRWISE_LIMIT:
-            from scipy.spatial import cKDTree
+        from scipy.spatial import cKDTree
 
-            nearest, _ = cKDTree(self.coords).query(self.coords, k=2)
-            if nearest[:, 1].min() <= 0.0:
-                raise ValueError("distinct grid points must have positive distance")
-            return
-        d = self.pairwise
-        if np.max(np.abs(d - d.T)) > 1e-12:
-            raise ValueError("metric is not symmetric on the grid")
-        if np.max(np.abs(np.diag(d))) > 0.0:
-            raise ValueError("metric must vanish on the diagonal")
-        off = d + np.eye(self.n_points)
-        if off.min() <= 0.0:
+        nearest, _ = cKDTree(self.coords).query(self.coords, k=2)
+        if nearest[:, 1].min() <= 0.0:
             raise ValueError("distinct grid points must have positive distance")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -291,13 +272,11 @@ def make_circle_grid(m: int) -> CompactSpace:
         raise ValueError("circle grid needs m >= 3")
     theta = 2.0 * np.pi * np.arange(m) / m
     coords = np.column_stack([np.cos(theta), np.sin(theta)])
-    cp = coords[:, 0] + 1j * coords[:, 1]
     return CompactSpace(
         id=f"circle_m{m}",
         field=Field.COMPLEX,
         kind=SpaceKind.CIRCLE,
         coords=coords,
-        complex_points=cp,
         boundary_mask=np.ones(m, dtype=bool),
         generators=_ring_generators(0, 1, m),
     )
@@ -325,13 +304,11 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
         ys.extend(r * sin_t)
         boundary.extend([j == rings] * per_ring)
     coords = np.column_stack([xs, ys])
-    cp = coords[:, 0] + 1j * coords[:, 1]
     return CompactSpace(
         id=f"disc_r{rings}x{per_ring}",
         field=Field.COMPLEX,
         kind=SpaceKind.DISC,
         coords=coords,
-        complex_points=cp,
         boundary_mask=np.array(boundary),
         generators=_ring_generators(1, rings, per_ring),
     )
@@ -394,14 +371,10 @@ def make_custom_space(
                     "complex custom grids need complex scalars or [re, im] pairs"
                 )
             cp = pairs[:, 0] + 1j * pairs[:, 1]
+        # coordinates from the parts of cp: x + 1j*y drops signed zeros, so
+        # the pairs can differ from cp, and the complex view must equal cp
         coords = np.column_stack([cp.real, cp.imag])
-        return CompactSpace(
-            id=space_id,
-            field=Field.COMPLEX,
-            kind=SpaceKind.CUSTOM,
-            coords=coords,
-            complex_points=cp,
-        )
+        return CompactSpace(id=space_id, field=Field.COMPLEX, kind=SpaceKind.CUSTOM, coords=coords)
     coords = np.asarray(arr, dtype=float)
     if coords.ndim == 1:
         coords = coords[:, None]

@@ -236,12 +236,15 @@ class TestWorkingSetLoop:
             assert ok, why
 
     @pytest.mark.parametrize("basis", [("const1", "z"), ("const1", "z", "zbar", "|z|^2")])
-    def test_labels_do_not_depend_on_directions(self, basis):
+    def test_labels_do_not_depend_on_directions(self, basis, monkeypatch):
+        import korovkinlab.choquet as choquet_mod
+
         g = make_disc_grid(3, 8)
         span = FunctionSpan(tuple(named_function(n, g) for n in basis))
         labels = []
         for k in (4, 16, 32):
-            est = estimate_choquet_boundary(span, ChoquetParams(directions=k))
+            monkeypatch.setattr(choquet_mod, "_START_PHASES", k)
+            est = estimate_choquet_boundary(span)
             labels.append([p.label for p in est.points])
         assert labels[0] == labels[1] == labels[2]
 

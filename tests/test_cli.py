@@ -1,13 +1,19 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korovkinlab.cli import build_parser, main
+from korovkinlab.config import FAMILY_NAMES, validate_config
 from korovkinlab.presets import get_preset, preset_names
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -252,6 +258,127 @@ class TestKorovkinRun:
             assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path / name)) == 0
         for output in ("report.csv", "hypotheses.json"):
             assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
+
+    @pytest.mark.parametrize(
+        "block, field", [("tolerances", "transient_slack"), ("choquet", "directions")]
+    )
+    def test_removed_knob_exit_1(self, tmp_path, capsys, block, field):
+        cfg = get_preset("example41_bernstein")
+        cfg["experiment"][block] = {field: 2}
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and field in err
+
+    def test_out_of_range_tamper_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example41_bernstein")
+        cfg["spaces"]["I"]["m"] = 20
+        cfg["family"]["tamper"] = {"target_index": 3, "node_index": 500, "value": -0.5}
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: family:") and err.count("\n") == 1
+
+    def test_epsilon_outside_unit_interval_exit_1(self, tmp_path, capsys):
+        cfg = {
+            "version": 1,
+            "spaces": {"T": {"kind": "circle", "m": 16}},
+            "spans": {"analytic": {"space": "T", "basis": ["const1", "z"]}},
+            "family": {"name": "perturbed_composition", "space": "T", "params": {"eps": [2.0]}},
+            "experiment": {"test_span": "analytic", "indices": [1, 2]},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: family:") and err.count("\n") == 1
+        assert "epsilon at index 1 is 2.0" in err
+
+    def test_oversized_bernstein_kernel_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example41_bernstein")
+        cfg["experiment"]["indices"] = [4, 100000000]  # 101 x 10^8 weights
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = run_cli("korovkin", "run", "--config", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
+        assert peak < 2**24
+
+    def test_oversized_tensor_kernel_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example42_tensor")
+        cfg["experiment"]["indices"] = [8, 2000]  # 81 x 2001^2 weights
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
+
+
+# per grid kind: the function names that fit it, and the family built for it
+_FITS = {
+    "interval": (("const1", "x", "x^2", "cos", "sin"), "bernstein"),
+    "circle": (("const1", "z", "zbar", "cos", "sin"), "fejer"),
+    "disc": (("const1", "z", "zbar", "|z|^2"), "mollifier_disc"),
+    "box": (("const1", "coord 1", "coord 2", "coord 1^2"), "tensor_bernstein"),
+    "custom": (("const1", "z", "zbar", "coord 1", "coord 2"), "perturbed_composition"),
+}
+
+
+@st.composite
+def small_configs(draw):
+    """Schema-valid configurations on grids of at most 40 points; most fit
+    their grid, some do not."""
+    kind = draw(st.sampled_from(sorted(_FITS)))
+    space = {"kind": kind}
+    if kind in ("interval", "circle"):
+        space["m"] = draw(st.integers(1, 39))
+    elif kind == "disc":
+        space.update(rings=draw(st.integers(1, 3)), per_ring=draw(st.integers(3, 12)))
+    elif kind == "box":
+        space.update(p=draw(st.integers(1, 2)), m=draw(st.integers(1, 5)))
+    else:
+        coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+        space["points"] = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8, unique=True))
+        space["field"] = draw(st.sampled_from(["real", "complex"]))
+    names, fitting = _FITS[kind]
+    family = {"name": draw(st.sampled_from([fitting] * 3 + list(FAMILY_NAMES))), "space": "S"}
+    if family["name"] == "perturbed_composition":
+        family["params"] = {"eps": draw(st.sampled_from(["1/n", "1/n^2", [0.5], [2.0]]))}
+    if draw(st.integers(0, 3)) == 0:
+        family["tamper"] = {
+            "target_index": draw(st.integers(0, 50)),
+            "node_index": draw(st.integers(0, 50)),
+            "value": draw(st.sampled_from([-0.5, 0.0, 0.5])),
+        }
+    basis = draw(st.lists(st.sampled_from(names * 3 + ("bogus",)), min_size=2, max_size=4, unique=True))
+    indices = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True))
+    if draw(st.integers(0, 3)):
+        indices.sort()
+    return {
+        "version": 1,
+        "spaces": {"S": space},
+        "spans": {"A": {"space": "S", "basis": basis}},
+        "family": family,
+        "experiment": {"test_span": "A", "indices": indices},
+    }
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(cfg=small_configs(), command=st.sampled_from([("korovkin", "run"), ("choquet",)]))
+def test_cli_contract_fuzz(cfg, command):
+    """Every small schema-valid run exits 0 or 2, or 1 with one error line."""
+    validate_config(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*command, "--config", str(path), "--out", tmp])
+    err = err.getvalue()
+    assert code in (0, 2) or (code == 1 and err.count("\n") == 1 and "error: " in err), (code, err)
 
 
 class TestPresets:

@@ -1,7 +1,9 @@
+import jsonschema
 import pytest
 
 from korovkinlab import ConfigError, Field
 from korovkinlab.config import (
+    CONFIG_SCHEMA,
     build_experiment,
     build_space,
     build_spans,
@@ -27,6 +29,29 @@ class TestSchemaValidation:
         cfg["spaces"]["I"]["kind"] = "sphere"
         with pytest.raises(ConfigError, match="spaces.I.kind"):
             validate_config(cfg)
+
+    def test_schema_is_valid(self):
+        jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda c: c.update(surprise=1),
+            lambda c: c["spaces"]["I"].update(kind="sphere"),
+            lambda c: c["experiment"].update(indices=[]),
+            lambda c: c["experiment"].update(tolerances={"abs_threshold": -1, "x": 2}),
+            lambda c: c.pop("spaces"),
+        ],
+    )
+    def test_messages_match_jsonschema_validate(self, edit):
+        cfg = get_preset("example41_bernstein")
+        edit(cfg)
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        path = ".".join(str(p) for p in ref.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == f"config field {path}: {ref.value.message}"
 
     def test_version_pinned(self):
         cfg = get_preset("example41_bernstein")

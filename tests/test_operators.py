@@ -320,46 +320,62 @@ class TestCheckPositivity:
 
 
 class TestRepeatedNodes:
-    """perturbed_composition lists every grid point twice (composition
-    columns, then mix columns), so a function takes one value on each pair."""
+    """A kernel sums the weight columns of equal nodes on construction, since
+    a function takes one value at a point however often it is listed."""
 
     SPACE = make_circle_grid(16)
 
-    def tampered(self, value):
-        fam = perturbed_composition(
-            identity_isometry(self.SPACE), averaging_operator(self.SPACE), [0.25]
-        )
-        return inject_weight(fam.operator(1), 0, 16, value)  # node 16 is grid point 0
+    def doubled(self, value):
+        # every grid point listed twice: 0.75 f(y) plus the grid mean of f,
+        # with one weight on the second copy of point 0 overridden
+        nodes = np.concatenate([self.SPACE.points, self.SPACE.points])
+        w = np.hstack([0.75 * np.eye(16), np.full((16, 16), 0.25 / 16)])
+        w[0, 16] = value
+        return KernelOperator(self.SPACE, self.SPACE, nodes, w)
 
     def test_positive_after_merging_equal_nodes(self):
-        op = self.tampered(-0.1)  # grid point 0 gets 0.75 - 0.1 at y = 0
+        op = self.doubled(-0.1)  # grid point 0 gets 0.75 - 0.1 at y = 0
+        assert len(op.nodes) == 16
+        assert np.array_equal(op.nodes, self.SPACE.points)
+        assert op.weights[0, 0] == 0.75 - 0.1
         rep = check_positivity(op)
         assert rep.passed and rep.witness is None
         assert rep.min_weight == 0.25 / 16
         assert estimate_operator_norm(op).estimate == pytest.approx(1.0, abs=1e-15)
 
     def test_witness_names_the_first_node_index(self):
-        op = self.tampered(-0.9)
+        op = self.doubled(-0.9)
+        assert len(op.nodes) == 16
         rep = check_positivity(op)
         assert not rep.passed
         assert rep.witness == (0, 0, pytest.approx(-0.15))
         assert rep.weight_witness == (0, 0, pytest.approx(-0.15))
         indicator = ScalarFunction(
-            self.SPACE, lambda z: (z == self.SPACE.points[0]).astype(float), name="e_0"
+            self.SPACE, lambda z: (z == op.nodes[0]).astype(float), name="e_0"
         )
         assert op.apply(indicator).values[0] == pytest.approx(-0.15)
         assert estimate_operator_norm(op).estimate == pytest.approx(1.0, abs=1e-15)
 
-    def test_nonnegative_kernels_skip_the_merge(self, monkeypatch):
-        import korovkinlab.operators as operators
+    def test_order_of_first_occurrence(self):
+        g = make_interval_grid(2)
+        w = np.array([[1.0, 2.0, 3.0, 4.0]] * 3)
+        op = KernelOperator(g, g, [0.5, 0.0, 0.5, 1.0], w)
+        assert op.nodes.tolist() == [0.5, 0.0, 1.0]
+        assert op.weights.tolist() == [[4.0, 2.0, 4.0]] * 3
 
-        def refuse(op):
-            raise AssertionError("merged equal nodes of a nonnegative kernel")
+    def test_distinct_nodes_are_kept_as_given(self):
+        op = bernstein(10, INTERVAL)
+        assert np.array_equal(op.nodes, np.arange(11) / 10)
+        fam = perturbed_composition(
+            identity_isometry(self.SPACE), averaging_operator(self.SPACE), [0.25]
+        )
+        merged = fam.operator(1)
+        assert np.array_equal(merged.nodes, self.SPACE.points)
+        np.testing.assert_allclose(merged.weights, self.doubled(0.25 / 16).weights)
 
-        monkeypatch.setattr(operators, "_distinct_node_weights", refuse)
-        for op in (bernstein(10, INTERVAL), self.tampered(0.5)):
-            assert check_positivity(op).passed
-            assert estimate_operator_norm(op).estimate >= 1.0
+    def test_out_of_range_injection_refused(self):
+        with pytest.raises(ValueError, match="outside the kernel"):
+            inject_weight(self.doubled(0.0), 0, 16, -0.1)
 
 
 class TestOperatorNorm:

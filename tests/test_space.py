@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,9 +136,19 @@ class TestMetricInvariants:
             make_custom_space([[0.0], [1e-200]])
 
     def test_underflowing_distance_rejected_above_pairwise_limit(self):
-        # 4097 points: too many for the n x n check, so nearest neighbours decide
+        # 4097 points: the nearest-neighbour check still sees the pair
         with pytest.raises(ValueError, match="positive distance"):
             make_custom_space(np.r_[0.0, 1e-200, np.arange(1, 4096.0)])
+
+    def test_large_grid_builds_no_distance_matrix(self):
+        tracemalloc.start()
+        try:
+            grid = make_custom_space(np.arange(4096.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_points == 4096
+        assert peak < 2**25  # the 4096 x 4096 distance matrix alone takes 128 MiB
 
 
 class TestGenerators:
@@ -252,6 +264,44 @@ class TestCustomSpace:
         g = make_custom_space([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], field=Field.COMPLEX)
         np.testing.assert_allclose(g.complex_points, [1, 1j, -1])
 
+    def test_complex_grid_needs_2d_coordinates(self):
+        with pytest.raises(ValueError, match="2-d coordinates"):
+            CompactSpace(id="t", field=Field.COMPLEX, kind=SpaceKind.CUSTOM, coords=[0.0, 1.0])
+
     def test_bad_complex_shape(self):
         with pytest.raises(ValueError):
             make_custom_space([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], field=Field.COMPLEX)
+
+
+class TestComplexPoints:
+    """A complex grid's points are a view of its coordinates, bit for bit."""
+
+    @staticmethod
+    def same_bits(grid, expected):
+        cp = grid.complex_points
+        assert not cp.flags.writeable
+        assert np.shares_memory(cp, grid.coords)
+        assert np.array_equal(cp.view(np.uint64), np.asarray(expected, dtype=complex).view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [make_circle_grid(m) for m in (3, 7, 64, 1000)] + [make_disc_grid(r, k) for r, k in ((1, 3), (8, 32), (16, 64))],
+        ids=lambda g: g.id,
+    )
+    def test_factory_grids(self, grid):
+        self.same_bits(grid, grid.coords[:, 0] + 1j * grid.coords[:, 1])
+
+    def test_signed_zeros_from_scalars(self):
+        pts = np.array([complex(-0.0, -0.0), complex(1.0, -0.0), complex(-0.0, 1.0), complex(-1.0, 0.0)])
+        self.same_bits(make_custom_space(pts), pts)
+
+    def test_signed_zeros_from_pairs(self):
+        pairs = np.array([[-0.0, -0.0], [1.0, -0.0], [-0.0, 1.0]])
+        grid = make_custom_space(pairs, field=Field.COMPLEX)
+        # the coordinates are the parts of x + 1j*y, which drops signed zeros
+        self.same_bits(grid, pairs[:, 0] + 1j * pairs[:, 1])
+        assert np.array_equal(grid.coords, np.column_stack([grid.complex_points.real, grid.complex_points.imag]))
+
+    def test_real_grids_have_none(self):
+        with pytest.raises(AttributeError):
+            make_interval_grid(3).complex_points
