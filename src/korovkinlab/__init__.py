@@ -49,6 +49,7 @@ from .functions import (
     sup_norm,
 )
 from .operators import (
+    FAMILIES,
     CompositionIsometry,
     KernelOperator,
     NormEstimate,
@@ -57,20 +58,16 @@ from .operators import (
     PositivityReport,
     averaging_operator,
     bernstein,
-    bernstein_family,
     check_positivity,
     classify_operator,
     estimate_operator_norm,
     fejer,
-    fejer_family,
     identity_isometry,
     inject_weight,
     mollifier_disc,
-    mollifier_disc_family,
     perturbed_composition,
     rotation_isometry,
     tensor_bernstein,
-    tensor_bernstein_family,
 )
 from .space import (
     CompactSpace,

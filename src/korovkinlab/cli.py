@@ -23,8 +23,6 @@ from pathlib import Path
 from . import __version__
 from .choquet import BoundaryEstimate, estimate_choquet_boundary
 from .config import (
-    FAMILY_NAMES,
-    FAMILY_PARAMETERS,
     build_choquet_params,
     build_experiment,
     build_spans,
@@ -34,6 +32,7 @@ from .config import (
 )
 from .engine import ConvergenceReport, run_convergence, verify_hypotheses
 from .errors import ConfigError, SolverError
+from .operators import FAMILIES
 from .presets import get_preset, preset_names
 
 OUTPUT_ENV_VAR = "KOROVKINLAB_OUT"
@@ -95,16 +94,14 @@ def _fmt(x) -> str:
 
 def cmd_operators_list(args) -> int:
     if args.json:
-        payload = [
-            {"name": name, "parameters": FAMILY_PARAMETERS[name]} for name in FAMILY_NAMES
-        ]
+        payload = [{"name": f.name, "parameters": f.parameters} for f in FAMILIES.values()]
         print(json.dumps(payload, indent=2))
         return 0
-    width = max(len(n) for n in FAMILY_NAMES)
+    width = max(len(n) for n in FAMILIES)
     print(f"{'family':<{width}}  parameters")
     print(f"{'-' * width}  {'-' * 40}")
-    for name in FAMILY_NAMES:
-        print(f"{name:<{width}}  {FAMILY_PARAMETERS[name]}")
+    for f in FAMILIES.values():
+        print(f"{f.name:<{width}}  {f.parameters}")
     return 0
 
 

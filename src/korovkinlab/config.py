@@ -18,21 +18,8 @@ from .choquet import ChoquetParams
 from .engine import ExperimentConfig
 from .errors import ConfigError, ResourceLimitError
 from .functions import FunctionSpan, ScalarFunction, default_probes, named_function
-from .operators import (
-    OperatorFamily,
-    averaging_operator,
-    bernstein_family,
-    check_fejer_grid,
-    fejer_family,
-    identity_isometry,
-    inject_weight,
-    mollifier_disc_family,
-    perturbed_composition,
-    rotation_isometry,
-    tensor_bernstein_family,
-)
+from .operators import FAMILIES, OperatorFamily, inject_weight
 from .space import (
-    DEFAULT_POINT_CAP,
     CompactSpace,
     Field,
     make_box_grid,
@@ -44,24 +31,19 @@ from .space import (
 
 SCHEMA_VERSION = 1
 
-FAMILY_NAMES = (
-    "bernstein",
-    "fejer",
-    "tensor_bernstein",
-    "mollifier_disc",
-    "perturbed_composition",
-)
-
-FAMILY_PARAMETERS = {
-    "bernstein": "space: interval grid",
-    "fejer": "space: circle grid with m > 2n+2 points",
-    "tensor_bernstein": "space: box grid",
-    "mollifier_disc": "space: disc grid",
-    "perturbed_composition": (
-        "space: any grid; params.phi: {type: identity|rotation, steps} or {map: [...]};"
-        " params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]"
-    ),
-}
+# perturbed_composition's params.phi: an index map, or a named map
+_PHI_SCHEMAS = [
+    {
+        "required": ["map"],
+        "additionalProperties": False,
+        "properties": {"map": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
+    },
+    {
+        "additionalProperties": False,
+        "properties": {"type": {"enum": ["identity", "rotation"]}, "steps": {"type": "integer"}},
+    },
+]
+_EPS_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -86,7 +68,6 @@ CONFIG_SCHEMA = {
                     "per_ring": {"type": "integer", "minimum": 3},
                     "points": {"type": "array", "minItems": 2},
                     "field": {"enum": ["real", "complex"]},
-                    "point_cap": {"type": "integer", "minimum": 2},
                 },
             },
         },
@@ -108,9 +89,17 @@ CONFIG_SCHEMA = {
             "required": ["name", "space"],
             "additionalProperties": False,
             "properties": {
-                "name": {"enum": list(FAMILY_NAMES)},
+                "name": {"enum": list(FAMILIES)},
                 "space": {"type": "string"},
-                "params": {"type": "object"},
+                "params": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "phi": {"type": "object", "anyOf": _PHI_SCHEMAS},
+                        "mix": {"const": "mean"},
+                        "eps": {"anyOf": [{"enum": ["1/n", "1/n^2"]}, _EPS_LIST]},
+                    },
+                },
                 "tamper": {
                     "type": "object",
                     "required": ["target_index", "node_index", "value"],
@@ -222,12 +211,7 @@ def build_space(name: str, block: dict) -> CompactSpace:
                 _require(block, "rings", where), _require(block, "per_ring", where)
             )
         if kind == "box":
-            cap = block.get("point_cap")
-            if cap is None:
-                return make_box_grid(_require(block, "p", where), _require(block, "m", where))
-            return make_box_grid(
-                _require(block, "p", where), _require(block, "m", where), point_cap=cap
-            )
+            return make_box_grid(_require(block, "p", where), _require(block, "m", where))
         field = Field.COMPLEX if block.get("field") == "complex" else Field.REAL
         return make_custom_space(
             _require(block, "points", where), field=field, space_id=name
@@ -272,75 +256,45 @@ def build_spans(cfg: dict, spaces: dict[str, CompactSpace]) -> dict[str, Functio
 
 
 def build_family(cfg: dict, spaces: dict[str, CompactSpace]) -> OperatorFamily:
+    """The configured family, checked against its table row before it
+    allocates anything: the grid kind, then the kernel of every index in
+    ``experiment.indices`` against the weight budget."""
     if "family" not in cfg:
         raise ConfigError("family: block is required for this command")
     block = cfg["family"]
-    name = block["name"]
+    spec = FAMILIES[block["name"]]
     space_name = block["space"]
     if space_name not in spaces:
         raise ConfigError(f"family.space: unknown space {space_name!r}")
     space = spaces[space_name]
-    params = block.get("params", {})
     try:
-        if name == "bernstein":
-            fam = bernstein_family(space)
-        elif name == "fejer":
-            fam = fejer_family(space)
-        elif name == "tensor_bernstein":
-            fam = tensor_bernstein_family(space)
-        elif name == "mollifier_disc":
-            fam = mollifier_disc_family(space)
-        else:
-            fam = _build_perturbed(space, params)
+        spec.check_kind(space)
+    except ValueError as exc:
+        raise ConfigError(f"family: {exc}") from None
+    for n in cfg.get("experiment", {}).get("indices", ()):
+        try:
+            spec.check_index(space, n)
+        except ValueError as exc:
+            raise ConfigError(f"experiment.indices: {exc}") from None
+    try:
+        fam = spec.build(space, block.get("params", {}))
     except ValueError as exc:
         raise ConfigError(f"family: {exc}") from None
     tamper = block.get("tamper")
-    if tamper:
-        fam = _tampered(fam, tamper)
-    return _config_errors(fam)
 
-
-def _config_errors(fam: OperatorFamily) -> OperatorFamily:
-    # kernels are built lazily, inside the run; report a bad index or
-    # parameter as the configuration error it is
     def build(n: int):
+        # kernels are built lazily, inside the run; report a bad index or
+        # parameter as the configuration error it is
         try:
-            return fam.kernel_builder(n)
+            op = fam.kernel_builder(n)
+            if tamper:
+                op = inject_weight(op, **tamper)
+            return op
         except ValueError as exc:
             raise ConfigError(f"family: index {n}: {exc}") from None
 
-    return OperatorFamily(fam.name, fam.source, fam.target, build, fam.limit)
-
-
-def _build_perturbed(space: CompactSpace, params: dict) -> OperatorFamily:
-    phi_block = params.get("phi", {"type": "identity"})
-    if "map" in phi_block:
-        from .operators import CompositionIsometry
-
-        phi = CompositionIsometry(space, space, tuple(int(i) for i in phi_block["map"]))
-    else:
-        phi_type = phi_block.get("type", "identity")
-        if phi_type == "identity":
-            phi = identity_isometry(space)
-        elif phi_type == "rotation":
-            phi = rotation_isometry(space, int(phi_block.get("steps", 1)))
-        else:
-            raise ValueError(f"unknown phi type {phi_type!r}")
-    mix_name = params.get("mix", "mean")
-    if mix_name != "mean":
-        raise ValueError(f"unknown mix operator {mix_name!r}")
-    mix = averaging_operator(space)
-    eps = params.get("eps", "1/n")
-    return perturbed_composition(phi, mix, eps)
-
-
-def _tampered(fam: OperatorFamily, tamper: dict) -> OperatorFamily:
-    yi, ni, val = tamper["target_index"], tamper["node_index"], tamper["value"]
-
-    def build(n: int):
-        return inject_weight(fam.kernel_builder(n), yi, ni, val)
-
-    return OperatorFamily(f"{fam.name}(tampered)", fam.source, fam.target, build, fam.limit)
+    name = f"{fam.name}(tampered)" if tamper else fam.name
+    return OperatorFamily(name, fam.source, fam.target, build, fam.limit)
 
 
 def build_choquet_params(block: dict | None) -> ChoquetParams:
@@ -354,25 +308,6 @@ def build_choquet_params(block: dict | None) -> ChoquetParams:
     if "delta_min" in block:
         kwargs["delta_min"] = block["delta_min"]
     return ChoquetParams(**kwargs)
-
-
-def _check_kernel_sizes(family: str, space: CompactSpace, indices) -> None:
-    """Refuse indices whose kernel cannot be built, before anything is
-    allocated: Fejér indices too fine for the circle grid, and Bernstein
-    kernels above the grid cap's budget of DEFAULT_POINT_CAP**2 weights."""
-    for n in indices:
-        try:
-            if family == "fejer":
-                check_fejer_grid(n, space.n_points)
-            nodes = {"bernstein": n + 1, "tensor_bernstein": (n + 1) ** space.dim}
-            entries = space.n_points * nodes.get(family, 0)
-            if entries > DEFAULT_POINT_CAP**2:
-                raise ValueError(
-                    f"the kernel at index {n} would hold {entries} weights, above "
-                    f"the budget of {DEFAULT_POINT_CAP**2} (2 GiB)"
-                )
-        except ValueError as exc:
-            raise ConfigError(f"experiment.indices: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,15 +343,13 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
             probes = tuple(named_function(n, family.source) for n in probes_spec)
         except ValueError as exc:
             raise ConfigError(f"experiment.probes: {exc}") from None
-    indices = tuple(exp["indices"])
-    _check_kernel_sizes(cfg["family"]["name"], family.source, indices)
     tol = exp.get("tolerances", {})
     try:
         experiment = ExperimentConfig(
             family=family,
             test_span=test_span,
             probes=probes,
-            indices=indices,
+            indices=tuple(exp["indices"]),
             abs_threshold=tol.get("abs_threshold", 0.05),
             improvement_factor=tol.get("improvement_factor", 2.0),
             choquet=build_choquet_params(exp.get("choquet")),

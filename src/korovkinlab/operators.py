@@ -16,11 +16,14 @@ from typing import Callable
 import numpy as np
 
 from .functions import ScalarFunction, evaluate, function_from_values
-from .space import CompactSpace, Field, PointSet, SpaceKind
+from .space import DEFAULT_POINT_CAP, CompactSpace, Field, PointSet, SpaceKind
 
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
+# most weights one kernel may hold: 2 GiB of float64, the budget of a grid's
+# distance matrix at the point cap
+KERNEL_BUDGET = DEFAULT_POINT_CAP**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +34,8 @@ class KernelOperator:
     shape ``(N,)``, or ``(N, dim)`` on a box grid. A function takes one
     value at a point however often it is listed, so the weight columns of
     equal nodes are summed on construction, keeping the order of first
-    occurrence: every kernel holds distinct nodes.
+    occurrence: every kernel holds distinct nodes. The kernel takes
+    ownership of a float ``weights`` array and freezes it, without a copy.
     """
 
     source: CompactSpace
@@ -58,7 +62,6 @@ class KernelOperator:
             merged = np.zeros((w.shape[0], first.size))
             np.add.at(merged, (slice(None), rank[inverse.reshape(-1)]), w)
             nodes, w = nodes[np.sort(first)], merged
-        w = w.copy()
         for a in (nodes, w):
             a.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -169,8 +172,7 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
     """
     if n < 1:
         raise ValueError("bernstein index must be >= 1")
-    if space.kind is not SpaceKind.INTERVAL:
-        raise ValueError("bernstein needs an interval grid")
+    FAMILIES["bernstein"].check_kind(space)
     w = _binom_pmf(n, space.coords[:, 0])
     return KernelOperator(space, space, np.arange(n + 1) / n, w)
 
@@ -207,8 +209,7 @@ def fejer(n: int, space: CompactSpace) -> KernelOperator:
     """
     if n < 1:
         raise ValueError("fejer index must be >= 1")
-    if space.kind is not SpaceKind.CIRCLE:
-        raise ValueError("fejer needs a circle grid")
+    FAMILIES["fejer"].check_kind(space)
     m = space.n_points
     check_fejer_grid(n, m)
     theta = 2.0 * np.pi * np.arange(m) / m
@@ -220,8 +221,7 @@ def tensor_bernstein(n: int, space: CompactSpace) -> KernelOperator:
     """Coordinatewise tensor product of 1-d Bernstein weights on a box grid."""
     if n < 1:
         raise ValueError("tensor_bernstein index must be >= 1")
-    if space.kind is not SpaceKind.BOX:
-        raise ValueError("tensor_bernstein needs a box grid")
+    FAMILIES["tensor_bernstein"].check_kind(space)
     p = space.dim
     w = _binom_pmf(n, space.coords[:, 0])
     for d in range(1, p):
@@ -237,8 +237,7 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
     """Equal-weight average over grid points within distance 1/n on a disc grid."""
     if n < 1:
         raise ValueError("mollifier index must be >= 1")
-    if space.kind is not SpaceKind.DISC:
-        raise ValueError("mollifier_disc needs a disc grid")
+    FAMILIES["mollifier_disc"].check_kind(space)
     radius = 1.0 / n
     n_pts = space.n_points
     w = np.zeros((n_pts, n_pts))
@@ -332,35 +331,105 @@ def inject_weight(op: KernelOperator, target_index: int, node_index: int, value:
 
 
 # ---------------------------------------------------------------------------
-# family constructors
+# the built-in families
 
 
-def bernstein_family(space: CompactSpace) -> OperatorFamily:
-    return OperatorFamily(
-        "bernstein", space, space, lambda n: bernstein(n, space), identity_isometry(space)
+@dataclass(frozen=True)
+class FamilySpec:
+    """One built-in family. ``kind`` is the grid kind it runs on (None: any);
+    ``parameters`` is its ``operators list`` text; ``weights(space, n)``
+    counts its kernel's weights at index n before equal nodes are merged,
+    or raises ValueError where there is no kernel; ``build(space, params)``
+    makes the family from schema-checked ``params`` and builds no kernel.
+    """
+
+    name: str
+    kind: SpaceKind | None
+    parameters: str
+    weights: Callable[[CompactSpace, int], int]
+    build: Callable[[CompactSpace, dict], OperatorFamily]
+
+    def check_kind(self, space: CompactSpace) -> None:
+        if self.kind not in (None, space.kind):
+            need, got = self.kind.value, space.kind.value
+            raise ValueError(f"{self.name} runs on {need} grids, not on {got} grids")
+
+    def check_index(self, space: CompactSpace, n: int) -> None:
+        """Raise ValueError unless the kernel at index n exists and fits the budget."""
+        count = self.weights(space, n)
+        if count > KERNEL_BUDGET:
+            raise ValueError(
+                f"the kernel at index {n} would hold {count} weights, above "
+                f"the budget of {KERNEL_BUDGET} (2 GiB)"
+            )
+
+
+def _to_identity(name: str, kernel: Callable[[int, CompactSpace], KernelOperator]):
+    """Row constructor of the family n -> kernel(n, space), whose limit is the identity."""
+    return lambda space, params: OperatorFamily(
+        name, space, space, lambda n: kernel(n, space), identity_isometry(space)
     )
 
 
-def fejer_family(space: CompactSpace) -> OperatorFamily:
-    return OperatorFamily(
-        "fejer", space, space, lambda n: fejer(n, space), identity_isometry(space)
+def _fejer_weights(space: CompactSpace, n: int) -> int:
+    check_fejer_grid(n, space.n_points)
+    return space.n_points**2
+
+
+def _perturbed_from_params(space: CompactSpace, params: dict) -> OperatorFamily:
+    phi = params.get("phi", {})
+    if "map" in phi:
+        limit = CompositionIsometry(space, space, tuple(phi["map"]))
+    elif phi.get("type") == "rotation":
+        limit = rotation_isometry(space, int(phi.get("steps", 1)))
+    else:
+        limit = identity_isometry(space)
+    # the schema allows one mix, "mean"
+    return perturbed_composition(limit, averaging_operator(space), params.get("eps", "1/n"))
+
+
+FAMILIES: dict[str, FamilySpec] = {
+    spec.name: spec
+    for spec in (
+        FamilySpec(
+            "bernstein",
+            SpaceKind.INTERVAL,
+            "space: interval grid",
+            lambda space, n: space.n_points * (n + 1),
+            _to_identity("bernstein", bernstein),
+        ),
+        FamilySpec(
+            "fejer",
+            SpaceKind.CIRCLE,
+            "space: circle grid with m > 2n+2 points",
+            _fejer_weights,
+            _to_identity("fejer", fejer),
+        ),
+        FamilySpec(
+            "tensor_bernstein",
+            SpaceKind.BOX,
+            "space: box grid",
+            lambda space, n: space.n_points * (n + 1) ** space.dim,
+            _to_identity("tensor_bernstein", tensor_bernstein),
+        ),
+        FamilySpec(
+            "mollifier_disc",
+            SpaceKind.DISC,
+            "space: disc grid",
+            lambda space, n: space.n_points**2,
+            _to_identity("mollifier_disc", mollifier_disc),
+        ),
+        FamilySpec(
+            "perturbed_composition",
+            None,
+            "space: any grid; params.phi: {type: identity|rotation, steps} or {map: [...]};"
+            " params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]",
+            # one column per grid point for phi, then one per mix node
+            lambda space, n: 2 * space.n_points**2,
+            _perturbed_from_params,
+        ),
     )
-
-
-def tensor_bernstein_family(space: CompactSpace) -> OperatorFamily:
-    return OperatorFamily(
-        "tensor_bernstein",
-        space,
-        space,
-        lambda n: tensor_bernstein(n, space),
-        identity_isometry(space),
-    )
-
-
-def mollifier_disc_family(space: CompactSpace) -> OperatorFamily:
-    return OperatorFamily(
-        "mollifier_disc", space, space, lambda n: mollifier_disc(n, space), identity_isometry(space)
-    )
+}
 
 
 # ---------------------------------------------------------------------------

@@ -314,8 +314,9 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
     )
 
 
-def make_box_grid(p: int, m: int, point_cap: int = DEFAULT_POINT_CAP) -> CompactSpace:
-    """Tensor grid {k/m}^p on the unit box, guarded by a point-count cap.
+def make_box_grid(p: int, m: int) -> CompactSpace:
+    """Tensor grid {k/m}^p on the unit box, refused above the grid cap
+    before its points are listed.
 
     The candidate symmetries reflect one axis (k_a -> m - k_a) or swap two
     adjacent axes.
@@ -325,9 +326,9 @@ def make_box_grid(p: int, m: int, point_cap: int = DEFAULT_POINT_CAP) -> Compact
     if m < 1:
         raise ValueError("box grid needs m >= 1")
     n_pts = (m + 1) ** p
-    if n_pts > point_cap:
+    if n_pts > DEFAULT_POINT_CAP:
         raise ResourceLimitError(
-            f"box grid would have {n_pts} points, above the cap of {point_cap}"
+            f"box grid would have {n_pts} points, above the cap of {DEFAULT_POINT_CAP}"
         )
     axis = np.arange(m + 1, dtype=float) / m
     coords = np.array(list(itertools.product(axis, repeat=p)))

@@ -13,18 +13,17 @@ import numpy as np
 import pytest
 
 from korovkinlab import (
+    FAMILIES,
     ExperimentConfig,
     FunctionSpan,
     averaging_operator,
     bernstein,
-    bernstein_family,
     check_positivity,
     conjugate,
     default_probes,
     estimate_choquet_boundary,
     estimate_operator_norm,
     fejer,
-    fejer_family,
     function_from_values,
     inject_weight,
     lemma_b_feasible,
@@ -33,14 +32,12 @@ from korovkinlab import (
     make_disc_grid,
     make_interval_grid,
     mollifier_disc,
-    mollifier_disc_family,
     named_function,
     open_ball,
     perturbed_composition,
     rotation_isometry,
     run_convergence,
     sup_norm,
-    tensor_bernstein_family,
     verify_hypotheses,
 )
 from korovkinlab.cli import main as cli_main
@@ -257,10 +254,10 @@ def test_criterion_07_nontrivial_isometry():
 
 def test_criterion_08_operator_norm_invariant():
     families = [
-        bernstein_family(make_interval_grid(50)),
-        fejer_family(make_circle_grid(131)),
-        tensor_bernstein_family(make_box_grid(2, 4)),
-        mollifier_disc_family(make_disc_grid(4, 16)),
+        FAMILIES["bernstein"].build(make_interval_grid(50), {}),
+        FAMILIES["fejer"].build(make_circle_grid(131), {}),
+        FAMILIES["tensor_bernstein"].build(make_box_grid(2, 4), {}),
+        FAMILIES["mollifier_disc"].build(make_disc_grid(4, 16), {}),
     ]
     circle32 = make_circle_grid(32)
     families.append(
@@ -287,10 +284,10 @@ def test_criterion_08_operator_norm_invariant():
 def test_criterion_09_positivity_property_suite():
     circle32 = make_circle_grid(32)
     families = [
-        bernstein_family(make_interval_grid(50)),
-        fejer_family(circle32),
-        tensor_bernstein_family(make_box_grid(2, 4)),
-        mollifier_disc_family(make_disc_grid(4, 16)),
+        FAMILIES["bernstein"].build(make_interval_grid(50), {}),
+        FAMILIES["fejer"].build(circle32, {}),
+        FAMILIES["tensor_bernstein"].build(make_box_grid(2, 4), {}),
+        FAMILIES["mollifier_disc"].build(make_disc_grid(4, 16), {}),
         perturbed_composition(
             rotation_isometry(circle32, 4), averaging_operator(circle32), "1/n"
         ),

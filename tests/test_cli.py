@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from korovkinlab import ConfigError, KernelOperator
 from korovkinlab.cli import build_parser, main
-from korovkinlab.config import FAMILY_NAMES, validate_config
+from korovkinlab.config import validate_config
+from korovkinlab.operators import FAMILIES
 from korovkinlab.presets import get_preset, preset_names
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,26 +31,36 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(p)
 
 
+_PERTURBED_PARAMETERS = (
+    "space: any grid; params.phi: {type: identity|rotation, steps} or {map: [...]};"
+    " params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]"
+)
+_FAMILY_PARAMETERS = [
+    ("bernstein", "space: interval grid"),
+    ("fejer", "space: circle grid with m > 2n+2 points"),
+    ("tensor_bernstein", "space: box grid"),
+    ("mollifier_disc", "space: disc grid"),
+    ("perturbed_composition", _PERTURBED_PARAMETERS),
+]
+
+
 class TestOperatorsList:
     def test_lists_five_families(self, capsys):
         assert run_cli("operators", "list") == 0
-        out = capsys.readouterr().out
-        for name in (
-            "bernstein",
-            "fejer",
-            "tensor_bernstein",
-            "mollifier_disc",
-            "perturbed_composition",
-        ):
-            assert name in out
+        assert capsys.readouterr().out == (
+            "family                 parameters\n"
+            "---------------------  ----------------------------------------\n"
+            "bernstein              space: interval grid\n"
+            "fejer                  space: circle grid with m > 2n+2 points\n"
+            "tensor_bernstein       space: box grid\n"
+            "mollifier_disc         space: disc grid\n"
+            f"perturbed_composition  {_PERTURBED_PARAMETERS}\n"
+        )
 
     def test_json_output(self, capsys):
         assert run_cli("operators", "list", "--json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload) == 5
-        assert {entry["name"] for entry in payload} == set(
-            ("bernstein", "fejer", "tensor_bernstein", "mollifier_disc", "perturbed_composition")
-        )
+        payload = [{"name": n, "parameters": p} for n, p in _FAMILY_PARAMETERS]
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     def test_unknown_flag(self, capsys):
         assert run_cli("operators", "list", "--bogus") == 1
@@ -316,6 +328,93 @@ class TestKorovkinRun:
         err = capsys.readouterr().err
         assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
 
+    def test_point_cap_key_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example42_tensor")
+        cfg["spaces"]["K"]["point_cap"] = 100
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field spaces.K:") and err.count("\n") == 1
+        assert "point_cap" in err
+
+    def test_oversized_perturbed_kernel_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(KernelOperator, "__post_init__", _no_kernel)
+        cfg = {
+            "version": 1,
+            "spaces": {"I": {"kind": "interval", "m": 12000}},
+            "spans": {"affine": {"space": "I", "basis": ["const1", "x"]}},
+            "family": {"name": "perturbed_composition", "space": "I"},
+            "experiment": {"test_span": "affine", "indices": [1, 2]},
+        }
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code = run_cli("korovkin", "run", "--config", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
+        assert "288048002 weights" in err  # 12001 x (12001 + 12001)
+        assert peak < 2**24  # the mean mix alone would take 1.1 GiB
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"phi": 3},
+            {"phi": {"map": 5}},
+            {"eps": 5},
+            {"eps": [0.5, None]},
+            {"phi": {"type": "rotation", "steps": 1.5}},
+        ],
+    )
+    def test_malformed_params_exit_1(self, tmp_path, capsys, params):
+        cfg = {
+            "version": 1,
+            "spaces": {"T": {"kind": "circle", "m": 16}},
+            "spans": {"analytic": {"space": "T", "basis": ["const1", "z"]}},
+            "family": {"name": "perturbed_composition", "space": "T", "params": params},
+            "experiment": {"test_span": "analytic", "indices": [1, 2]},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field family.params") and err.count("\n") == 1
+
+
+def _no_kernel(self):
+    raise AssertionError("a kernel was built")
+
+
+_GRIDS = {
+    "interval": {"kind": "interval", "m": 8},
+    "circle": {"kind": "circle", "m": 8},
+    "disc": {"kind": "disc", "rings": 1, "per_ring": 4},
+    "box": {"kind": "box", "p": 2, "m": 2},
+    "custom": {"kind": "custom", "points": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [(f.name, k) for f in FAMILIES.values() if f.kind for k in _GRIDS if k != f.kind.value],
+)
+def test_wrong_grid_kind_exit_1(tmp_path, capsys, monkeypatch, family, kind):
+    monkeypatch.setattr(KernelOperator, "__post_init__", _no_kernel)
+    cfg = {
+        "version": 1,
+        "spaces": {"S": _GRIDS[kind]},
+        "spans": {"A": {"space": "S", "basis": ["const1"]}},
+        "family": {"name": family, "space": "S"},
+        "experiment": {"test_span": "A", "indices": [1, 2]},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("korovkin", "run", "--config", path) == 1
+    err = capsys.readouterr().err
+    need = FAMILIES[family].kind.value
+    assert err == f"error: family: {family} runs on {need} grids, not on {kind} grids\n"
+
 
 # per grid kind: the function names that fit it, and the family built for it
 _FITS = {
@@ -327,10 +426,29 @@ _FITS = {
 }
 
 
+# perturbed_composition params the schema accepts, and ones it refuses
+_GOOD_PARAMS = [
+    {"eps": "1/n"},
+    {"eps": "1/n^2"},
+    {"eps": [0.5]},
+    {"eps": [2.0]},
+    {"phi": {"type": "rotation", "steps": 1}, "mix": "mean"},
+    {"phi": {"map": [1, 0]}},
+]
+_BAD_PARAMS = [
+    {"phi": 3},
+    {"phi": {"map": [0.5]}},
+    {"phi": {"type": "reflection"}},
+    {"eps": 5},
+    {"eps": [0.5, None]},
+    {"mix": "max"},
+]
+
+
 @st.composite
 def small_configs(draw):
-    """Schema-valid configurations on grids of at most 40 points; most fit
-    their grid, some do not."""
+    """Configurations on grids of at most 40 points; most fit their grid and
+    are schema-valid, some do not fit and some carry malformed params."""
     kind = draw(st.sampled_from(sorted(_FITS)))
     space = {"kind": kind}
     if kind in ("interval", "circle"):
@@ -344,9 +462,9 @@ def small_configs(draw):
         space["points"] = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8, unique=True))
         space["field"] = draw(st.sampled_from(["real", "complex"]))
     names, fitting = _FITS[kind]
-    family = {"name": draw(st.sampled_from([fitting] * 3 + list(FAMILY_NAMES))), "space": "S"}
-    if family["name"] == "perturbed_composition":
-        family["params"] = {"eps": draw(st.sampled_from(["1/n", "1/n^2", [0.5], [2.0]]))}
+    family = {"name": draw(st.sampled_from([fitting] * 3 + list(FAMILIES))), "space": "S"}
+    if family["name"] == "perturbed_composition" or draw(st.integers(0, 7)) == 0:
+        family["params"] = draw(st.sampled_from(_GOOD_PARAMS * 2 + _BAD_PARAMS))
     if draw(st.integers(0, 3)) == 0:
         family["tamper"] = {
             "target_index": draw(st.integers(0, 50)),
@@ -369,8 +487,13 @@ def small_configs(draw):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(cfg=small_configs(), command=st.sampled_from([("korovkin", "run"), ("choquet",)]))
 def test_cli_contract_fuzz(cfg, command):
-    """Every small schema-valid run exits 0 or 2, or 1 with one error line."""
-    validate_config(cfg)
+    """Every small run exits 0 or 2, or 1 with one error line; the schema
+    refuses exactly the malformed params."""
+    if cfg["family"].get("params") in _BAD_PARAMS:
+        with pytest.raises(ConfigError, match="family.params"):
+            validate_config(cfg)
+    else:
+        validate_config(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))

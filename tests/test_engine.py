@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from korovkinlab import (
+    FAMILIES,
     ExperimentConfig,
     FunctionSpan,
     OperatorFamily,
     PointSet,
     averaging_operator,
-    bernstein_family,
     default_probes,
     equicontinuity_probe,
     error_bound_constant,
-    fejer_family,
     function_from_values,
     identity_isometry,
     inject_weight,
@@ -32,7 +31,7 @@ QUAD = FunctionSpan(tuple(named_function(n, INTERVAL) for n in ("const1", "x", "
 
 def bernstein_config(indices=(4, 16, 64), probes=None):
     return ExperimentConfig(
-        family=bernstein_family(INTERVAL),
+        family=FAMILIES["bernstein"].build(INTERVAL, {}),
         test_span=QUAD,
         probes=probes or default_probes(INTERVAL),
         indices=indices,
@@ -40,7 +39,7 @@ def bernstein_config(indices=(4, 16, 64), probes=None):
 
 
 def tampered_family(space):
-    base = bernstein_family(space)
+    base = FAMILIES["bernstein"].build(space, {})
 
     def build(n):
         return inject_weight(base.kernel_builder(n), 2, 1, -0.2)
@@ -77,7 +76,7 @@ class TestVerifyHypotheses:
 
     def test_inclusion_checked_with_generators(self):
         cfg = ExperimentConfig(
-            family=bernstein_family(INTERVAL),
+            family=FAMILIES["bernstein"].build(INTERVAL, {}),
             test_span=QUAD,
             probes=default_probes(INTERVAL),
             indices=(4, 8),
@@ -185,7 +184,7 @@ class TestErrorBoundConstant:
 
 class TestEquicontinuityProbe:
     def test_constant_probe_is_flat(self):
-        fam = bernstein_family(INTERVAL)
+        fam = FAMILIES["bernstein"].build(INTERVAL, {})
         table = equicontinuity_probe(
             fam, named_function("const1", INTERVAL), 20, (0.05, 0.1), (1, 4, 16)
         )
@@ -193,7 +192,7 @@ class TestEquicontinuityProbe:
         assert table.monotone_ok and table.small_at_first
 
     def test_square_probe_grows_with_radius(self):
-        fam = bernstein_family(INTERVAL)
+        fam = FAMILIES["bernstein"].build(INTERVAL, {})
         table = equicontinuity_probe(
             fam, named_function("x^2", INTERVAL), 20, (0.03, 0.1, 0.2), tuple(range(1, 17))
         )
@@ -201,7 +200,7 @@ class TestEquicontinuityProbe:
         assert table.values[-1] > table.values[0]
 
     def test_single_index_is_plain_modulus(self):
-        fam = bernstein_family(INTERVAL)
+        fam = FAMILIES["bernstein"].build(INTERVAL, {})
         f = named_function("x^2", INTERVAL)
         table = equicontinuity_probe(fam, f, 20, (0.1,), (8,))
         g = fam.apply(8, f).values
@@ -210,7 +209,7 @@ class TestEquicontinuityProbe:
         assert table.values[0] == pytest.approx(expected)
 
     def test_radii_validation(self):
-        fam = bernstein_family(INTERVAL)
+        fam = FAMILIES["bernstein"].build(INTERVAL, {})
         f = named_function("x", INTERVAL)
         with pytest.raises(ValueError):
             equicontinuity_probe(fam, f, 0, (0.2, 0.1), (1,))

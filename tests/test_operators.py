@@ -1,21 +1,21 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from korovkinlab import (
+    FAMILIES,
     CompositionIsometry,
     KernelOperator,
     ScalarFunction,
     averaging_operator,
     bernstein,
-    bernstein_family,
     check_positivity,
     classify_operator,
     conjugate,
     estimate_operator_norm,
     fejer,
-    fejer_family,
     function_from_values,
     identity_isometry,
     inject_weight,
@@ -217,23 +217,23 @@ class TestPerturbedComposition:
 
 class TestApply:
     def test_identity_on_constants(self):
-        fam = bernstein_family(INTERVAL)
+        fam = FAMILIES["bernstein"].build(INTERVAL, {})
         out = fam.apply(10, named_function("const1", INTERVAL)).values
         assert np.max(np.abs(out - 1.0)) <= 1e-12
 
     def test_fejer_z(self):
-        fam = fejer_family(CIRCLE32)
+        fam = FAMILIES["fejer"].build(CIRCLE32, {})
         out = fam.apply(4, named_function("z", CIRCLE32)).values
         expected = fejer_fourier(CIRCLE32.complex_points, 4)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_zero_maps_to_zero(self):
-        fam = fejer_family(CIRCLE32)
+        fam = FAMILIES["fejer"].build(CIRCLE32, {})
         zero = function_from_values(CIRCLE32, np.zeros(32), name="0")
         assert np.max(np.abs(fam.apply(4, zero).values)) == 0.0
 
     def test_space_mismatch(self):
-        fam = bernstein_family(INTERVAL)
+        fam = FAMILIES["bernstein"].build(INTERVAL, {})
         other = make_interval_grid(7)
         with pytest.raises(ValueError):
             fam.apply(4, named_function("x", other))
@@ -489,3 +489,56 @@ class TestKernelOperatorValidation:
     def test_t_one_is_row_sums(self):
         op = bernstein(6, INTERVAL)
         np.testing.assert_allclose(op.t_one_values, op.weights.sum(axis=1))
+
+    def test_weights_are_taken_and_frozen(self):
+        w = np.full((32, 32), 1.0 / 32)
+        op = KernelOperator(CIRCLE32, CIRCLE32, CIRCLE32.points, w)
+        assert op.weights is w
+        assert not w.flags.writeable
+
+    def test_build_holds_the_weights_once(self):
+        box = make_box_grid(2, 8)
+        tensor_bernstein(1, box)  # loads scipy.stats outside the measurement
+        tracemalloc.start()
+        try:
+            op = tensor_bernstein(256, box)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.weights.nbytes == 81 * 257**2 * 8  # 40.8 MiB
+        assert peak < 1.25 * op.weights.nbytes
+
+
+class TestFamilyTable:
+    def test_kernel_builders_refuse_the_wrong_grid_kind(self):
+        for name, grid in (
+            ("bernstein", CIRCLE32),
+            ("fejer", INTERVAL),
+            ("tensor_bernstein", CIRCLE32),
+            ("mollifier_disc", INTERVAL),
+        ):
+            with pytest.raises(ValueError, match=f"{name} runs on "):
+                FAMILIES[name].build(grid, {}).operator(4)
+
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("bernstein", INTERVAL),
+            ("fejer", CIRCLE32),
+            ("tensor_bernstein", make_box_grid(2, 3)),
+            ("mollifier_disc", make_disc_grid(2, 8)),
+            ("perturbed_composition", CIRCLE32),
+        ],
+    )
+    def test_weight_count_is_the_unmerged_kernel_size(self, name, grid, monkeypatch):
+        spec = FAMILIES[name]
+        sizes = []
+        init = KernelOperator.__post_init__
+
+        def record(self):
+            sizes.append(np.shape(self.weights))
+            init(self)
+
+        monkeypatch.setattr(KernelOperator, "__post_init__", record)
+        spec.build(grid, {}).operator(3)
+        assert sizes[-1][0] * sizes[-1][1] == spec.weights(grid, 3)

@@ -87,8 +87,8 @@ class TestBoxGrid:
         np.testing.assert_allclose(np.sort(box.coords[:, 0]), interval.coords[:, 0])
 
     def test_size_cap(self):
-        with pytest.raises(ResourceLimitError):
-            make_box_grid(3, 100, point_cap=10**6)
+        with pytest.raises(ResourceLimitError, match="box grid would have 1030301 points"):
+            make_box_grid(3, 100)
 
 
 class TestPointCap:
@@ -103,9 +103,15 @@ class TestPointCap:
             make_custom_space(np.arange(DEFAULT_POINT_CAP + 1.0))
         make_interval_grid(DEFAULT_POINT_CAP - 1)
 
-    def test_box_cap_cannot_raise_the_grid_cap(self):
-        with pytest.raises(ResourceLimitError, match="grid would have 40401 points"):
-            make_box_grid(2, 200, point_cap=10**6)
+    def test_box_grid_over_the_cap_is_refused_before_listing_points(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="box grid would have 40401 points"):
+                make_box_grid(2, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestMetricInvariants:
