@@ -61,17 +61,16 @@ _BLOCK_ENTRIES = 2**18
 
 @dataclass(frozen=True)
 class ChoquetParams:
-    """Scan parameters; radii default to fractions of the grid diameter."""
+    """Scan parameters. The peak LP's optimum can only grow with the radius
+    (a larger radius drops margin rows), so a scan searches at one radius:
+    a peak there is the statement "some radius up to it admits a peak".
+    None means a fifth of the grid diameter."""
 
-    r_list: tuple[float, ...] | None = None
-    r_factors: tuple[float, ...] = (0.05, 0.1, 0.2)
+    radius: float | None = None
     delta_min: float = DEFAULT_DELTA_MIN
 
-    def radii(self, space: CompactSpace) -> tuple[float, ...]:
-        if self.r_list is not None:
-            return tuple(float(r) for r in self.r_list)
-        diam = space.diameter
-        return tuple(f * diam for f in self.r_factors)
+    def scan_radius(self, space: CompactSpace) -> float:
+        return 0.2 * space.diameter if self.radius is None else float(self.radius)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ class PointClassification:
 class BoundaryEstimate:
     span: FunctionSpan
     points: tuple[PointClassification, ...]
-    r_list: tuple[float, ...]
+    radius: float
     delta_min: float
 
     def boundary_point_set(self) -> PointSet:
@@ -375,17 +374,18 @@ def lemma_b_scan(
 
     The criterion quantifies over every (alpha, beta) pair and every
     neighborhood; here the pairs come from a small default grid and the
-    neighborhoods are the scan balls of the radius list. Returns the first
-    certificate found, so a non-None result means "detected at these
-    parameters" and None means no more than that.
+    neighborhood is the scan ball. The separation LP only loses rows as the
+    neighborhood grows, so a smaller ball detects nothing this one misses.
+    Returns the first certificate found, so a non-None result means
+    "detected at these parameters" and None means no more than that.
     """
     from .space import open_ball
 
+    u_set = open_ball(span.space, x0, params.scan_radius(span.space))
     for alpha, beta in DEFAULT_ALPHA_BETA_GRID:
-        for r in params.radii(span.space):
-            cert = lemma_b_feasible(span, x0, alpha, beta, open_ball(span.space, x0, r))
-            if cert is not None:
-                return cert
+        cert = lemma_b_feasible(span, x0, alpha, beta, u_set)
+        if cert is not None:
+            return cert
     return None
 
 
@@ -453,47 +453,14 @@ def _recheck(
     return None
 
 
-def _scan_point(
-    span: FunctionSpan, i: int, radii: tuple[float, ...], params: ChoquetParams
-) -> PointClassification:
-    """Classify one point by its own peak searches, radius by radius."""
-    best_cert: PeakCertificate | None = None
-    best_delta = -np.inf
-    solver_trouble = False
-    note = ""
-    for r in radii:
-        if best_cert is not None:
-            # a peak inside a smaller radius stays one for larger radii:
-            # the far set only shrinks, so re-evaluate instead of re-solving
-            cand = _recheck(span, i, best_cert.coeffs, r, params.delta_min)
-            if cand is not None:
-                best_delta = max(best_delta, cand.margin)
-                if cand.margin > best_cert.margin:
-                    best_cert = cand
-                continue
-        try:
-            cert, delta = _peak_search(span, i, r, params.delta_min)
-        except SolverError as exc:
-            solver_trouble = True
-            note = str(exc)
-            continue
-        best_delta = max(best_delta, delta)
-        if cert is not None and (best_cert is None or cert.margin > best_cert.margin):
-            best_cert = cert
-    if best_cert is not None:
-        label = Classification.BOUNDARY
-    elif solver_trouble:
-        label = Classification.INDETERMINATE
-    else:
-        label = Classification.NOT_DETECTED
-    return PointClassification(
-        index=i,
-        label=label,
-        certificate=best_cert,
-        best_delta=float(best_delta) if np.isfinite(best_delta) else -np.inf,
-        source=i,
-        note=note,
-    )
+def _scan_point(span: FunctionSpan, i: int, r: float, delta_min: float) -> PointClassification:
+    """Classify one point by its own peak search at the scan radius."""
+    try:
+        cert, delta = _peak_search(span, i, r, delta_min)
+    except SolverError as exc:
+        return PointClassification(i, Classification.INDETERMINATE, None, -np.inf, i, str(exc))
+    label = Classification.NOT_DETECTED if cert is None else Classification.BOUNDARY
+    return PointClassification(i, label, cert, float(delta), i)
 
 
 def _move_verdict(
@@ -528,12 +495,12 @@ def _move_verdict(
 def estimate_choquet_boundary(
     span: FunctionSpan, params: ChoquetParams = ChoquetParams()
 ) -> BoundaryEstimate:
-    """Classify every grid point by scanning peak radii.
+    """Classify every grid point by one peak search at the scan radius.
 
-    A point is Boundary once any radius admits a peak certificate (the
-    largest-margin certificate is kept), NotDetected when the LP proves
-    every radius infeasible at the margin threshold, and Indeterminate when
-    the solver failed and no certificate was found.
+    A point is Boundary when the search returns a peak certificate,
+    NotDetected when the LP relaxation's optimum falls below the margin
+    threshold (so no smaller radius admits a peak either), and
+    Indeterminate when the solver failed.
 
     Points are scanned one orbit at a time under the grid symmetries that
     preserve the metric and the span. Each orbit's representative is
@@ -546,9 +513,9 @@ def estimate_choquet_boundary(
         raise ValueError("boundary estimation needs a unital span")
     if not span.separating:
         raise ValueError("boundary estimation needs a separating span")
-    radii = tuple(sorted(params.radii(span.space)))
-    if not radii or radii[0] <= 0:
-        raise ValueError("radius list must contain positive radii")
+    r = params.scan_radius(span.space)
+    if not r > 0:
+        raise ValueError("scan radius must be positive")
     gens = _accepted_generators(span)
     parent, via, order = _orbit_tree(span.space.n_points, gens)
     results: list[PointClassification | None] = [None] * span.space.n_points
@@ -557,10 +524,8 @@ def estimate_choquet_boundary(
         moved = None
         if p >= 0 and results[p].label is Classification.BOUNDARY:
             moved = _move_verdict(span, results[p], gens[via[i]], params.delta_min)
-        results[i] = moved or _scan_point(span, i, radii, params)
-    return BoundaryEstimate(
-        span=span, points=tuple(results), r_list=radii, delta_min=params.delta_min
-    )
+        results[i] = moved or _scan_point(span, i, r, params.delta_min)
+    return BoundaryEstimate(span=span, points=tuple(results), radius=r, delta_min=params.delta_min)
 
 
 def is_boundary_for(

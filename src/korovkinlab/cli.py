@@ -127,7 +127,7 @@ def _coeff_json(c):
 def _write_certificates_json(path: Path, estimate: BoundaryEstimate) -> None:
     payload = {
         "basis": [f.name for f in estimate.span.basis],
-        "r_list": list(estimate.r_list),
+        "radius": estimate.radius,
         "delta_min": estimate.delta_min,
         "certificates": [
             {

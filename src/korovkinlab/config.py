@@ -31,20 +31,6 @@ from .space import (
 
 SCHEMA_VERSION = 1
 
-# perturbed_composition's params.phi: an index map, or a named map
-_PHI_SCHEMAS = [
-    {
-        "required": ["map"],
-        "additionalProperties": False,
-        "properties": {"map": {"type": "array", "items": {"type": "integer", "minimum": 0}}},
-    },
-    {
-        "additionalProperties": False,
-        "properties": {"type": {"enum": ["identity", "rotation"]}, "steps": {"type": "integer"}},
-    },
-]
-_EPS_LIST = {"type": "array", "items": {"type": "number"}, "minItems": 1}
-
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -91,15 +77,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "name": {"enum": list(FAMILIES)},
                 "space": {"type": "string"},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "phi": {"type": "object", "anyOf": _PHI_SCHEMAS},
-                        "mix": {"const": "mean"},
-                        "eps": {"anyOf": [{"enum": ["1/n", "1/n^2"]}, _EPS_LIST]},
-                    },
-                },
+                "params": {"type": "object"},
                 "tamper": {
                     "type": "object",
                     "required": ["target_index", "node_index", "value"],
@@ -111,6 +89,14 @@ CONFIG_SCHEMA = {
                     },
                 },
             },
+            # each family's params against its own row's schema
+            "allOf": [
+                {
+                    "if": {"required": ["name"], "properties": {"name": {"const": f.name}}},
+                    "then": {"properties": {"params": f.params}},
+                }
+                for f in FAMILIES.values()
+            ],
         },
         "experiment": {
             "type": "object",
@@ -145,16 +131,7 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "r_list": {
-                            "type": "array",
-                            "items": {"type": "number", "exclusiveMinimum": 0},
-                            "minItems": 1,
-                        },
-                        "r_factors": {
-                            "type": "array",
-                            "items": {"type": "number", "exclusiveMinimum": 0},
-                            "minItems": 1,
-                        },
+                        "radius": {"type": "number", "exclusiveMinimum": 0},
                         "delta_min": {"type": "number", "exclusiveMinimum": 0},
                     },
                 },
@@ -298,16 +275,8 @@ def build_family(cfg: dict, spaces: dict[str, CompactSpace]) -> OperatorFamily:
 
 
 def build_choquet_params(block: dict | None) -> ChoquetParams:
-    if not block:
-        return ChoquetParams()
-    kwargs = {}
-    if "r_list" in block:
-        kwargs["r_list"] = tuple(block["r_list"])
-    if "r_factors" in block:
-        kwargs["r_factors"] = tuple(block["r_factors"])
-    if "delta_min" in block:
-        kwargs["delta_min"] = block["delta_min"]
-    return ChoquetParams(**kwargs)
+    # the schema admits exactly the field names of ChoquetParams
+    return ChoquetParams(**(block or {}))
 
 
 @dataclass(frozen=True, eq=False)

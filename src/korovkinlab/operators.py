@@ -289,26 +289,28 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
 
     The mix must be positive (nonnegative weights) and unital, which makes
     every T_n positive and unital and makes composition with phi the limit.
+    Its nodes must be the grid's points, so T_n's kernel is N x N: the mix
+    weights scaled by eps_n, plus 1 - eps_n at each (y, phi(y)).
     """
     if mix.source is not phi.source or mix.target is not phi.target:
         raise ValueError("mix operator must share the composition map's spaces")
+    if not np.array_equal(mix.nodes, phi.source.points):
+        raise ValueError("mix operator's nodes must be the grid's points")
     if not mix.weight_certificate():
         raise ValueError("mix operator must have nonnegative weights")
     if np.max(np.abs(mix.t_one_values - 1.0)) > UNITAL_TOL:
         raise ValueError("mix operator must be unital")
     eps_fn = eps_schedule(eps)
-    nodes = np.concatenate([phi.source.points, mix.nodes])
-    n_src = phi.source.n_points
+    rows = np.arange(phi.target.n_points)
     phi_idx = list(phi.phi)
 
     def build(n: int) -> KernelOperator:
         e = float(eps_fn(n))
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"epsilon at index {n} is {e}, outside [0, 1]")
-        comp = np.zeros((phi.target.n_points, n_src))
-        comp[np.arange(phi.target.n_points), phi_idx] = 1.0 - e
-        w = np.hstack([comp, e * mix.weights])
-        return KernelOperator(phi.source, phi.target, nodes, w)
+        w = e * mix.weights
+        w[rows, phi_idx] += 1.0 - e
+        return KernelOperator(phi.source, phi.target, mix.nodes, w)
 
     return OperatorFamily("perturbed_composition", phi.source, phi.target, build, limit=phi)
 
@@ -339,8 +341,10 @@ class FamilySpec:
     """One built-in family. ``kind`` is the grid kind it runs on (None: any);
     ``parameters`` is its ``operators list`` text; ``weights(space, n)``
     counts its kernel's weights at index n before equal nodes are merged,
-    or raises ValueError where there is no kernel; ``build(space, params)``
-    makes the family from schema-checked ``params`` and builds no kernel.
+    or raises ValueError where there is no kernel; ``params`` is the JSON
+    schema of its config ``params`` block (by default it admits no key);
+    ``build(space, params)`` makes the family from a block that passed it
+    and builds no kernel.
     """
 
     name: str
@@ -348,6 +352,7 @@ class FamilySpec:
     parameters: str
     weights: Callable[[CompactSpace, int], int]
     build: Callable[[CompactSpace, dict], OperatorFamily]
+    params: dict = field(default_factory=lambda: {"additionalProperties": False})
 
     def check_kind(self, space: CompactSpace) -> None:
         if self.kind not in (None, space.kind):
@@ -374,6 +379,40 @@ def _to_identity(name: str, kernel: Callable[[int, CompactSpace], KernelOperator
 def _fejer_weights(space: CompactSpace, n: int) -> int:
     check_fejer_grid(n, space.n_points)
     return space.n_points**2
+
+
+# perturbed_composition's params: phi is an index map or a named map
+_PERTURBED_PARAMS = {
+    "additionalProperties": False,
+    "properties": {
+        "phi": {
+            "type": "object",
+            "anyOf": [
+                {
+                    "required": ["map"],
+                    "additionalProperties": False,
+                    "properties": {
+                        "map": {"type": "array", "items": {"type": "integer", "minimum": 0}}
+                    },
+                },
+                {
+                    "additionalProperties": False,
+                    "properties": {
+                        "type": {"enum": ["identity", "rotation"]},
+                        "steps": {"type": "integer"},
+                    },
+                },
+            ],
+        },
+        "mix": {"const": "mean"},
+        "eps": {
+            "anyOf": [
+                {"enum": ["1/n", "1/n^2"]},
+                {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            ]
+        },
+    },
+}
 
 
 def _perturbed_from_params(space: CompactSpace, params: dict) -> OperatorFamily:
@@ -424,9 +463,9 @@ FAMILIES: dict[str, FamilySpec] = {
             None,
             "space: any grid; params.phi: {type: identity|rotation, steps} or {map: [...]};"
             " params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]",
-            # one column per grid point for phi, then one per mix node
-            lambda space, n: 2 * space.n_points**2,
+            lambda space, n: space.n_points**2,
             _perturbed_from_params,
+            _PERTURBED_PARAMS,
         ),
     )
 }

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korovkinlab import (
     ChoquetParams,
@@ -21,6 +23,7 @@ from korovkinlab import (
     verify_peak_certificate,
 )
 from korovkinlab.functions import ScalarFunction
+from korovkinlab.space import Field
 
 from oracles import affine_lemma_scan, affine_peak_scan
 
@@ -229,7 +232,7 @@ class TestWorkingSetLoop:
     def test_cloud_point_is_certified_not_indeterminate(self):
         basis = ("const1", "z", "zbar", "|z|^2")
         span = FunctionSpan(tuple(named_function(n, STALL_CLOUD) for n in basis))
-        est = estimate_choquet_boundary(span, ChoquetParams(r_list=(0.4,)))
+        est = estimate_choquet_boundary(span, ChoquetParams(radius=0.4))
         assert est.counts() == {"Boundary": 8, "NotDetected": 0, "Indeterminate": 0}
         for p in est.points:
             ok, why = verify_peak_certificate(span, p.certificate)
@@ -349,12 +352,72 @@ class TestBoundaryFromEstimate:
 
 
 class TestChoquetParams:
-    def test_default_radii_scale_with_diameter(self):
+    def test_default_radius_is_a_fifth_of_the_diameter(self):
         params = ChoquetParams()
-        assert params.radii(INTERVAL) == pytest.approx((0.05, 0.1, 0.2))
+        assert params.scan_radius(INTERVAL) == pytest.approx(0.2)
         disc = make_disc_grid(2, 8)
-        assert params.radii(disc) == pytest.approx((0.1, 0.2, 0.4))
+        assert params.scan_radius(disc) == pytest.approx(0.4)
 
-    def test_explicit_radii_win(self):
-        params = ChoquetParams(r_list=(0.3,))
-        assert params.radii(INTERVAL) == (0.3,)
+    def test_explicit_radius_wins(self):
+        params = ChoquetParams(radius=0.3)
+        assert params.scan_radius(INTERVAL) == 0.3
+        assert estimate_choquet_boundary(SMALL_QUAD, params).radius == 0.3
+
+
+# coordinates of random custom grids: a coarse lattice keeps every hull
+# vertex's margin well above the threshold
+_LATTICE = [k / 4 for k in range(-4, 5)]
+_BASE = {
+    "real1": ("const1", "x"),
+    "real2": ("const1", "coord 1", "coord 2"),
+    "complex": ("const1", "z"),
+}
+_MORE = {
+    "real1": [(), ("x^2",), ("x^3",), ("x^2", "x^3")],
+    "real2": [(), ("sum_sq",), ("coord 1^2", "coord 2^2")],
+    "complex": [(), ("zbar",), ("zbar", "|z|^2")],
+}
+
+
+@st.composite
+def custom_scans(draw):
+    """Points of a custom grid of at most 24 lattice points (real 1-d, real
+    2-d or complex), a unital separating catalog span on it, and a
+    permutation of the points."""
+    kind = draw(st.sampled_from(sorted(_BASE)))
+    coord = st.sampled_from(_LATTICE)
+    if kind == "real1":
+        pts = draw(st.lists(coord, min_size=3, max_size=len(_LATTICE), unique=True))
+    else:
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=24, unique=True))
+    field = Field.COMPLEX if kind == "complex" else Field.REAL
+    basis = _BASE[kind] + draw(st.sampled_from(_MORE[kind]))
+    return pts, field, basis, draw(st.permutations(range(len(pts))))
+
+
+def _scan(pts, field, basis):
+    grid = make_custom_space(pts, field=field)
+    span = FunctionSpan(tuple(named_function(n, grid) for n in basis))
+    assert span.unital and span.separating
+    return span, estimate_choquet_boundary(span)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(case=custom_scans())
+def test_random_custom_grid_scans(case):
+    """Certificates re-verify at the scan radius, a NotDetected point has no
+    peak at smaller radii either, and the labels follow a permutation of
+    the grid."""
+    pts, field, basis, perm = case
+    span, est = _scan(pts, field, basis)
+    assert est.counts()["Indeterminate"] == 0
+    for p in est.points:
+        if p.label is Classification.BOUNDARY:
+            assert p.certificate.radius == est.radius
+            ok, why = verify_peak_certificate(span, p.certificate)
+            assert ok, why
+        else:
+            for r in (est.radius / 2, est.radius / 4):
+                assert find_peak_function(span, p.index, r) is None
+    _, est_perm = _scan([pts[j] for j in perm], field, basis)
+    assert [p.label for p in est_perm.points] == [est.points[j].label for j in perm]

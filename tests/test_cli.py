@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from korovkinlab import ConfigError, KernelOperator
 from korovkinlab.cli import build_parser, main
-from korovkinlab.config import validate_config
+from korovkinlab.choquet import ChoquetParams
+from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.operators import FAMILIES
 from korovkinlab.presets import get_preset, preset_names
 
@@ -272,7 +273,13 @@ class TestKorovkinRun:
             assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
 
     @pytest.mark.parametrize(
-        "block, field", [("tolerances", "transient_slack"), ("choquet", "directions")]
+        "block, field",
+        [
+            ("tolerances", "transient_slack"),
+            ("choquet", "directions"),
+            ("choquet", "r_list"),
+            ("choquet", "r_factors"),
+        ],
     )
     def test_removed_knob_exit_1(self, tmp_path, capsys, block, field):
         cfg = get_preset("example41_bernstein")
@@ -337,28 +344,6 @@ class TestKorovkinRun:
         assert err.startswith("error: config field spaces.K:") and err.count("\n") == 1
         assert "point_cap" in err
 
-    def test_oversized_perturbed_kernel_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(KernelOperator, "__post_init__", _no_kernel)
-        cfg = {
-            "version": 1,
-            "spaces": {"I": {"kind": "interval", "m": 12000}},
-            "spans": {"affine": {"space": "I", "basis": ["const1", "x"]}},
-            "family": {"name": "perturbed_composition", "space": "I"},
-            "experiment": {"test_span": "affine", "indices": [1, 2]},
-        }
-        path = write_config(tmp_path, cfg)
-        tracemalloc.start()
-        try:
-            code = run_cli("korovkin", "run", "--config", path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
-        assert "288048002 weights" in err  # 12001 x (12001 + 12001)
-        assert peak < 2**24  # the mean mix alone would take 1.1 GiB
-
     @pytest.mark.parametrize(
         "params",
         [
@@ -381,6 +366,15 @@ class TestKorovkinRun:
         assert run_cli("korovkin", "run", "--config", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: config field family.params") and err.count("\n") == 1
+
+    def test_params_on_a_family_without_params_exit_1(self, tmp_path, capsys):
+        cfg = get_preset("example41_bernstein")
+        cfg["family"]["params"] = {"eps": "1/n^2", "phi": {"type": "rotation"}}
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field family.params") and err.count("\n") == 1
+        assert "eps" in err
 
 
 def _no_kernel(self):
@@ -488,8 +482,12 @@ def small_configs(draw):
 @given(cfg=small_configs(), command=st.sampled_from([("korovkin", "run"), ("choquet",)]))
 def test_cli_contract_fuzz(cfg, command):
     """Every small run exits 0 or 2, or 1 with one error line; the schema
-    refuses exactly the malformed params."""
-    if cfg["family"].get("params") in _BAD_PARAMS:
+    refuses exactly the malformed params and any params on a family other
+    than perturbed_composition."""
+    family = cfg["family"]
+    if "params" in family and (
+        family["name"] != "perturbed_composition" or family["params"] in _BAD_PARAMS
+    ):
         with pytest.raises(ConfigError, match="family.params"):
             validate_config(cfg)
     else:
@@ -541,6 +539,14 @@ def test_readme_synopsis_matches_parser(path):
     lines = [ln for ln in README.read_text().splitlines() if ln.startswith(prefix)]
     assert len(lines) == 1, f"expected one README synopsis line for {prefix!r}"
     assert set(re.findall(r"--[a-z][a-z-]*", lines[0])) == _long_flags(build_parser(), path)
+
+
+def test_readme_config_example_builds():
+    text = README.read_text()
+    block = text.split("### Configuration files", 1)[1].split("```json\n", 1)[1]
+    cfg = json.loads(block.split("```", 1)[0])
+    built = build_experiment(validate_config(cfg))
+    assert built.experiment.choquet == ChoquetParams(radius=0.2, delta_min=1e-6)
 
 
 class TestOutputDirEnvVar:

@@ -30,7 +30,8 @@ from korovkinlab import (
     sup_norm,
     tensor_bernstein,
 )
-from korovkinlab.operators import eps_schedule
+from korovkinlab.operators import KERNEL_BUDGET, eps_schedule
+from korovkinlab.space import DEFAULT_POINT_CAP
 
 from oracles import bernstein_exact, fejer_fourier
 
@@ -196,6 +197,28 @@ class TestPerturbedComposition:
         )
         with pytest.raises(ValueError):
             fam.operator(2)
+
+    def test_kernel_is_the_merged_two_block_kernel_bit_for_bit(self):
+        space = make_circle_grid(16)
+        phi = rotation_isometry(space, 3)
+        mix = averaging_operator(space)
+        op = perturbed_composition(phi, mix, "1/n").operator(3)
+        # the composition columns, then the mix's, merged on construction
+        comp = np.zeros((16, 16))
+        comp[np.arange(16), list(phi.phi)] = 1.0 - 1.0 / 3
+        nodes = np.concatenate([space.points, space.points])
+        two_block = KernelOperator(space, space, nodes, np.hstack([comp, mix.weights / 3]))
+        assert op.weights.shape == (16, 16)
+        assert np.array_equal(op.nodes, space.points)
+        assert np.array_equal(op.weights, two_block.weights)
+
+    def test_mix_nodes_must_be_the_grid_points(self):
+        space = make_circle_grid(16)
+        shuffled = KernelOperator(
+            space, space, space.points[::-1], averaging_operator(space).weights.copy()
+        )
+        with pytest.raises(ValueError, match="grid's points"):
+            perturbed_composition(rotation_isometry(space, 1), shuffled, "1/n")
 
     def test_mix_must_be_unital(self):
         space = make_circle_grid(16)
@@ -508,6 +531,17 @@ class TestKernelOperatorValidation:
         assert op.weights.nbytes == 81 * 257**2 * 8  # 40.8 MiB
         assert peak < 1.25 * op.weights.nbytes
 
+    def test_perturbed_build_holds_the_kernel_once(self):
+        fam = FAMILIES["perturbed_composition"].build(make_circle_grid(2048), {})
+        tracemalloc.start()
+        try:
+            op = fam.operator(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.weights.nbytes == 2048**2 * 8  # 32 MiB
+        assert peak < 1.25 * op.weights.nbytes
+
 
 class TestFamilyTable:
     def test_kernel_builders_refuse_the_wrong_grid_kind(self):
@@ -519,6 +553,13 @@ class TestFamilyTable:
         ):
             with pytest.raises(ValueError, match=f"{name} runs on "):
                 FAMILIES[name].build(grid, {}).operator(4)
+
+    def test_perturbed_kernel_is_n_squared_and_fits_at_the_cap(self):
+        spec = FAMILIES["perturbed_composition"]
+        grid = make_interval_grid(DEFAULT_POINT_CAP - 1)
+        assert grid.n_points == DEFAULT_POINT_CAP
+        assert spec.weights(grid, 1) == DEFAULT_POINT_CAP**2 == KERNEL_BUDGET
+        spec.check_index(grid, 1)
 
     @pytest.mark.parametrize(
         "name, grid",
