@@ -31,6 +31,42 @@ from .space import (
 
 SCHEMA_VERSION = 1
 
+
+def _keys(required: dict, optional: dict | None = None) -> dict:
+    """Schema of a grid block that holds ``kind`` and exactly these keys."""
+    return {
+        "required": list(required),
+        "properties": {"kind": True, **required, **(optional or {})},
+        "additionalProperties": False,
+    }
+
+
+def _count(least: int) -> dict:
+    return {"type": "integer", "minimum": least}
+
+
+# grid kind -> (schema of its config keys, builder from (space name, block));
+# the builders call the factories through this module's names, which the
+# benchmark's tracer wraps to time each grid build
+GRIDS = {
+    "interval": (_keys({"m": _count(1)}), lambda name, b: make_interval_grid(b["m"])),
+    "circle": (_keys({"m": _count(1)}), lambda name, b: make_circle_grid(b["m"])),
+    "disc": (
+        _keys({"rings": _count(1), "per_ring": _count(3)}),
+        lambda name, b: make_disc_grid(b["rings"], b["per_ring"]),
+    ),
+    "box": (_keys({"p": _count(1), "m": _count(1)}), lambda name, b: make_box_grid(b["p"], b["m"])),
+    "custom": (
+        _keys(
+            {"points": {"type": "array", "minItems": 2}},
+            {"field": {"enum": [f.value for f in Field]}},
+        ),
+        lambda name, b: make_custom_space(
+            b["points"], field=Field(b.get("field", "real")), space_id=name
+        ),
+    ),
+}
+
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -45,16 +81,15 @@ CONFIG_SCHEMA = {
             "additionalProperties": {
                 "type": "object",
                 "required": ["kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "kind": {"enum": ["interval", "circle", "disc", "box", "custom"]},
-                    "m": {"type": "integer", "minimum": 1},
-                    "p": {"type": "integer", "minimum": 1},
-                    "rings": {"type": "integer", "minimum": 1},
-                    "per_ring": {"type": "integer", "minimum": 3},
-                    "points": {"type": "array", "minItems": 2},
-                    "field": {"enum": ["real", "complex"]},
-                },
+                "properties": {"kind": {"enum": list(GRIDS)}},
+                # each kind takes exactly its own row's keys
+                "allOf": [
+                    {
+                        "if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+                        "then": keys,
+                    }
+                    for kind, (keys, _) in GRIDS.items()
+                ],
             },
         },
         "spans": {
@@ -176,31 +211,11 @@ def load_config(path) -> dict:
 
 
 def build_space(name: str, block: dict) -> CompactSpace:
-    kind = block["kind"]
-    where = f"spaces.{name}"
+    """The grid of a validated ``spaces`` block, from its kind's table row."""
     try:
-        if kind == "interval":
-            return make_interval_grid(_require(block, "m", where))
-        if kind == "circle":
-            return make_circle_grid(_require(block, "m", where))
-        if kind == "disc":
-            return make_disc_grid(
-                _require(block, "rings", where), _require(block, "per_ring", where)
-            )
-        if kind == "box":
-            return make_box_grid(_require(block, "p", where), _require(block, "m", where))
-        field = Field.COMPLEX if block.get("field") == "complex" else Field.REAL
-        return make_custom_space(
-            _require(block, "points", where), field=field, space_id=name
-        )
+        return GRIDS[block["kind"]][1](name, block)
     except (ValueError, ResourceLimitError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _require(block: dict, key: str, where: str):
-    if key not in block:
-        raise ConfigError(f"{where}: missing required parameter {key!r}")
-    return block[key]
+        raise ConfigError(f"spaces.{name}: {exc}") from None
 
 
 def build_spaces(cfg: dict) -> dict[str, CompactSpace]:
@@ -282,10 +297,7 @@ def build_choquet_params(block: dict | None) -> ChoquetParams:
 @dataclass(frozen=True, eq=False)
 class BuiltExperiment:
     name: str
-    spaces: dict[str, CompactSpace]
-    spans: dict[str, FunctionSpan]
     experiment: ExperimentConfig
-    output_dir: str | None
 
 
 def build_experiment(cfg: dict) -> BuiltExperiment:
@@ -325,10 +337,4 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
         )
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from None
-    return BuiltExperiment(
-        name=cfg.get("name", "experiment"),
-        spaces=spaces,
-        spans=spans,
-        experiment=experiment,
-        output_dir=cfg.get("output", {}).get("dir"),
-    )
+    return BuiltExperiment(name=cfg.get("name", "experiment"), experiment=experiment)

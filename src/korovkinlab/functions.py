@@ -214,14 +214,7 @@ def conjugate_closure(span: FunctionSpan) -> FunctionSpan:
     """Smallest self-conjugate span containing the input; no-op on real grids."""
     if span.space.field is Field.REAL:
         return span
-    basis = list(span.basis)
-    current = span
-    for f in span.basis:
-        fb = conjugate(f)
-        if not current.contains_values(fb.values):
-            basis.append(fb)
-            current = FunctionSpan(tuple(basis))
-    return current
+    return span_union(span, FunctionSpan(tuple(conjugate(f) for f in span.basis)))
 
 
 def span_union(first: FunctionSpan, *rest: FunctionSpan) -> FunctionSpan:

@@ -137,12 +137,6 @@ class CompactSpace:
             return self.complex_points
         return self.coords[:, 0] if self.dim == 1 else self.coords
 
-    @cached_property
-    def eval_points(self) -> tuple:
-        """The points one at a time: complex or float scalars, or read-only rows."""
-        pts = self.points
-        return tuple(pts) if pts.ndim == 2 else tuple(pts.tolist())
-
     def _records(self, points) -> np.ndarray:
         # one sortable record per point; complex points on a real grid, or a
         # last axis of the wrong width, become NaN records that match nothing

@@ -335,7 +335,7 @@ def test_criterion_10_conjugation_identity():
 
 def _direct_peak_check(span, cert) -> bool:
     # re-evaluates every inequality from the raw rules; no LP, no cached verifier
-    b = np.column_stack([[f.rule(p) for p in span.space.eval_points] for f in span.basis])
+    b = np.column_stack([[f.rule(p) for p in span.space.points] for f in span.basis])
     h = b @ np.asarray(cert.coeffs)
     if abs(h[cert.x0] - 1.0) > 1e-9 or cert.margin < 1e-6:
         return False
@@ -351,7 +351,7 @@ def _direct_peak_check(span, cert) -> bool:
 
 
 def _direct_lemma_check(span, cert) -> bool:
-    b = np.column_stack([[f.rule(p) for p in span.space.eval_points] for f in span.basis])
+    b = np.column_stack([[f.rule(p) for p in span.space.points] for f in span.basis])
     re_f = (b @ np.asarray(cert.coeffs)).real
     inside = set(cert.u_indices)
     outside = [i for i in range(span.space.n_points) if i not in inside]

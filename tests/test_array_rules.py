@@ -56,12 +56,12 @@ def assert_catalog_matches(space, points) -> None:
 
 class TestCatalogMatchesScalarFormulas:
     @given(GRIDS)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_grid_points(self, space):
         assert_catalog_matches(space, space.points)
 
     @given(st.lists(st.tuples(COORD, COORD), min_size=1, max_size=40))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_off_grid_complex_points(self, pairs):
         z = np.array([complex(a, b) for a, b in pairs])
         assert_catalog_matches(make_circle_grid(3), z)
@@ -69,7 +69,7 @@ class TestCatalogMatchesScalarFormulas:
     @given(st.integers(1, 3).flatmap(
         lambda p: st.lists(st.tuples(*[COORD] * p), min_size=1, max_size=40)
     ))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_off_grid_real_points(self, rows):
         pts = np.array(rows, dtype=float)
         p = pts.shape[1]
@@ -77,7 +77,7 @@ class TestCatalogMatchesScalarFormulas:
         assert_catalog_matches(space, pts[:, 0] if p == 1 else pts)
 
     @given(st.integers(1, 300))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_bernstein_nodes(self, n):
         space = make_interval_grid(4)
         nodes = bernstein(n, space).nodes
@@ -85,7 +85,7 @@ class TestCatalogMatchesScalarFormulas:
         assert_catalog_matches(space, nodes)
 
     @given(st.integers(1, 3).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, 12))))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_tensor_nodes(self, p_n):
         p, n = p_n
         space = make_box_grid(p, 2)

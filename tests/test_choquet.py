@@ -402,7 +402,7 @@ def _scan(pts, field, basis):
     return span, estimate_choquet_boundary(span)
 
 
-@settings(max_examples=20, derandomize=True, deadline=None)
+@settings(max_examples=20)
 @given(case=custom_scans())
 def test_random_custom_grid_scans(case):
     """Certificates re-verify at the scan radius, a NotDetected point has no

@@ -410,6 +410,42 @@ def test_wrong_grid_kind_exit_1(tmp_path, capsys, monkeypatch, family, kind):
     assert err == f"error: family: {family} runs on {need} grids, not on {kind} grids\n"
 
 
+# the keys each grid kind takes besides `kind`, and a well-formed value of each key
+_OWN_KEYS = {
+    "interval": {"m"},
+    "circle": {"m"},
+    "disc": {"rings", "per_ring"},
+    "box": {"p", "m"},
+    "custom": {"points", "field"},
+}
+_KEY_VALUES = {"m": 8, "p": 2, "rings": 1, "per_ring": 4, "points": [0.0, 1.0], "field": "real"}
+
+
+def _foreign_keys(kind: str) -> list[str]:
+    return sorted(_KEY_VALUES.keys() - _OWN_KEYS[kind])
+
+
+@pytest.mark.parametrize("kind, key", [(k, key) for k in _OWN_KEYS for key in _foreign_keys(k)])
+def test_grid_key_of_another_kind_exit_1(tmp_path, capsys, kind, key):
+    cfg = get_preset("example41_bernstein")
+    cfg["spaces"]["I"] = {**_GRIDS[kind], key: _KEY_VALUES[key]}
+    path = write_config(tmp_path, cfg)
+    assert run_cli("korovkin", "run", "--config", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field spaces.I:") and err.count("\n") == 1
+    assert f"'{key}'" in err
+
+
+def test_missing_grid_key_exit_1(tmp_path, capsys):
+    cfg = get_preset("example43_disc")
+    del cfg["spaces"]["D"]["per_ring"]
+    path = write_config(tmp_path, cfg)
+    assert run_cli("korovkin", "run", "--config", path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert err.count("spaces.D") == 1 and "'per_ring'" in err
+
+
 # per grid kind: the function names that fit it, and the family built for it
 _FITS = {
     "interval": (("const1", "x", "x^2", "cos", "sin"), "bernstein"),
@@ -455,6 +491,9 @@ def small_configs(draw):
         coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
         space["points"] = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8, unique=True))
         space["field"] = draw(st.sampled_from(["real", "complex"]))
+    if draw(st.integers(0, 7)) == 0:
+        key = draw(st.sampled_from(_foreign_keys(kind)))
+        space[key] = _KEY_VALUES[key]
     names, fitting = _FITS[kind]
     family = {"name": draw(st.sampled_from([fitting] * 3 + list(FAMILIES))), "space": "S"}
     if family["name"] == "perturbed_composition" or draw(st.integers(0, 7)) == 0:
@@ -478,17 +517,22 @@ def small_configs(draw):
     }
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(cfg=small_configs(), command=st.sampled_from([("korovkin", "run"), ("choquet",)]))
 def test_cli_contract_fuzz(cfg, command):
     """Every small run exits 0 or 2, or 1 with one error line; the schema
-    refuses exactly the malformed params and any params on a family other
-    than perturbed_composition."""
+    refuses exactly the grid keys of another kind, the malformed params and
+    any params on a family other than perturbed_composition, and such a run
+    exits 1."""
     family = cfg["family"]
-    if "params" in family and (
+    space = cfg["spaces"]["S"]
+    foreign = space.keys() - _OWN_KEYS[space["kind"]] - {"kind"}
+    bad_params = "params" in family and (
         family["name"] != "perturbed_composition" or family["params"] in _BAD_PARAMS
-    ):
-        with pytest.raises(ConfigError, match="family.params"):
+    )
+    if foreign or bad_params:
+        where = "|".join(["spaces.S"] * bool(foreign) + ["family.params"] * bad_params)
+        with pytest.raises(ConfigError, match=where):
             validate_config(cfg)
     else:
         validate_config(cfg)
@@ -500,6 +544,7 @@ def test_cli_contract_fuzz(cfg, command):
             code = main([*command, "--config", str(path), "--out", tmp])
     err = err.getvalue()
     assert code in (0, 2) or (code == 1 and err.count("\n") == 1 and "error: " in err), (code, err)
+    assert code == 1 or not (foreign or bad_params)
 
 
 class TestPresets:

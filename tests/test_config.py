@@ -70,8 +70,9 @@ class TestBuilders:
         assert space.n_points == 3
 
     def test_missing_kind_parameter(self):
-        with pytest.raises(ConfigError, match="missing required parameter 'm'"):
-            build_space("I", {"kind": "interval"})
+        # build_space takes validated blocks; the schema names the missing key
+        with pytest.raises(ConfigError, match="^config field spaces.I: 'm' is a required property$"):
+            validate_config({"version": 1, "spaces": {"I": {"kind": "interval"}}})
 
     def test_span_with_unknown_function(self):
         cfg = get_preset("example41_bernstein")

@@ -223,7 +223,7 @@ class TestPerturbedComposition:
     def test_mix_must_be_unital(self):
         space = make_circle_grid(16)
         bad = KernelOperator(
-            space, space, space.eval_points, 0.5 * averaging_operator(space).weights
+            space, space, space.points, 0.5 * averaging_operator(space).weights
         )
         with pytest.raises(ValueError):
             perturbed_composition(rotation_isometry(space, 1), bad, "1/n")
@@ -461,7 +461,7 @@ class TestClassifyOperator:
         w = np.zeros((n, n))
         w[:, 0] = 1.0
         w[:, 1] = -0.05
-        op = KernelOperator(INTERVAL, INTERVAL, INTERVAL.eval_points, w)
+        op = KernelOperator(INTERVAL, INTERVAL, INTERVAL.points, w)
         flags = classify_operator(op)
         assert not flags.positive
         assert flags.corollary_consistent  # not a unital contraction, no conflict

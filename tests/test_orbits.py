@@ -66,7 +66,7 @@ def same_points_without_symmetry(span: FunctionSpan) -> FunctionSpan:
     return FunctionSpan(tuple(named_function(f.name, bare) for f in span.basis))
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
 @given(grid_spans())
 def test_orbit_scan_matches_full_scan(span):
     est = estimate_choquet_boundary(span)

@@ -260,12 +260,6 @@ class TestCustomSpace:
         assert g.kind is SpaceKind.CUSTOM
         assert g.distance(0, 1) == pytest.approx(2.0)
 
-    def test_eval_points_are_native(self):
-        g = make_custom_space([1 + 0j, -1 + 0j, 1j], field=Field.COMPLEX)
-        assert all(isinstance(p, complex) for p in g.eval_points)
-        h = make_interval_grid(2)
-        assert all(isinstance(p, float) for p in h.eval_points)
-
     def test_complex_from_coordinate_pairs(self):
         g = make_custom_space([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], field=Field.COMPLEX)
         np.testing.assert_allclose(g.complex_points, [1, 1j, -1])
