@@ -33,6 +33,7 @@ from .errors import SolverError
 from .functions import FunctionSpan
 from .space import CompactSpace, Field, PointSet
 
+# slack of every direct-evaluation check in this module
 PEAK_TOL = 1e-9
 DEFAULT_DELTA_MIN = 1e-6
 # sampling grid standing in for "every (alpha, beta)" in the separation
@@ -70,7 +71,18 @@ class ChoquetParams:
     delta_min: float = DEFAULT_DELTA_MIN
 
     def scan_radius(self, space: CompactSpace) -> float:
-        return 0.2 * space.diameter if self.radius is None else float(self.radius)
+        r = 0.2 * space.diameter if self.radius is None else float(self.radius)
+        check_radius(space, r)
+        return r
+
+
+def check_radius(space: CompactSpace, r: float) -> None:
+    """Raise ValueError unless r > 0 and every grid point has a point at
+    distance >= r; beyond that a peak condition holds vacuously. A fifth of
+    the diameter passes, as each point is half the diameter from some point."""
+    reach = float(space.pairwise.max(axis=1).min())
+    if not 0 < r <= reach:
+        raise ValueError(f"radius {r} is outside (0, {reach}]: some grid point has no point that far")
 
 
 @dataclass(frozen=True)
@@ -251,38 +263,35 @@ def find_peak_function(
     is at least delta_min, otherwise None. The certificate's margin is a
     certified lower bound on the best margin, not the best margin itself.
     """
-    if r <= 0:
-        raise ValueError("peak radius must be positive")
     if not span.unital:
         raise ValueError("peak search needs a unital span")
     if not span.separating:
         raise ValueError("peak search needs a separating span")
     if not 0 <= int(x0) < span.space.n_points:
         raise ValueError("peak point index out of range")
-    cert, _ = _peak_search(span, int(x0), float(r), delta_min)
-    return cert
+    check_radius(span.space, float(r))
+    return _peak_search(span, int(x0), float(r), delta_min)[0]
 
 
-def verify_peak_certificate(
-    span: FunctionSpan, cert: PeakCertificate, tol: float = PEAK_TOL
-) -> tuple[bool, str]:
+def verify_peak_certificate(span: FunctionSpan, cert: PeakCertificate) -> tuple[bool, str]:
     """Re-check a peak certificate by direct evaluation (solver-independent)."""
     h = span.value_matrix @ np.asarray(cert.coeffs)
     d = span.space.pairwise[cert.x0]
-    if abs(h[cert.x0] - 1.0) > tol:
+    if abs(h[cert.x0] - 1.0) > PEAK_TOL:
         return False, f"|h(x0) - 1| = {abs(h[cert.x0] - 1.0):.3e}"
     if cert.margin <= 0:
         return False, f"margin {cert.margin} is not positive"
     far = d >= cert.radius
-    if far.any():
-        worst = float(np.max(np.abs(h[far])))
-        if worst > 1.0 - cert.margin + tol:
-            return False, f"far modulus {worst:.12f} exceeds 1 - margin"
+    if not far.any():
+        return False, f"no grid point lies at distance >= {cert.radius} from x0"
+    worst = float(np.max(np.abs(h[far])))
+    if worst > 1.0 - cert.margin + PEAK_TOL:
+        return False, f"far modulus {worst:.12f} exceeds 1 - margin"
     near = d < cert.radius
     near[cert.x0] = False
     if near.any():
         worst = float(np.max(np.abs(h[near])))
-        if worst > 1.0 + tol:
+        if worst > 1.0 + PEAK_TOL:
             return False, f"near modulus {worst:.12f} exceeds the unit cap"
     return True, "ok"
 
@@ -308,8 +317,8 @@ def lemma_b_feasible(
         raise ValueError("x0 must lie inside the neighborhood U")
     space = span.space
     b_mat = span.value_matrix
-    n = space.n_points
-    outside = np.array(sorted(set(range(n)) - set(u_set.indices)), dtype=int)
+    rhs = np.full(space.n_points, -float(beta))
+    rhs[list(u_set.indices)] = 0.0
 
     if space.field is Field.COMPLEX:
         re_rows = np.hstack([b_mat.real, -b_mat.imag])
@@ -317,15 +326,8 @@ def lemma_b_feasible(
         re_rows = b_mat
     nv = re_rows.shape[1]
 
-    rows = [re_rows]
-    rhs = [np.zeros(n)]
-    if outside.size:
-        rows.append(re_rows[outside])
-        rhs.append(np.full(outside.size, -float(beta)))
-    rows.append(-re_rows[int(x0)][None, :])
-    rhs.append(np.array([float(alpha)]))
-    a_ub = np.vstack(rows)
-    b_ub = np.concatenate(rhs)
+    a_ub = np.vstack([re_rows, -re_rows[int(x0)]])
+    b_ub = np.r_[rhs, float(alpha)]
     bounds = [(-COEFF_BOUND, COEFF_BOUND)] * nv
     res = _solve(np.zeros(nv), a_ub, b_ub, None, None, bounds)
     if res.status != 0:
@@ -348,19 +350,17 @@ def lemma_b_feasible(
     return cert
 
 
-def verify_lemma_b_certificate(
-    span: FunctionSpan, cert: LemmaBCertificate, tol: float = PEAK_TOL
-) -> tuple[bool, str]:
+def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> tuple[bool, str]:
     """Re-check a separation certificate by direct evaluation."""
     f = span.value_matrix @ np.asarray(cert.coeffs)
     re_f = f.real if np.iscomplexobj(f) else f
-    if float(re_f.max()) > tol:
+    if float(re_f.max()) > PEAK_TOL:
         return False, f"Re f reaches {re_f.max():.3e} > 0"
     inside = set(cert.u_indices)
     outside = [i for i in range(span.space.n_points) if i not in inside]
-    if outside and float(np.max(re_f[outside])) > -cert.beta + tol:
+    if outside and float(np.max(re_f[outside])) > -cert.beta + PEAK_TOL:
         return False, "Re f does not drop below -beta off U"
-    if float(re_f[cert.x0]) < -cert.alpha - tol:
+    if float(re_f[cert.x0]) < -cert.alpha - PEAK_TOL:
         return False, f"Re f(x0) = {re_f[cert.x0]:.3e} below -alpha"
     return True, "ok"
 
@@ -445,8 +445,7 @@ def _recheck(
     """The certificate of `coeffs` peaking at point i outside radius r, with
     its exact margin, when that clears delta_min and re-verifies."""
     h = span.value_matrix @ np.asarray(coeffs)
-    far = span.space.pairwise[i] >= r
-    margin = 1.0 - float(np.max(np.abs(h[far]))) if far.any() else 1.0
+    margin = 1.0 - float(np.max(np.abs(h[span.space.pairwise[i] >= r])))
     cert = PeakCertificate(i, tuple(coeffs), margin, float(r))
     if margin >= delta_min and verify_peak_certificate(span, cert)[0]:
         return cert
@@ -514,8 +513,6 @@ def estimate_choquet_boundary(
     if not span.separating:
         raise ValueError("boundary estimation needs a separating span")
     r = params.scan_radius(span.space)
-    if not r > 0:
-        raise ValueError("scan radius must be positive")
     gens = _accepted_generators(span)
     parent, via, order = _orbit_tree(span.space.n_points, gens)
     results: list[PointClassification | None] = [None] * span.space.n_points
@@ -528,9 +525,7 @@ def estimate_choquet_boundary(
     return BoundaryEstimate(span=span, points=tuple(results), radius=r, delta_min=params.delta_min)
 
 
-def is_boundary_for(
-    span: FunctionSpan, pts: PointSet, probes, tol: float = 1e-9
-) -> tuple[bool, float]:
+def is_boundary_for(span: FunctionSpan, pts: PointSet, probes) -> tuple[bool, float]:
     """Whether every probe attains its maximum modulus on the point set.
 
     Probes must belong to the span. Returns the flag together with the
@@ -552,4 +547,4 @@ def is_boundary_for(
         worst = min(worst, on_set / full)
     if not np.isfinite(worst):
         worst = 1.0
-    return worst >= 1.0 - tol, worst
+    return worst >= 1.0 - PEAK_TOL, worst

@@ -17,7 +17,7 @@ import jsonschema
 from .choquet import ChoquetParams
 from .engine import ExperimentConfig
 from .errors import ConfigError, ResourceLimitError
-from .functions import FunctionSpan, ScalarFunction, default_probes, named_function
+from .functions import FunctionSpan, default_probe_names, named_function
 from .operators import FAMILIES, OperatorFamily, inject_weight
 from .space import (
     CompactSpace,
@@ -230,6 +230,8 @@ def build_span(name: str, block: dict, spaces: dict[str, CompactSpace]) -> Funct
     space = spaces[space_name]
     try:
         basis = tuple(named_function(fn, space) for fn in block["basis"])
+        for f in basis:
+            f.values  # a non-finite value is a configuration error
     except ValueError as exc:
         raise ConfigError(f"{where}.basis: {exc}") from None
     span = FunctionSpan(basis)
@@ -316,14 +318,15 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
         raise ConfigError(
             "experiment.test_span: span and family live on different spaces"
         )
-    probes_spec = exp.get("probes", "default")
-    if probes_spec == "default":
-        probes: tuple[ScalarFunction, ...] = default_probes(family.source)
-    else:
-        try:
-            probes = tuple(named_function(n, family.source) for n in probes_spec)
-        except ValueError as exc:
-            raise ConfigError(f"experiment.probes: {exc}") from None
+    names = exp.get("probes", "default")
+    if names == "default":
+        names = default_probe_names(family.source)
+    try:
+        probes = tuple(named_function(n, family.source) for n in names)
+        for f in probes:
+            f.values  # a non-finite value is a configuration error
+    except ValueError as exc:
+        raise ConfigError(f"experiment.probes: {exc}") from None
     tol = exp.get("tolerances", {})
     try:
         experiment = ExperimentConfig(

@@ -25,6 +25,7 @@ from .space import PointSet
 
 ISOMETRY_TOL = 1e-9
 ZERO_ERROR_FLOOR = 1e-12
+EQUICONTINUITY_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +64,7 @@ class ExperimentConfig:
         for f in probes:
             if f.space is not self.family.source:
                 raise ValueError(f"probe {f.name!r} lives on a different grid")
+        self.choquet.scan_radius(self.family.target)  # the grid the scans run on
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +293,6 @@ def equicontinuity_probe(
     y0: int,
     radii,
     indices,
-    threshold: float = 0.1,
 ) -> EquicontinuityTable:
     """Shared modulus of continuity of {T_n f} around a target point.
 
@@ -321,8 +322,8 @@ def equicontinuity_probe(
         radii=radii,
         values=tuple(values),
         monotone_ok=monotone,
-        small_at_first=values[0] <= threshold,
-        threshold=threshold,
+        small_at_first=values[0] <= EQUICONTINUITY_THRESHOLD,
+        threshold=EQUICONTINUITY_THRESHOLD,
     )
 
 

@@ -45,7 +45,8 @@ class ScalarFunction:
     @cached_property
     def values(self) -> np.ndarray:
         """Sampled value vector over the grid; validated once and cached."""
-        raw = evaluate(self, self.space.points)
+        with np.errstate(all="ignore"):  # a non-finite value is reported below
+            raw = evaluate(self, self.space.points)
         if not np.all(np.isfinite(raw)):
             raise InvalidFunctionError(
                 f"function {self.name!r} takes a non-finite value on the grid"
@@ -167,8 +168,8 @@ class FunctionSpan:
         sol, *_ = np.linalg.lstsq(m, v, rcond=None)
         return float(np.max(np.abs(m @ sol - v)))
 
-    def contains_values(self, target_values, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self.fit_residual(target_values) <= tol
+    def contains_values(self, target_values) -> bool:
+        return self.fit_residual(target_values) <= MEMBERSHIP_TOL
 
     @cached_property
     def unital(self) -> bool:

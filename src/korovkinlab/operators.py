@@ -76,9 +76,9 @@ class KernelOperator:
     def min_weight(self) -> float:
         return float(self.weights.min())
 
-    def weight_certificate(self, tol: float = WEIGHT_SIGN_TOL) -> bool:
+    def weight_certificate(self) -> bool:
         """Nonnegative-weight certificate of positivity."""
-        return self.min_weight >= tol
+        return self.min_weight >= WEIGHT_SIGN_TOL
 
     def node_values(self, f: ScalarFunction) -> np.ndarray:
         """f at every node, from one rule call."""
@@ -238,12 +238,8 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
     if n < 1:
         raise ValueError("mollifier index must be >= 1")
     FAMILIES["mollifier_disc"].check_kind(space)
-    radius = 1.0 / n
-    n_pts = space.n_points
-    w = np.zeros((n_pts, n_pts))
-    for i in range(n_pts):
-        ball = np.nonzero(space.pairwise[i] < radius)[0]
-        w[i, ball] = 1.0 / ball.size
+    inside = space.pairwise < 1.0 / n
+    w = inside / inside.sum(axis=1, keepdims=True)
     return KernelOperator(space, space, space.points, w)
 
 
@@ -477,12 +473,28 @@ FAMILIES: dict[str, FamilySpec] = {
 
 @dataclass(frozen=True)
 class PositivityReport:
-    passed: bool
-    worst_violation: float
-    witness: tuple[int, int, float] | None
-    weight_certificate: bool | None
+    """A kernel's smallest weight and, when the signs fail, the witness
+    (i, y, weights[y, i]); None for a composition isometry, which passes."""
+
     min_weight: float | None
-    weight_witness: tuple[int, int, float] | None
+    witness: tuple[int, int, float] | None
+
+    @property
+    def passed(self) -> bool:
+        return self.min_weight is None or self.min_weight >= WEIGHT_SIGN_TOL
+
+    @property
+    def worst_violation(self) -> float:
+        return 0.0 if self.min_weight is None else max(0.0, -self.min_weight)
+
+    @property
+    def weight_certificate(self) -> bool | None:
+        return None if self.min_weight is None else self.passed
+
+    @property
+    def weight_witness(self) -> tuple[int, int, float] | None:
+        """The witness as (y, i, weights[y, i])."""
+        return None if self.witness is None else (self.witness[1], self.witness[0], self.witness[2])
 
 
 def check_positivity(op) -> PositivityReport:
@@ -491,32 +503,20 @@ def check_positivity(op) -> PositivityReport:
     A kernel operator passes when its weight certificate holds. When it
     fails, the witness is constructive: with weights[y, i] the most negative
     weight, the indicator e_i of the (distinct) node i is a nonnegative
-    input with (T e_i)(y) = weights[y, i] < 0. ``witness`` is (i, y, that
-    value) and ``weight_witness`` is (y, i, that value); ``worst_violation``
-    is max(0, -min_weight). A composition isometry passes trivially.
+    input with (T e_i)(y) = weights[y, i] < 0.
     """
     if isinstance(op, CompositionIsometry):
-        return PositivityReport(True, 0.0, None, None, None, None)
+        return PositivityReport(None, None)
     if not isinstance(op, KernelOperator):
         raise TypeError(
             "check_positivity expects a KernelOperator or CompositionIsometry; "
             "for a family, pass family.operator(n)"
         )
-    min_weight = op.min_weight
-    passed = op.weight_certificate()
-    witness = weight_witness = None
-    if not passed:
+    witness = None
+    if not op.weight_certificate():
         y, i = np.unravel_index(int(np.argmin(op.weights)), op.weights.shape)
-        witness = (int(i), int(y), min_weight)
-        weight_witness = (int(y), int(i), min_weight)
-    return PositivityReport(
-        passed=passed,
-        worst_violation=max(0.0, -min_weight),
-        witness=witness,
-        weight_certificate=passed,
-        min_weight=min_weight,
-        weight_witness=weight_witness,
-    )
+        witness = (int(i), int(y), op.min_weight)
+    return PositivityReport(op.min_weight, witness)
 
 
 @dataclass(frozen=True)

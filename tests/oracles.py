@@ -132,3 +132,13 @@ def scalar_catalog(field: str, dim: int) -> dict:
     if dim == 1:
         table.update(SCALAR_INTERVAL)
     return table
+
+
+def mollifier_loop(pairwise: np.ndarray, n: int) -> np.ndarray:
+    """Equal-weight rows over each point's ball of radius 1/n, built one row
+    at a time."""
+    w = np.zeros(pairwise.shape)
+    for i in range(pairwise.shape[0]):
+        ball = np.nonzero(pairwise[i] < 1.0 / n)[0]
+        w[i, ball] = 1.0 / ball.size
+    return w

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,16 @@ from korovkinlab import (
     ChoquetParams,
     Classification,
     FunctionSpan,
+    KernelOperator,
+    PeakCertificate,
     PointSet,
+    equicontinuity_probe,
     estimate_choquet_boundary,
     find_peak_function,
     is_boundary_for,
     lemma_b_feasible,
     lemma_b_scan,
+    make_box_grid,
     make_circle_grid,
     make_custom_space,
     make_disc_grid,
@@ -22,6 +28,7 @@ from korovkinlab import (
     verify_lemma_b_certificate,
     verify_peak_certificate,
 )
+from korovkinlab.choquet import check_radius
 from korovkinlab.functions import ScalarFunction
 from korovkinlab.space import Field
 
@@ -129,6 +136,22 @@ class TestLemmaBFeasible:
             lemma_b_feasible(span, 0, 1.0, 0.5, u)  # alpha >= beta
         with pytest.raises(ValueError):
             lemma_b_feasible(span, 90, 0.1, 1.0, u)  # x0 not in U
+
+    def test_one_row_per_grid_point(self, monkeypatch):
+        # Re f <= 0 inside U and Re f <= -beta outside, plus Re f(x0) >= -alpha
+        from korovkinlab import choquet
+
+        shapes = []
+        real_linprog = choquet.linprog
+
+        def spy(c, A_ub=None, **kw):
+            shapes.append(A_ub.shape)
+            return real_linprog(c, A_ub=A_ub, **kw)
+
+        monkeypatch.setattr(choquet, "linprog", spy)
+        span = FunctionSpan((named_function("const1", INTERVAL), named_function("x", INTERVAL)))
+        assert lemma_b_feasible(span, 0, 0.1, 1.0, open_ball(INTERVAL, 0, 0.25)) is not None
+        assert shapes == [(INTERVAL.n_points + 1, 2)]
 
     def test_sampled_scan_detects_endpoint_not_interior(self):
         span = FunctionSpan((named_function("const1", INTERVAL), named_function("x", INTERVAL)))
@@ -349,6 +372,61 @@ class TestBoundaryFromEstimate:
         est = estimate_choquet_boundary(span)
         ok, _ = is_boundary_for(span, est.boundary_point_set(), span.basis)
         assert ok
+
+
+class TestRadiusCheck:
+    """A radius beyond which some grid point has no point would make its
+    peak condition vacuous; every entry point refuses it."""
+
+    DISC = make_disc_grid(8, 32)
+    AFFINE = FunctionSpan((named_function("const1", DISC), named_function("z", DISC)))
+
+    def test_scan_refuses_it(self):
+        with pytest.raises(ValueError, match="radius 1.2"):
+            estimate_choquet_boundary(self.AFFINE, ChoquetParams(radius=1.2))
+
+    @pytest.mark.parametrize("x0", [0, 256])  # the centre, and a rim point
+    def test_peak_search_refuses_it(self, x0):
+        with pytest.raises(ValueError, match="radius 1.2"):
+            find_peak_function(self.AFFINE, x0, 1.2)
+
+    def test_largest_allowed_radius_is_the_least_eccentricity(self):
+        # the centre's farthest point is on the rim, at distance 1
+        check_radius(self.DISC, 1.0)
+        with pytest.raises(ValueError):
+            check_radius(self.DISC, np.nextafter(1.0, 2.0))
+
+    def test_default_radius_always_passes(self):
+        grids = [
+            INTERVAL,
+            make_circle_grid(3),
+            make_disc_grid(1, 3),
+            self.DISC,
+            make_box_grid(3, 2),
+            make_custom_space([[0.0], [0.01], [5.0]]),
+        ]
+        for g in grids:
+            check_radius(g, 0.2 * g.diameter)
+            assert ChoquetParams().scan_radius(g) == 0.2 * g.diameter
+
+    def test_verify_refuses_a_certificate_with_no_far_point(self):
+        cert = PeakCertificate(0, (1.0, 0.0), 1.0, 1.2)
+        ok, why = verify_peak_certificate(self.AFFINE, cert)
+        assert not ok and "1.2" in why
+
+
+def test_checks_take_no_tolerance():
+    """Each check decides at its module constant; none can be loosened."""
+    checks = {
+        verify_peak_certificate: ["span", "cert"],
+        verify_lemma_b_certificate: ["span", "cert"],
+        is_boundary_for: ["span", "pts", "probes"],
+        FunctionSpan.contains_values: ["self", "target_values"],
+        KernelOperator.weight_certificate: ["self"],
+        equicontinuity_probe: ["family", "f", "y0", "radii", "indices"],
+    }
+    for fn, names in checks.items():
+        assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
 class TestChoquetParams:

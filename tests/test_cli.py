@@ -446,6 +446,47 @@ def test_missing_grid_key_exit_1(tmp_path, capsys):
     assert err.count("spaces.D") == 1 and "'per_ring'" in err
 
 
+def _affine_disc_config(radius):
+    return {
+        "version": 1,
+        "spaces": {"D": {"kind": "disc", "rings": 8, "per_ring": 32}},
+        "spans": {"affine": {"space": "D", "basis": ["const1", "z"]}},
+        "family": {"name": "mollifier_disc", "space": "D"},
+        "experiment": {"test_span": "affine", "indices": [1, 2], "choquet": {"radius": radius}},
+    }
+
+
+@pytest.mark.parametrize("command", [("choquet",), ("korovkin", "run")])
+def test_radius_leaving_a_point_without_far_points_exit_1(command, tmp_path, capsys):
+    # the centre and ring 1 of the unit disc have no point at distance 1.2
+    path = write_config(tmp_path, _affine_disc_config(1.2))
+    assert run_cli(*command, "--config", path, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "radius 1.2" in err
+    assert not (tmp_path / "choquet.csv").exists() and not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "basis,probes,where",
+    [(["const1", "x"], ["x", "x^2"], "experiment.probes"), (["const1", "x^2"], ["x"], "spans.A.basis")],
+)
+def test_non_finite_function_exit_1(basis, probes, where, tmp_path, capsys):
+    # x^2 overflows at 1e200
+    cfg = {
+        "version": 1,
+        "spaces": {"S": {"kind": "custom", "points": [[0.0], [0.5], [1e200]]}},
+        "spans": {"A": {"space": "S", "basis": basis}},
+        "family": {"name": "perturbed_composition", "space": "S"},
+        "experiment": {"test_span": "A", "indices": [1, 2], "probes": probes},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {where}:") and "'x^2'" in err
+
+
 # per grid kind: the function names that fit it, and the family built for it
 _FITS = {
     "interval": (("const1", "x", "x^2", "cos", "sin"), "bernstein"),

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from korovkinlab import (
     FAMILIES,
     CompositionIsometry,
     KernelOperator,
+    PositivityReport,
     ScalarFunction,
     averaging_operator,
     bernstein,
@@ -33,7 +35,7 @@ from korovkinlab import (
 from korovkinlab.operators import KERNEL_BUDGET, eps_schedule
 from korovkinlab.space import DEFAULT_POINT_CAP
 
-from oracles import bernstein_exact, fejer_fourier
+from oracles import bernstein_exact, fejer_fourier, mollifier_loop
 
 INTERVAL = make_interval_grid(100)
 CIRCLE32 = make_circle_grid(32)
@@ -160,6 +162,12 @@ class TestMollifierDisc:
     def test_requires_disc(self):
         with pytest.raises(ValueError):
             mollifier_disc(2, CIRCLE32)
+
+    @pytest.mark.parametrize("rings,per_ring", [(8, 32), (3, 5), (20, 64)])
+    def test_weights_match_a_row_by_row_build_bit_for_bit(self, rings, per_ring):
+        disc = make_disc_grid(rings, per_ring)
+        for n in (1, 2, 4, 8, 32, 100):
+            assert np.array_equal(mollifier_disc(n, disc).weights, mollifier_loop(disc.pairwise, n))
 
 
 class TestPerturbedComposition:
@@ -330,6 +338,17 @@ class TestCheckPositivity:
     def test_isometry_passes(self):
         rep = check_positivity(identity_isometry(INTERVAL))
         assert rep.passed
+        assert rep.worst_violation == 0.0
+        assert rep.weight_certificate is None and rep.weight_witness is None
+        assert rep.min_weight is None and rep.witness is None
+
+    def test_report_stores_only_min_weight_and_witness(self):
+        assert [f.name for f in dataclasses.fields(PositivityReport)] == ["min_weight", "witness"]
+        rep = PositivityReport(-0.25, (3, 5, -0.25))
+        assert not rep.passed and rep.weight_certificate is False
+        assert rep.worst_violation == 0.25
+        assert rep.weight_witness == (5, 3, -0.25)
+        assert PositivityReport(0.0, None).passed
 
     def test_witness_is_a_node_indicator(self):
         bad = inject_weight(bernstein(10, INTERVAL), 5, 3, -0.1)
