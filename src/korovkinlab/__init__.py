@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .choquet import (
     BoundaryEstimate,
-    ChoquetParams,
     Classification,
     LemmaBCertificate,
     PeakCertificate,
@@ -19,6 +18,7 @@ from .choquet import (
     is_boundary_for,
     lemma_b_feasible,
     lemma_b_scan,
+    scan_radius,
     verify_lemma_b_certificate,
     verify_peak_certificate,
 )

@@ -35,7 +35,9 @@ from .space import CompactSpace, Field, PointSet
 
 # slack of every direct-evaluation check in this module
 PEAK_TOL = 1e-9
-DEFAULT_DELTA_MIN = 1e-6
+# the least margin a peak certificate must have; an LP relaxation optimum
+# below it certifies that no peak at the scan radius has that margin
+DELTA_MIN = 1e-6
 # sampling grid standing in for "every (alpha, beta)" in the separation
 # criterion; detection is always relative to these parameters
 DEFAULT_ALPHA_BETA_GRID = ((0.1, 1.0), (0.01, 1.0), (0.1, 10.0))
@@ -60,29 +62,32 @@ _ISOMETRY_TOL = 1e-12
 _BLOCK_ENTRIES = 2**18
 
 
-@dataclass(frozen=True)
-class ChoquetParams:
-    """Scan parameters. The peak LP's optimum can only grow with the radius
-    (a larger radius drops margin rows), so a scan searches at one radius:
-    a peak there is the statement "some radius up to it admits a peak".
-    None means a fifth of the grid diameter."""
+def scan_radius(space: CompactSpace, radius: float | None = None) -> float:
+    """The scan radius on `space`: `radius`, or a fifth of the diameter when
+    None. Raises ValueError unless it is positive and every grid point has a
+    point at least that far; beyond that a peak condition holds vacuously. A
+    fifth of the diameter passes, as each point is half the diameter from
+    some point.
 
-    radius: float | None = None
-    delta_min: float = DEFAULT_DELTA_MIN
-
-    def scan_radius(self, space: CompactSpace) -> float:
-        r = 0.2 * space.diameter if self.radius is None else float(self.radius)
-        check_radius(space, r)
-        return r
-
-
-def check_radius(space: CompactSpace, r: float) -> None:
-    """Raise ValueError unless r > 0 and every grid point has a point at
-    distance >= r; beyond that a peak condition holds vacuously. A fifth of
-    the diameter passes, as each point is half the diameter from some point."""
+    The peak LP's optimum can only grow with the radius (a larger radius
+    drops margin rows), so a scan searches at one radius: a peak there is
+    the statement "some radius up to it admits a peak".
+    """
+    r = 0.2 * space.diameter if radius is None else float(radius)
     reach = float(space.pairwise.max(axis=1).min())
     if not 0 < r <= reach:
         raise ValueError(f"radius {r} is outside (0, {reach}]: some grid point has no point that far")
+    return r
+
+
+def _scan_preconditions(span: FunctionSpan, radius: float | None) -> float:
+    """The scan radius of a peak search on a unital, separating span;
+    raises ValueError for any other span or a refused radius."""
+    if not span.unital:
+        raise ValueError("peak search needs a unital span")
+    if not span.separating:
+        raise ValueError("peak search needs a separating span")
+    return scan_radius(span.space, radius)
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,6 @@ class BoundaryEstimate:
     span: FunctionSpan
     points: tuple[PointClassification, ...]
     radius: float
-    delta_min: float
 
     def boundary_point_set(self) -> PointSet:
         idx = tuple(p.index for p in self.points if p.label is Classification.BOUNDARY)
@@ -161,16 +165,14 @@ def _solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
     raise SolverError(f"LP backend returned status {res.status}: {res.message}")
 
 
-def _peak_search(
-    span: FunctionSpan, x0: int, r: float, delta_min: float
-) -> tuple[PeakCertificate | None, float]:
+def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate | None, float]:
     """Run the peak LP at one radius as a working-set (Kelley) loop.
 
     Returns (certificate-or-None, evidence). For a certificate the evidence
     is its exact margin: a certified lower bound on the best margin, found
-    once the loop clears delta_min, not the best margin itself. For a
+    once the loop clears DELTA_MIN, not the best margin itself. For a
     rejection it is the LP optimum over the working set; that LP is a
-    relaxation, so a value below delta_min certifies infeasibility.
+    relaxation, so a value below DELTA_MIN certifies infeasibility.
 
     A constraint at point y and phase phi reads Re(e^{-i phi} h(y)) <= 1,
     minus the margin where y is farther than r from x0; a real span only
@@ -179,8 +181,8 @@ def _peak_search(
     from x0, as many as fit _ROW_BUDGET rows. Each round evaluates |h|
     exactly on the whole grid and adds one cut at the exact phase arg h(y)
     per violating point, until _recheck accepts the solution (its exact
-    margin clears delta_min and it re-verifies), or the LP optimum falls
-    below delta_min.
+    margin clears DELTA_MIN and it re-verifies), or the LP optimum falls
+    below DELTA_MIN.
     """
     b_mat = span.value_matrix
     k = b_mat.shape[1]
@@ -221,7 +223,7 @@ def _peak_search(
         if res.status != 0:
             return None, -np.inf
         delta_lp = float(res.x[-1])
-        if delta_lp < delta_min:
+        if delta_lp < DELTA_MIN:
             return None, delta_lp
         coeffs = res.x[:k] + 1j * res.x[k : 2 * k] if is_complex else res.x[:k]
         h = b_mat @ coeffs
@@ -231,7 +233,7 @@ def _peak_search(
                 raise SolverError(f"peak pin drifted to {pin!r} at point {x0}")
             coeffs = coeffs / pin
             h = b_mat @ coeffs
-        cert = _recheck(span, x0, coeffs, r, delta_min)
+        cert = _recheck(span, x0, coeffs, r)
         if cert is not None:
             return cert, cert.margin
         mods = np.abs(h)
@@ -239,7 +241,7 @@ def _peak_search(
         excess[x0] = -np.inf
         viol = np.flatnonzero(excess > PEAK_TOL)
         if not viol.size:
-            # the exact far modulus missed delta_min by less than the
+            # the exact far modulus missed DELTA_MIN by less than the
             # tolerance: cut the worst far point so the optimum keeps dropping
             viol = np.flatnonzero(far)[[int(np.argmax(mods[far]))]]
         cut_y = np.r_[cut_y, viol]
@@ -249,28 +251,19 @@ def _peak_search(
     )
 
 
-def find_peak_function(
-    span: FunctionSpan,
-    x0: int,
-    r: float,
-    delta_min: float = DEFAULT_DELTA_MIN,
-) -> PeakCertificate | None:
+def find_peak_function(span: FunctionSpan, x0: int, r: float) -> PeakCertificate | None:
     """Search the span for a function peaking at x0.
 
     Maximizes the margin delta subject to h(x0) = 1, |h| <= 1 at every
     other grid point, and |h| <= 1 - delta at points with distance >= r
     from x0. Returns a re-verified certificate when the achievable margin
-    is at least delta_min, otherwise None. The certificate's margin is a
+    is at least DELTA_MIN, otherwise None. The certificate's margin is a
     certified lower bound on the best margin, not the best margin itself.
     """
-    if not span.unital:
-        raise ValueError("peak search needs a unital span")
-    if not span.separating:
-        raise ValueError("peak search needs a separating span")
+    r = _scan_preconditions(span, r)
     if not 0 <= int(x0) < span.space.n_points:
         raise ValueError("peak point index out of range")
-    check_radius(span.space, float(r))
-    return _peak_search(span, int(x0), float(r), delta_min)[0]
+    return _peak_search(span, int(x0), r)[0]
 
 
 def verify_peak_certificate(span: FunctionSpan, cert: PeakCertificate) -> tuple[bool, str]:
@@ -365,11 +358,7 @@ def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> t
     return True, "ok"
 
 
-def lemma_b_scan(
-    span: FunctionSpan,
-    x0: int,
-    params: ChoquetParams = ChoquetParams(),
-) -> LemmaBCertificate | None:
+def lemma_b_scan(span: FunctionSpan, x0: int, radius: float | None = None) -> LemmaBCertificate | None:
     """Sampled form of the separation criterion at one point.
 
     The criterion quantifies over every (alpha, beta) pair and every
@@ -381,7 +370,7 @@ def lemma_b_scan(
     """
     from .space import open_ball
 
-    u_set = open_ball(span.space, x0, params.scan_radius(span.space))
+    u_set = open_ball(span.space, x0, scan_radius(span.space, radius))
     for alpha, beta in DEFAULT_ALPHA_BETA_GRID:
         cert = lemma_b_feasible(span, x0, alpha, beta, u_set)
         if cert is not None:
@@ -439,23 +428,21 @@ def _orbit_tree(n: int, gens: list[np.ndarray]) -> tuple[list[int], list[int], l
     return parent, via, order
 
 
-def _recheck(
-    span: FunctionSpan, i: int, coeffs, r: float, delta_min: float
-) -> PeakCertificate | None:
+def _recheck(span: FunctionSpan, i: int, coeffs, r: float) -> PeakCertificate | None:
     """The certificate of `coeffs` peaking at point i outside radius r, with
-    its exact margin, when that clears delta_min and re-verifies."""
+    its exact margin, when that clears DELTA_MIN and re-verifies."""
     h = span.value_matrix @ np.asarray(coeffs)
     margin = 1.0 - float(np.max(np.abs(h[span.space.pairwise[i] >= r])))
     cert = PeakCertificate(i, tuple(coeffs), margin, float(r))
-    if margin >= delta_min and verify_peak_certificate(span, cert)[0]:
+    if margin >= DELTA_MIN and verify_peak_certificate(span, cert)[0]:
         return cert
     return None
 
 
-def _scan_point(span: FunctionSpan, i: int, r: float, delta_min: float) -> PointClassification:
+def _scan_point(span: FunctionSpan, i: int, r: float) -> PointClassification:
     """Classify one point by its own peak search at the scan radius."""
     try:
-        cert, delta = _peak_search(span, i, r, delta_min)
+        cert, delta = _peak_search(span, i, r)
     except SolverError as exc:
         return PointClassification(i, Classification.INDETERMINATE, None, -np.inf, i, str(exc))
     label = Classification.NOT_DETECTED if cert is None else Classification.BOUNDARY
@@ -463,7 +450,7 @@ def _scan_point(span: FunctionSpan, i: int, r: float, delta_min: float) -> Point
 
 
 def _move_verdict(
-    span: FunctionSpan, known: PointClassification, g: np.ndarray, delta_min: float
+    span: FunctionSpan, known: PointClassification, g: np.ndarray
 ) -> PointClassification | None:
     """Carry a Boundary verdict from point p to g[p] along the symmetry g.
 
@@ -479,7 +466,7 @@ def _move_verdict(
     moved[g] = h
     coeffs = np.linalg.lstsq(b_mat, moved, rcond=None)[0]
     i = int(g[known.index])
-    cert = _recheck(span, i, coeffs, known.certificate.radius, delta_min)
+    cert = _recheck(span, i, coeffs, known.certificate.radius)
     if cert is None:
         return None
     return PointClassification(
@@ -491,14 +478,13 @@ def _move_verdict(
     )
 
 
-def estimate_choquet_boundary(
-    span: FunctionSpan, params: ChoquetParams = ChoquetParams()
-) -> BoundaryEstimate:
-    """Classify every grid point by one peak search at the scan radius.
+def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -> BoundaryEstimate:
+    """Classify every grid point by one peak search at the scan radius
+    (see `scan_radius`; None means a fifth of the grid diameter).
 
     A point is Boundary when the search returns a peak certificate,
-    NotDetected when the LP relaxation's optimum falls below the margin
-    threshold (so no smaller radius admits a peak either), and
+    NotDetected when the LP relaxation's optimum falls below DELTA_MIN
+    (so no smaller radius admits a peak either), and
     Indeterminate when the solver failed.
 
     Points are scanned one orbit at a time under the grid symmetries that
@@ -508,11 +494,7 @@ def estimate_choquet_boundary(
     whose parent in the orbit's walk is not Boundary, is solved directly,
     so every rejection rests on the point's own relaxation optimum.
     """
-    if not span.unital:
-        raise ValueError("boundary estimation needs a unital span")
-    if not span.separating:
-        raise ValueError("boundary estimation needs a separating span")
-    r = params.scan_radius(span.space)
+    r = _scan_preconditions(span, radius)
     gens = _accepted_generators(span)
     parent, via, order = _orbit_tree(span.space.n_points, gens)
     results: list[PointClassification | None] = [None] * span.space.n_points
@@ -520,9 +502,9 @@ def estimate_choquet_boundary(
         p = parent[i]
         moved = None
         if p >= 0 and results[p].label is Classification.BOUNDARY:
-            moved = _move_verdict(span, results[p], gens[via[i]], params.delta_min)
-        results[i] = moved or _scan_point(span, i, r, params.delta_min)
-    return BoundaryEstimate(span=span, points=tuple(results), radius=r, delta_min=params.delta_min)
+            moved = _move_verdict(span, results[p], gens[via[i]])
+        results[i] = moved or _scan_point(span, i, r)
+    return BoundaryEstimate(span=span, points=tuple(results), radius=r)
 
 
 def is_boundary_for(span: FunctionSpan, pts: PointSet, probes) -> tuple[bool, float]:

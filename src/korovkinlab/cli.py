@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .choquet import BoundaryEstimate, estimate_choquet_boundary
+from .choquet import DELTA_MIN, BoundaryEstimate, estimate_choquet_boundary
 from .config import (
     build_choquet_params,
     build_experiment,
@@ -128,7 +128,7 @@ def _write_certificates_json(path: Path, estimate: BoundaryEstimate) -> None:
     payload = {
         "basis": [f.name for f in estimate.span.basis],
         "radius": estimate.radius,
-        "delta_min": estimate.delta_min,
+        "delta_min": DELTA_MIN,
         "certificates": [
             {
                 "point_index": pc.index,
@@ -158,9 +158,9 @@ def cmd_choquet(args) -> int:
         name = next(iter(spans))
     else:
         raise ConfigError(f"--span is required; available: {', '.join(spans)}")
-    params = build_choquet_params(cfg.get("experiment", {}).get("choquet"))
+    radius = build_choquet_params(cfg.get("experiment", {}).get("choquet"), spans[name].space)
     try:
-        estimate = estimate_choquet_boundary(spans[name], params)
+        estimate = estimate_choquet_boundary(spans[name], radius)
     except ValueError as exc:
         raise ConfigError(f"span {name!r}: {exc}") from None
     out = _resolve_out(args, cfg)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import jsonschema
 
-from .choquet import ChoquetParams
+from .choquet import scan_radius
 from .engine import ExperimentConfig
 from .errors import ConfigError, ResourceLimitError
 from .functions import FunctionSpan, default_probe_names, named_function
@@ -165,10 +165,7 @@ CONFIG_SCHEMA = {
                 "choquet": {
                     "type": "object",
                     "additionalProperties": False,
-                    "properties": {
-                        "radius": {"type": "number", "exclusiveMinimum": 0},
-                        "delta_min": {"type": "number", "exclusiveMinimum": 0},
-                    },
+                    "properties": {"radius": {"type": "number", "exclusiveMinimum": 0}},
                 },
             },
         },
@@ -204,10 +201,11 @@ def load_config(path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return validate_config(json.loads(p.read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
-    return validate_config(cfg)
+    except RecursionError:  # parsing, or checking a value nested just under the parser's limit
+        raise ConfigError(f"config file {p} nests too deeply to read") from None
 
 
 def build_space(name: str, block: dict) -> CompactSpace:
@@ -291,9 +289,17 @@ def build_family(cfg: dict, spaces: dict[str, CompactSpace]) -> OperatorFamily:
     return OperatorFamily(name, fam.source, fam.target, build, fam.limit)
 
 
-def build_choquet_params(block: dict | None) -> ChoquetParams:
-    # the schema admits exactly the field names of ChoquetParams
-    return ChoquetParams(**(block or {}))
+def build_choquet_params(block: dict | None, space: CompactSpace | None = None) -> float | None:
+    """The scan radius of an ``experiment.choquet`` block, resolved on the
+    grid the scan runs on; without a grid (the benchmark's set-up probe
+    calls it so), the configured value, None for the default."""
+    radius = (block or {}).get("radius")
+    if space is None:
+        return radius
+    try:
+        return scan_radius(space, radius)
+    except ValueError as exc:
+        raise ConfigError(f"experiment.choquet.radius: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,6 +334,7 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
     except ValueError as exc:
         raise ConfigError(f"experiment.probes: {exc}") from None
     tol = exp.get("tolerances", {})
+    radius = build_choquet_params(exp.get("choquet"), family.target)
     try:
         experiment = ExperimentConfig(
             family=family,
@@ -336,7 +343,7 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
             indices=tuple(exp["indices"]),
             abs_threshold=tol.get("abs_threshold", 0.05),
             improvement_factor=tol.get("improvement_factor", 2.0),
-            choquet=build_choquet_params(exp.get("choquet")),
+            radius=radius,
         )
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from None

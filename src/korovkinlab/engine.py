@@ -14,11 +14,11 @@ factor. Both thresholds are configuration fields, not magic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .choquet import BoundaryEstimate, ChoquetParams, estimate_choquet_boundary
+from .choquet import BoundaryEstimate, estimate_choquet_boundary, scan_radius
 from .functions import FunctionSpan, ScalarFunction, oscillation, span_union, sup_norm
 from .operators import OperatorFamily, PositivityReport, check_positivity
 from .space import PointSet
@@ -26,6 +26,8 @@ from .space import PointSet
 ISOMETRY_TOL = 1e-9
 ZERO_ERROR_FLOOR = 1e-12
 EQUICONTINUITY_THRESHOLD = 0.1
+# slack of the equicontinuity table's monotonicity check
+MONOTONE_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +42,7 @@ class ExperimentConfig:
     indices: tuple[int, ...]
     abs_threshold: float = 0.05
     improvement_factor: float = 2.0
-    choquet: ChoquetParams = dc_field(default_factory=ChoquetParams)
+    radius: float | None = None  # boundary scan radius; None: a fifth of the diameter
     n_generators: tuple[ScalarFunction, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -64,7 +66,7 @@ class ExperimentConfig:
         for f in probes:
             if f.space is not self.family.source:
                 raise ValueError(f"probe {f.name!r} lives on a different grid")
-        self.choquet.scan_radius(self.family.target)  # the grid the scans run on
+        scan_radius(self.family.target, self.radius)  # the grid the scans run on
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +111,7 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     target_boundary: BoundaryEstimate | None = None
     note = ""
     try:
-        target_boundary = estimate_choquet_boundary(pushed, config.choquet)
+        target_boundary = estimate_choquet_boundary(pushed, config.radius)
     except ValueError as exc:
         note = f"pushed span not scannable: {exc}"
 
@@ -124,7 +126,7 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
             gens.append(fam.limit.apply(g))
         n_span = span_union(*[FunctionSpan((g,)) for g in gens])
         try:
-            n_boundary = estimate_choquet_boundary(n_span, config.choquet)
+            n_boundary = estimate_choquet_boundary(n_span, config.radius)
             target_idx = set(target_boundary.boundary_point_set().indices)
             n_idx = set(n_boundary.boundary_point_set().indices)
             included = n_idx <= target_idx
@@ -283,8 +285,7 @@ class EquicontinuityTable:
     radii: tuple[float, ...]
     values: tuple[float, ...]
     monotone_ok: bool
-    small_at_first: bool
-    threshold: float
+    small_at_first: bool  # judged at EQUICONTINUITY_THRESHOLD
 
 
 def equicontinuity_probe(
@@ -316,14 +317,13 @@ def equicontinuity_probe(
             g = applied[n]
             worst = max(worst, float(np.max(np.abs(g[ball] - g[int(y0)]))))
         values.append(worst)
-    monotone = all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+    monotone = all(b >= a - MONOTONE_TOL for a, b in zip(values, values[1:]))
     return EquicontinuityTable(
         y0=int(y0),
         radii=radii,
         values=tuple(values),
         monotone_ok=monotone,
         small_at_first=values[0] <= EQUICONTINUITY_THRESHOLD,
-        threshold=EQUICONTINUITY_THRESHOLD,
     )
 
 

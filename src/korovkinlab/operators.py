@@ -21,6 +21,8 @@ from .space import DEFAULT_POINT_CAP, CompactSpace, Field, PointSet, SpaceKind
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
+# an operator norm up to 1 + CONTRACTION_TOL counts as a contraction
+CONTRACTION_TOL = 1e-9
 # most weights one kernel may hold: 2 GiB of float64, the budget of a grid's
 # distance matrix at the point cap
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
@@ -557,7 +559,7 @@ def classify_operator(op) -> OperatorFlags:
     """
     norm = estimate_operator_norm(op)
     unital = float(np.max(np.abs(op.t_one_values - 1.0))) <= UNITAL_TOL
-    contraction = norm.estimate <= 1.0 + 1e-9
+    contraction = norm.estimate <= 1.0 + CONTRACTION_TOL
     positive = check_positivity(op).passed
     real = op.source.field is Field.REAL and op.target.field is Field.REAL
     return OperatorFlags(

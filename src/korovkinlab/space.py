@@ -25,6 +25,16 @@ from .errors import ResourceLimitError
 DEFAULT_POINT_CAP = 2**14
 
 
+def _check_point_count(kind: str, n_pts: int) -> None:
+    """Refuse a grid of more than DEFAULT_POINT_CAP points; factories call
+    it before they list a point."""
+    if n_pts > DEFAULT_POINT_CAP:
+        raise ResourceLimitError(
+            f"{kind} grid would have {n_pts} points, above the cap of "
+            f"{DEFAULT_POINT_CAP} (a dense distance matrix of 2 GiB)"
+        )
+
+
 class Field(Enum):
     REAL = "real"
     COMPLEX = "complex"
@@ -66,11 +76,7 @@ class CompactSpace:
             raise ValueError("coords must have shape (n_points, dim)")
         if coords.shape[0] < 2:
             raise ValueError("a grid needs at least 2 points")
-        if coords.shape[0] > DEFAULT_POINT_CAP:
-            raise ResourceLimitError(
-                f"grid would have {coords.shape[0]} points, above the cap of "
-                f"{DEFAULT_POINT_CAP} (a dense distance matrix of 2 GiB)"
-            )
+        _check_point_count(self.kind.value, coords.shape[0])
         if not np.all(np.isfinite(coords)):
             raise ValueError("grid coordinates must be finite")
         if len(np.unique(coords, axis=0)) != coords.shape[0]:
@@ -249,6 +255,7 @@ def make_interval_grid(m: int) -> CompactSpace:
     reflection k -> m - k as its candidate symmetry."""
     if m < 1:
         raise ValueError("interval grid needs m >= 1")
+    _check_point_count("interval", m + 1)
     coords = np.arange(m + 1, dtype=float)[:, None] / m
     return CompactSpace(
         id=f"interval_m{m}",
@@ -264,6 +271,7 @@ def make_circle_grid(m: int) -> CompactSpace:
     rotation by one step and conjugation are its candidate symmetries."""
     if m < 3:
         raise ValueError("circle grid needs m >= 3")
+    _check_point_count("circle", m)
     theta = 2.0 * np.pi * np.arange(m) / m
     coords = np.column_stack([np.cos(theta), np.sin(theta)])
     return CompactSpace(
@@ -287,6 +295,7 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
         raise ValueError("disc grid needs rings >= 1")
     if per_ring < 3:
         raise ValueError("disc grid needs per_ring >= 3")
+    _check_point_count("disc", 1 + rings * per_ring)
     xs = [0.0]
     ys = [0.0]
     boundary = [False]
@@ -309,8 +318,7 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
 
 
 def make_box_grid(p: int, m: int) -> CompactSpace:
-    """Tensor grid {k/m}^p on the unit box, refused above the grid cap
-    before its points are listed.
+    """Tensor grid {k/m}^p on the unit box.
 
     The candidate symmetries reflect one axis (k_a -> m - k_a) or swap two
     adjacent axes.
@@ -319,11 +327,7 @@ def make_box_grid(p: int, m: int) -> CompactSpace:
         raise ValueError("box grid needs p >= 1")
     if m < 1:
         raise ValueError("box grid needs m >= 1")
-    n_pts = (m + 1) ** p
-    if n_pts > DEFAULT_POINT_CAP:
-        raise ResourceLimitError(
-            f"box grid would have {n_pts} points, above the cap of {DEFAULT_POINT_CAP}"
-        )
+    _check_point_count("box", (m + 1) ** p)
     axis = np.arange(m + 1, dtype=float) / m
     coords = np.array(list(itertools.product(axis, repeat=p)))
     # digits of each point in itertools.product (C) order

@@ -40,6 +40,7 @@ from korovkinlab import (
     sup_norm,
     verify_hypotheses,
 )
+from korovkinlab.choquet import DELTA_MIN
 from korovkinlab.cli import main as cli_main
 from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.presets import get_preset
@@ -153,7 +154,7 @@ def test_criterion_04_disc_affine_boundary(disc_space, disc_affine_scan):
     rim = {i for i in range(disc_space.n_points) if disc_space.boundary_mask[i]}
     detected = set(est.boundary_point_set().indices)
     interior_ok = all(
-        p.label.value == "NotDetected" and p.best_delta < est.delta_min
+        p.label.value == "NotDetected" and p.best_delta < DELTA_MIN
         for p in est.points
         if p.index not in rim
     )
@@ -163,7 +164,7 @@ def test_criterion_04_disc_affine_boundary(disc_space, disc_affine_scan):
     oracle_ok = True
     for i in spots:
         for r in (est.radius / 4, est.radius / 2, est.radius):
-            oracle_ok &= not affine_peak_scan(disc_space, i, r, est.delta_min)
+            oracle_ok &= not affine_peak_scan(disc_space, i, r, DELTA_MIN)
         oracle_ok &= est.points[i].label.value == "NotDetected"
     record(
         4,

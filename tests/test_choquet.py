@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korovkinlab import (
-    ChoquetParams,
     Classification,
     FunctionSpan,
     KernelOperator,
@@ -25,10 +24,10 @@ from korovkinlab import (
     make_interval_grid,
     named_function,
     open_ball,
+    scan_radius,
     verify_lemma_b_certificate,
     verify_peak_certificate,
 )
-from korovkinlab.choquet import check_radius
 from korovkinlab.functions import ScalarFunction
 from korovkinlab.space import Field
 
@@ -255,7 +254,7 @@ class TestWorkingSetLoop:
     def test_cloud_point_is_certified_not_indeterminate(self):
         basis = ("const1", "z", "zbar", "|z|^2")
         span = FunctionSpan(tuple(named_function(n, STALL_CLOUD) for n in basis))
-        est = estimate_choquet_boundary(span, ChoquetParams(radius=0.4))
+        est = estimate_choquet_boundary(span, radius=0.4)
         assert est.counts() == {"Boundary": 8, "NotDetected": 0, "Indeterminate": 0}
         for p in est.points:
             ok, why = verify_peak_certificate(span, p.certificate)
@@ -383,7 +382,7 @@ class TestRadiusCheck:
 
     def test_scan_refuses_it(self):
         with pytest.raises(ValueError, match="radius 1.2"):
-            estimate_choquet_boundary(self.AFFINE, ChoquetParams(radius=1.2))
+            estimate_choquet_boundary(self.AFFINE, radius=1.2)
 
     @pytest.mark.parametrize("x0", [0, 256])  # the centre, and a rim point
     def test_peak_search_refuses_it(self, x0):
@@ -392,9 +391,9 @@ class TestRadiusCheck:
 
     def test_largest_allowed_radius_is_the_least_eccentricity(self):
         # the centre's farthest point is on the rim, at distance 1
-        check_radius(self.DISC, 1.0)
+        assert scan_radius(self.DISC, 1.0) == 1.0
         with pytest.raises(ValueError):
-            check_radius(self.DISC, np.nextafter(1.0, 2.0))
+            scan_radius(self.DISC, np.nextafter(1.0, 2.0))
 
     def test_default_radius_always_passes(self):
         grids = [
@@ -406,8 +405,7 @@ class TestRadiusCheck:
             make_custom_space([[0.0], [0.01], [5.0]]),
         ]
         for g in grids:
-            check_radius(g, 0.2 * g.diameter)
-            assert ChoquetParams().scan_radius(g) == 0.2 * g.diameter
+            assert scan_radius(g) == 0.2 * g.diameter
 
     def test_verify_refuses_a_certificate_with_no_far_point(self):
         cert = PeakCertificate(0, (1.0, 0.0), 1.0, 1.2)
@@ -429,17 +427,14 @@ def test_checks_take_no_tolerance():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
 
 
-class TestChoquetParams:
+class TestScanRadius:
     def test_default_radius_is_a_fifth_of_the_diameter(self):
-        params = ChoquetParams()
-        assert params.scan_radius(INTERVAL) == pytest.approx(0.2)
-        disc = make_disc_grid(2, 8)
-        assert params.scan_radius(disc) == pytest.approx(0.4)
+        assert scan_radius(INTERVAL) == pytest.approx(0.2)
+        assert scan_radius(make_disc_grid(2, 8)) == pytest.approx(0.4)
 
     def test_explicit_radius_wins(self):
-        params = ChoquetParams(radius=0.3)
-        assert params.scan_radius(INTERVAL) == 0.3
-        assert estimate_choquet_boundary(SMALL_QUAD, params).radius == 0.3
+        assert scan_radius(INTERVAL, 0.3) == 0.3
+        assert estimate_choquet_boundary(SMALL_QUAD, radius=0.3).radius == 0.3
 
 
 # coordinates of random custom grids: a coarse lattice keeps every hull

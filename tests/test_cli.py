@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from korovkinlab import ConfigError, KernelOperator
 from korovkinlab.cli import build_parser, main
-from korovkinlab.choquet import ChoquetParams
 from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.operators import FAMILIES
 from korovkinlab.presets import get_preset, preset_names
@@ -201,6 +200,25 @@ class TestKorovkinRun:
         err = capsys.readouterr().err
         assert "experiment.indices" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"version": 1, "name": "caf\xe9"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            # parses, but the schema check of the params recurses past the limit
+            b'{"version": 1, "spaces": {"I": {"kind": "interval", "m": 4}}, "family": {"name":'
+            b' "perturbed_composition", "space": "I", "params": {"phi": {"map": '
+            + b"[" * 980 + b"1" + b"]" * 980 + b"}}}}",
+        ],
+        ids=["latin1_bytes", "deep_nesting", "deep_under_the_parser_limit"],
+    )
+    def test_unreadable_config_file_exit_1(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert run_cli("korovkin", "run", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path} ") and err.count("\n") == 1
+
     def test_version_mismatch_exit_1(self, tmp_path):
         cfg = get_preset("example41_bernstein")
         cfg["version"] = 99
@@ -237,18 +255,20 @@ class TestKorovkinRun:
 
         monkeypatch.setattr(scipy.spatial.distance, "cdist", no_matrix)
         cfg = get_preset("example41_bernstein")
-        cfg["spaces"]["I"]["m"] = 2**14  # 2**14 + 1 points
-        path = write_config(tmp_path, cfg)
-        tracemalloc.start()
-        try:
-            code = run_cli("korovkin", "run", "--config", path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: spaces.I:") and err.count("\n") == 1
-        assert peak < 2**24  # the 2**14 x 2**14 distance matrix would take 2 GiB
+        # 2**14 + 1 points; 10**12 + 1 points, whose coordinates alone take 8 TB
+        for m in (2**14, 10**12):
+            cfg["spaces"]["I"]["m"] = m
+            path = write_config(tmp_path, cfg)
+            tracemalloc.start()
+            try:
+                code = run_cli("korovkin", "run", "--config", path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: spaces.I:") and err.count("\n") == 1
+            assert peak < 2**24  # the 2**14 x 2**14 distance matrix would take 2 GiB
 
     def test_seed_flag_exit_1(self, capsys):
         assert run_cli("korovkin", "run", "--preset", "example41_bernstein", "--seed", "7") == 1
@@ -279,6 +299,7 @@ class TestKorovkinRun:
             ("choquet", "directions"),
             ("choquet", "r_list"),
             ("choquet", "r_factors"),
+            ("choquet", "delta_min"),
         ],
     )
     def test_removed_knob_exit_1(self, tmp_path, capsys, block, field):
@@ -462,8 +483,8 @@ def test_radius_leaving_a_point_without_far_points_exit_1(command, tmp_path, cap
     path = write_config(tmp_path, _affine_disc_config(1.2))
     assert run_cli(*command, "--config", path, "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "radius 1.2" in err
+    assert err.startswith("error: experiment.choquet.radius: radius 1.2 is outside (0, 1.0]: ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "choquet.csv").exists() and not (tmp_path / "report.csv").exists()
 
 
@@ -632,7 +653,7 @@ def test_readme_config_example_builds():
     block = text.split("### Configuration files", 1)[1].split("```json\n", 1)[1]
     cfg = json.loads(block.split("```", 1)[0])
     built = build_experiment(validate_config(cfg))
-    assert built.experiment.choquet == ChoquetParams(radius=0.2, delta_min=1e-6)
+    assert built.experiment.radius == 0.2
 
 
 class TestOutputDirEnvVar:

@@ -178,7 +178,7 @@ class TestMovedVerdicts:
         est = estimate_choquet_boundary(span)
         for p in est.points:
             if p.label is Classification.NOT_DETECTED:
-                assert p.source == p.index and p.best_delta < est.delta_min
+                assert p.source == p.index and p.best_delta < choquet.DELTA_MIN
             else:
                 assert grid.boundary_mask[p.index]
         assert {p.source for p in est.points if p.label is Classification.BOUNDARY} == {17}

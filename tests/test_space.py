@@ -104,14 +104,23 @@ class TestPointCap:
         make_interval_grid(DEFAULT_POINT_CAP - 1)
 
     def test_box_grid_over_the_cap_is_refused_before_listing_points(self):
-        tracemalloc.start()
-        try:
-            with pytest.raises(ResourceLimitError, match="box grid would have 40401 points"):
-                make_box_grid(2, 200)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # every factory checks its point count before it lists a point
+        cases = [
+            (make_box_grid, (2, 200), "box grid would have 40401 points"),
+            (make_interval_grid, (10**12,), "interval grid would have 1000000000001 points"),
+            (make_circle_grid, (10**12,), "circle grid would have 1000000000000 points"),
+            (make_disc_grid, (10**6, 10**6), "disc grid would have 1000000000001 points"),
+            (make_disc_grid, (1000, 1000), "disc grid would have 1000001 points"),
+        ]
+        for factory, args, message in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=message):
+                    factory(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, factory.__name__
 
 
 class TestMetricInvariants:

@@ -2,8 +2,9 @@
 
 The tracer wraps korovkinlab's callables by name from outside the package,
 so renaming or re-signing a hooked name would otherwise fail only in a
-traced benchmark run. One traced `korovkin run` must record a span at every
-hooked layer and write the same report as an untraced run.
+traced benchmark run. One traced `korovkin run` and one traced `choquet`
+must each record a span at every layer they reach and write the same files
+as an untraced run.
 """
 
 import json
@@ -34,20 +35,49 @@ SPANS = {
 }
 
 
-def test_traced_run_records_every_layer(tmp_path):
+# every span a traced `choquet --preset example43_disc` records
+CHOQUET_SPANS = {
+    "cli.main",
+    "config.validate_config",
+    "config.build_spaces",
+    "config.build_spans",
+    "config.build_choquet_params",
+    "space.build",
+    "choquet.scan",
+    "choquet.linprog",
+    "choquet.verify",
+    "functions.values",
+}
+
+
+def _traced(args: list[str], out, trace) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    trace = tmp_path / "trace.json"
-    args = ["korovkin", "run", "--preset", "example43_fejer", "--out"]
     child = [sys.executable, str(ROOT / "perfbench" / "traced_child.py"), "t", str(trace), "--"]
     proc = subprocess.run(
-        [*child, *args, str(tmp_path / "traced")], env=env, capture_output=True, text=True, timeout=120
+        [*child, *args, "--out", str(out)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(trace.read_text())
+    return json.loads(trace.read_text())
+
+
+def test_traced_run_records_every_layer(tmp_path):
+    args = ["korovkin", "run", "--preset", "example43_fejer"]
+    payload = _traced(args, tmp_path / "traced", tmp_path / "trace.json")
     assert {span["name"] for span in payload["spans"]} == SPANS
     assert payload["rule_calls"] > 0
 
-    assert main([*args, str(tmp_path / "plain")]) == 0
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
     report = (tmp_path / "traced" / "report.csv").read_bytes()
     assert report == (tmp_path / "plain" / "report.csv").read_bytes()
+
+
+def test_traced_choquet_records_every_layer(tmp_path):
+    args = ["choquet", "--preset", "example43_disc"]
+    payload = _traced(args, tmp_path / "traced", tmp_path / "trace.json")
+    assert {span["name"] for span in payload["spans"]} == CHOQUET_SPANS
+
+    assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+    for name in ("choquet.csv", "certificates.json"):
+        traced = (tmp_path / "traced" / name).read_bytes()
+        assert traced == (tmp_path / "plain" / name).read_bytes(), name
