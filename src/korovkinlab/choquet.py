@@ -74,7 +74,7 @@ def scan_radius(space: CompactSpace, radius: float | None = None) -> float:
     the statement "some radius up to it admits a peak".
     """
     r = 0.2 * space.diameter if radius is None else float(radius)
-    reach = float(space.pairwise.max(axis=1).min())
+    reach = space.least_eccentricity
     if not 0 < r <= reach:
         raise ValueError(f"radius {r} is outside (0, {reach}]: some grid point has no point that far")
     return r

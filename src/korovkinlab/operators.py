@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.special import _ufuncs
 
 from .functions import ScalarFunction, evaluate, function_from_values
 from .space import DEFAULT_POINT_CAP, CompactSpace, Field, PointSet, SpaceKind
@@ -181,10 +182,8 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
 
 def _binom_pmf(n: int, x: np.ndarray) -> np.ndarray:
     """Rows C(n,k) x^k (1-x)^(n-k), k = 0..n, one per entry of x."""
-    # scipy.stats adds ~0.45 s of import time, so only Bernstein kernels load it
-    from scipy.stats import binom
-
-    return binom.pmf(np.arange(n + 1)[None, :], n, x[:, None])
+    # the Boost ufunc behind scipy.stats.binom.pmf, already loaded by scipy.optimize
+    return _ufuncs._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None])
 
 
 def _fejer_kernel(s: np.ndarray, n: int) -> np.ndarray:

@@ -182,6 +182,12 @@ class CompactSpace:
     def diameter(self) -> float:
         return float(self.pairwise.max())
 
+    @cached_property
+    def least_eccentricity(self) -> float:
+        """The least, over grid points, of the distance to the farthest point:
+        every point has a point this far, and some point has none farther."""
+        return float(self.pairwise.max(axis=1).min())
+
     def validate_metric(self) -> None:
         """Check that every point's nearest neighbour is at positive distance.
 

@@ -436,6 +436,14 @@ class TestScanRadius:
         assert scan_radius(INTERVAL, 0.3) == 0.3
         assert estimate_choquet_boundary(SMALL_QUAD, radius=0.3).radius == 0.3
 
+    def test_second_call_makes_no_distance_pass(self):
+        disc = make_disc_grid(2, 8)
+        assert scan_radius(disc) == pytest.approx(0.4)
+        disc.__dict__["pairwise"] = None  # any further read of the matrix fails
+        assert scan_radius(disc) == pytest.approx(0.4)
+        with pytest.raises(ValueError, match=r"^radius 1.2 is outside \(0, 1.0\]: "):
+            scan_radius(disc, 1.2)
+
 
 # coordinates of random custom grids: a coarse lattice keeps every hull
 # vertex's margin well above the threshold

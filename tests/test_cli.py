@@ -3,7 +3,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -18,7 +21,8 @@ from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.operators import FAMILIES
 from korovkinlab.presets import get_preset, preset_names
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(*argv):
@@ -631,6 +635,24 @@ class TestPresets:
 
     def test_unknown_preset(self):
         assert run_cli("korovkin", "run", "--preset", "nope") == 1
+
+    def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
+        # a fresh interpreter: other tests load scipy.stats in this one
+        child = (
+            "import json, sys\n"
+            "from korovkinlab.cli import main\n"
+            "codes = [main(['korovkin', 'run', '--preset', p, '--out', sys.argv[1] + '/' + p])\n"
+            "         for p in ('example41_bernstein', 'example42_tensor')]\n"
+            "print(json.dumps([codes, 'scipy.stats' in sys.modules]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
 
 
 def _long_flags(parser: argparse.ArgumentParser, path: tuple[str, ...]) -> set[str]:

@@ -32,7 +32,7 @@ from korovkinlab import (
     sup_norm,
     tensor_bernstein,
 )
-from korovkinlab.operators import KERNEL_BUDGET, eps_schedule
+from korovkinlab.operators import KERNEL_BUDGET, _binom_pmf, eps_schedule
 from korovkinlab.space import DEFAULT_POINT_CAP
 
 from oracles import bernstein_exact, fejer_fourier, mollifier_loop
@@ -81,6 +81,21 @@ class TestBernstein:
 
     def test_weights_nonnegative(self):
         assert bernstein(25, INTERVAL).min_weight >= 0.0
+
+    def test_weights_are_binom_pmf_bit_for_bit(self):
+        # the kernels call the private Boost ufunc behind binom.pmf; a scipy
+        # that changes or drops it fails here. The ufunc is elementwise, so
+        # each distinct coordinate of the grids is checked once.
+        from scipy.stats import binom
+
+        grids = [make_interval_grid(m) for m in (1, 2, 3, 10, 64, 101, 1000)]
+        coords = [g.coords.ravel() for g in (*grids, make_box_grid(2, 8))]
+        x = np.unique(np.concatenate(coords))
+        for n in [*range(1, 301), 1024, 4096]:
+            got = _binom_pmf(n, x)
+            want = binom.pmf(np.arange(n + 1)[None, :], n, x[:, None])
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"n={n}"
 
 
 class TestFejer:
@@ -540,7 +555,7 @@ class TestKernelOperatorValidation:
 
     def test_build_holds_the_weights_once(self):
         box = make_box_grid(2, 8)
-        tensor_bernstein(1, box)  # loads scipy.stats outside the measurement
+        tensor_bernstein(1, box)  # caches the grid's points outside the measurement
         tracemalloc.start()
         try:
             op = tensor_bernstein(256, box)
