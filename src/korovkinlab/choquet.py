@@ -7,13 +7,19 @@ radius. The complementary neighborhood-separation criterion (a function
 with Re f <= 0 everywhere, Re f <= -beta off a neighborhood U, and
 Re f(x0) >= -alpha) is exposed as a second, independent certificate type.
 
-The LP backend is untrusted: every certificate is re-verified by direct
-evaluation of its inequalities before it is returned. Modulus constraints
-are linearised as Re(e^{-i phi} h(y)) <= cap at finitely many phases phi
-(0 and pi suffice for a real span). One working-set loop serves both
-fields: it starts from a polygon at a budget of grid points and adds
-exact-phase cutting planes at violators (Kelley's method), so acceptances
-are verified and rejections are certified by a relaxation's optimum.
+A peak search first offers Korovkin's own candidate, h = 1 - c d(., x0)^2
+fitted onto the span: when d(., x0)^2 lies in the span (as for {1, x, x^2},
+{1, z, zbar, |z|^2} or the box quadratics) it peaks at every point, and no
+LP is solved. Otherwise, and whenever the candidate fails its check, the
+peak LP decides. The LP backend (scipy's HiGHS, imported on the first
+solve) is untrusted: every certificate is re-verified by direct evaluation
+of its inequalities before it is returned. Modulus constraints are
+linearised as Re(e^{-i phi} h(y)) <= cap at finitely many phases phi (0 and
+pi suffice for a real span). One working-set loop serves both fields: it
+starts from a polygon at a budget of grid points and adds exact-phase
+cutting planes at violators (Kelley's method), so acceptances are verified
+and rejections are certified by a relaxation's optimum. The candidate never
+rejects.
 
 A boundary scan solves one point per orbit of the grid symmetries that
 preserve the metric and the span, and moves each Boundary verdict along the
@@ -27,11 +33,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import SolverError
 from .functions import FunctionSpan
-from .space import CompactSpace, Field, PointSet
+from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet
 
 # slack of every direct-evaluation check in this module
 PEAK_TOL = 1e-9
@@ -56,10 +61,8 @@ _MAX_ROUNDS = 64
 # refine it, so it changes the work done, not which constraints a
 # certificate satisfies
 _START_PHASES = 16
-# a grid symmetry must preserve every distance to this tolerance; the check
-# compares this many distance entries at a time
+# a grid symmetry must preserve every distance to this tolerance
 _ISOMETRY_TOL = 1e-12
-_BLOCK_ENTRIES = 2**18
 
 
 def scan_radius(space: CompactSpace, radius: float | None = None) -> float:
@@ -146,6 +149,14 @@ class BoundaryEstimate:
         return out
 
 
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first call: a scan that
+    needs no LP never loads scipy."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
+
+
 def _solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
     try:
         res = linprog(
@@ -166,7 +177,15 @@ def _solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
 
 
 def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate | None, float]:
-    """Run the peak LP at one radius as a working-set (Kelley) loop.
+    """Offer the Korovkin candidate, then run the peak LP at one radius as
+    a working-set (Kelley) loop.
+
+    The candidate is h = 1 - c q, with q = d(., x0)^2 and
+    c = 2 / (r^2 + max q), fitted onto the span by least squares. Where q
+    lies in the span, h pins x0, stays in (-1, 1] near it and has modulus
+    at most (max q - r^2) / (max q + r^2) at every far point. `_recheck`
+    accepts or refuses it like an LP solution, and a refused candidate
+    proves nothing.
 
     Returns (certificate-or-None, evidence). For a certificate the evidence
     is its exact margin: a certified lower bound on the best margin, found
@@ -185,9 +204,15 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     below DELTA_MIN.
     """
     b_mat = span.value_matrix
+    d = span.space.pairwise[x0]
+    q = d * d
+    korovkin = 1.0 - 2.0 / (r * r + q.max()) * q
+    cert = _recheck(span, x0, np.linalg.lstsq(b_mat, korovkin, rcond=None)[0], r)
+    if cert is not None:
+        return cert, cert.margin
+
     k = b_mat.shape[1]
     is_complex = span.space.field is Field.COMPLEX
-    d = span.space.pairwise[x0]
     far = d >= r
     others = np.argsort(d, kind="stable")
     others = others[others != x0]
@@ -388,7 +413,7 @@ def _accepted_generators(span: FunctionSpan) -> list[np.ndarray]:
     space = span.space
     d = space.pairwise
     n = space.n_points
-    rows = max(1, _BLOCK_ENTRIES // n)
+    rows = max(1, BLOCK_ENTRIES // n)
     out = []
     for g in space.generators:
         isometry = all(

@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import _ufuncs
 
 from .functions import ScalarFunction, evaluate, function_from_values
 from .space import DEFAULT_POINT_CAP, CompactSpace, Field, PointSet, SpaceKind
@@ -182,7 +181,10 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
 
 def _binom_pmf(n: int, x: np.ndarray) -> np.ndarray:
     """Rows C(n,k) x^k (1-x)^(n-k), k = 0..n, one per entry of x."""
-    # the Boost ufunc behind scipy.stats.binom.pmf, already loaded by scipy.optimize
+    # the Boost ufunc behind scipy.stats.binom.pmf; scipy.special loads only
+    # here, when a Bernstein kernel is built
+    from scipy.special import _ufuncs
+
     return _ufuncs._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None])
 
 

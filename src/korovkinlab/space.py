@@ -23,6 +23,11 @@ from .errors import ResourceLimitError
 # the dense pairwise distance matrix of this many points takes 2 GiB, the
 # memory budget of one grid; larger grids are refused before any n x n work
 DEFAULT_POINT_CAP = 2**14
+# work over the distance matrix goes this many entries at a time
+BLOCK_ENTRIES = 2**18
+# coordinates of distinct points that differ by more than this on an axis
+# differ by a gap whose square is a normal double
+_GAP_FLOOR = 1e-150
 
 
 def _check_point_count(kind: str, n_pts: int) -> None:
@@ -79,7 +84,9 @@ class CompactSpace:
         _check_point_count(self.kind.value, coords.shape[0])
         if not np.all(np.isfinite(coords)):
             raise ValueError("grid coordinates must be finite")
-        if len(np.unique(coords, axis=0)) != coords.shape[0]:
+        # equal rows sit next to each other in any lexicographic order
+        ordered = coords[np.lexsort(coords.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("grid points must be pairwise distinct")
         if self.field is Field.COMPLEX and coords.shape[1] != 2:
             raise ValueError("complex-field grids need 2-d coordinates")
@@ -124,10 +131,21 @@ class CompactSpace:
 
     @cached_property
     def pairwise(self) -> np.ndarray:
-        """Full Euclidean distance matrix."""
-        from scipy.spatial.distance import cdist
-
-        d = cdist(self.coords, self.coords)
+        """Full Euclidean distance matrix: the squared coordinate gaps summed
+        axis by axis, in scipy's `cdist` order, a block of rows at a time."""
+        c = self.coords
+        n = self.n_points
+        d = np.empty((n, n))
+        rows = max(1, BLOCK_ENTRIES // n)
+        for s in range(0, n, rows):
+            block = d[s : s + rows]
+            np.subtract(c[s : s + rows, 0, None], c[:, 0], out=block)
+            block *= block
+            for a in range(1, self.dim):
+                gap = c[s : s + rows, a, None] - c[:, a]
+                gap *= gap
+                block += gap
+            np.sqrt(block, out=block)
         d.setflags(write=False)
         return d
 
@@ -192,8 +210,15 @@ class CompactSpace:
         """Check that every point's nearest neighbour is at positive distance.
 
         Distinct coordinates can still be at distance 0.0 when the squared
-        difference underflows. The check builds no n x n array.
+        difference underflows. When the distinct coordinates on every axis
+        are more than _GAP_FLOOR apart, each pair of distinct points has a
+        gap whose square is a normal double, so every distance is positive;
+        only a grid failing that test asks a k-d tree for nearest
+        neighbours. The check builds no n x n array.
         """
+        gaps = np.diff(np.sort(self.coords, axis=0), axis=0)
+        if np.all((gaps == 0.0) | (gaps > _GAP_FLOOR)):
+            return
         from scipy.spatial import cKDTree
 
         nearest, _ = cKDTree(self.coords).query(self.coords, k=2)

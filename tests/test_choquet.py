@@ -250,17 +250,48 @@ STALL_CLOUD = make_custom_space(
 )
 
 
+def _count_lps(monkeypatch) -> list:
+    """Record one entry per `choquet.linprog` call from here on."""
+    import korovkinlab.choquet as choquet_mod
+
+    calls = []
+    real_linprog = choquet_mod.linprog
+
+    def counting_linprog(*args, **kwargs):
+        calls.append(1)
+        return real_linprog(*args, **kwargs)
+
+    monkeypatch.setattr(choquet_mod, "linprog", counting_linprog)
+    return calls
+
+
 class TestWorkingSetLoop:
-    def test_cloud_point_is_certified_not_indeterminate(self):
+    def test_cloud_point_is_certified_not_indeterminate(self, monkeypatch):
+        import korovkinlab.choquet as choquet_mod
+
         basis = ("const1", "z", "zbar", "|z|^2")
         span = FunctionSpan(tuple(named_function(n, STALL_CLOUD) for n in basis))
+        real_recheck = choquet_mod._recheck
+        offered = set()
+
+        def refuse_candidates(span_, i, coeffs, r):
+            # each point's first offer is the Korovkin candidate; refusing
+            # it sends the point through the cutting-plane loop
+            if i not in offered:
+                offered.add(i)
+                return None
+            return real_recheck(span_, i, coeffs, r)
+
+        monkeypatch.setattr(choquet_mod, "_recheck", refuse_candidates)
+        calls = _count_lps(monkeypatch)
         est = estimate_choquet_boundary(span, radius=0.4)
         assert est.counts() == {"Boundary": 8, "NotDetected": 0, "Indeterminate": 0}
+        assert len(calls) > 16  # point 1 alone takes more rounds than that
         for p in est.points:
             ok, why = verify_peak_certificate(span, p.certificate)
             assert ok, why
 
-    @pytest.mark.parametrize("basis", [("const1", "z"), ("const1", "z", "zbar", "|z|^2")])
+    @pytest.mark.parametrize("basis", [("const1", "z"), ("const1", "z", "zbar")])
     def test_labels_do_not_depend_on_directions(self, basis, monkeypatch):
         import korovkinlab.choquet as choquet_mod
 
@@ -289,9 +320,42 @@ class TestWorkingSetLoop:
 
         monkeypatch.setattr(choquet_mod, "_solve", solve)
         monkeypatch.setattr(choquet_mod, "_peak_search", search)
-        est = estimate_choquet_boundary(QUAD_SPAN)  # 101 points
-        assert est.counts()["Boundary"] == 101
+        # {1, x} holds no (x - x0)^2, so every point goes to the LP; its 101
+        # points fit the starting working set, so one LP settles each search
+        span = FunctionSpan(tuple(named_function(n, INTERVAL) for n in ("const1", "x")))
+        est = estimate_choquet_boundary(span)
+        assert est.counts() == {"Boundary": 2, "NotDetected": 99, "Indeterminate": 0}
         assert counts["search"] > 0 and counts["lp"] == counts["search"]
+
+
+# one grid of each factory kind, and clouds, with a span that holds
+# d(., x0)^2 for every x0
+_QUADRATIC_SPANS = {
+    "interval": (make_interval_grid(30), ("const1", "x", "x^2")),
+    "circle": (make_circle_grid(24), ("const1", "cos", "sin")),
+    "disc": (make_disc_grid(3, 8), ("const1", "z", "zbar", "|z|^2")),
+    "box2": (make_box_grid(2, 4), ("const1", "coord 1", "coord 2", "coord 1^2", "coord 2^2")),
+    "box3": (make_box_grid(3, 2), ("const1", "coord 1", "coord 2", "coord 3", "sum_sq")),
+    "complex_cloud": (STALL_CLOUD, ("const1", "z", "zbar", "|z|^2")),
+    "real_cloud": (
+        make_custom_space(np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 2))),
+        ("const1", "coord 1", "coord 2", "sum_sq"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_QUADRATIC_SPANS))
+def test_quadratic_span_is_certified_without_an_lp(kind, monkeypatch):
+    """1 - c d(., x0)^2 peaks at every point, so no LP is solved."""
+    grid, basis = _QUADRATIC_SPANS[kind]
+    span = FunctionSpan(tuple(named_function(n, grid) for n in basis))
+    calls = _count_lps(monkeypatch)
+    est = estimate_choquet_boundary(span)
+    assert est.counts()["Boundary"] == grid.n_points
+    assert calls == []
+    for p in est.points:
+        ok, why = verify_peak_certificate(span, p.certificate)
+        assert ok, why
 
 
 class TestOrbitScan:
@@ -302,17 +366,17 @@ class TestOrbitScan:
 
         cfg = get_preset("example43_disc")
         span = build_spans(cfg, build_spaces(cfg))["hermitian"]
-        calls = []
-        real_linprog = choquet_mod.linprog
+        searches = []
+        real_search = choquet_mod._peak_search
 
-        def counting_linprog(*args, **kwargs):
-            calls.append(1)
-            return real_linprog(*args, **kwargs)
+        def counting_search(span_, x0, *args, **kwargs):
+            searches.append(x0)
+            return real_search(span_, x0, *args, **kwargs)
 
-        monkeypatch.setattr(choquet_mod, "linprog", counting_linprog)
+        monkeypatch.setattr(choquet_mod, "_peak_search", counting_search)
         est = estimate_choquet_boundary(span)
         assert est.counts() == {"Boundary": 257, "NotDetected": 0, "Indeterminate": 0}
-        assert len(calls) <= 40
+        assert len(searches) == 9
         assert len({p.source for p in est.points}) == 9  # the center and 8 rings
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korovkinlab import ConfigError, KernelOperator
+from korovkinlab import CompactSpace, ConfigError, KernelOperator
 from korovkinlab.cli import build_parser, main
 from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.operators import FAMILIES
@@ -252,12 +252,10 @@ class TestKorovkinRun:
         assert err.startswith("error: experiment.indices:") and err.count("\n") == 1
 
     def test_over_cap_interval_grid_exit_1(self, tmp_path, capsys, monkeypatch):
-        import scipy.spatial.distance
-
-        def no_matrix(*args):
+        def no_pairwise(space):
             raise AssertionError("pairwise distances computed")
 
-        monkeypatch.setattr(scipy.spatial.distance, "cdist", no_matrix)
+        monkeypatch.setattr(CompactSpace, "pairwise", property(no_pairwise))
         cfg = get_preset("example41_bernstein")
         # 2**14 + 1 points; 10**12 + 1 points, whose coordinates alone take 8 TB
         for m in (2**14, 10**12):
@@ -637,22 +635,45 @@ class TestPresets:
         assert run_cli("korovkin", "run", "--preset", "nope") == 1
 
     def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
-        # a fresh interpreter: other tests load scipy.stats in this one
-        child = (
-            "import json, sys\n"
-            "from korovkinlab.cli import main\n"
-            "codes = [main(['korovkin', 'run', '--preset', p, '--out', sys.argv[1] + '/' + p])\n"
-            "         for p in ('example41_bernstein', 'example42_tensor')]\n"
-            "print(json.dumps([codes, 'scipy.stats' in sys.modules]))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0], False]
+        # the kernels need scipy.special alone: no stats, no LP, no k-d tree
+        commands = [
+            ["korovkin", "run", "--preset", "example41_bernstein"],
+            ["korovkin", "run", "--preset", "example42_tensor"],
+        ]
+        codes, loaded = _fresh_run(commands, tmp_path)
+        assert codes == [0, 0]
+        assert not {"scipy.stats", "scipy.optimize", "scipy.spatial"} & set(loaded)
+
+    def test_disc_runs_load_no_scipy(self, tmp_path):
+        # the Korovkin candidate certifies every disc point, so no LP is solved
+        commands = [
+            ["korovkin", "run", "--preset", "example43_disc"],
+            ["choquet", "--preset", "example43_disc"],
+        ]
+        codes, loaded = _fresh_run(commands, tmp_path)
+        assert codes == [0, 0]
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def _fresh_run(commands: list[list[str]], out) -> tuple[list[int], list[str]]:
+    """Run CLI commands through `main` in a fresh interpreter (other tests
+    load scipy in this one); returns their exit codes and every module the
+    child then holds."""
+    child = (
+        "import json, sys\n"
+        "from korovkinlab.cli import main\n"
+        "commands = json.loads(sys.argv[2])\n"
+        "codes = [main([*c, '--out', f'{sys.argv[1]}/{i}']) for i, c in enumerate(commands)]\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(out), json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return tuple(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def _long_flags(parser: argparse.ArgumentParser, path: tuple[str, ...]) -> set[str]:

@@ -141,14 +141,58 @@ class TestMetricInvariants:
         off = d + 10.0 * np.eye(grid.n_points)
         assert off.min() > 0.0
 
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            make_interval_grid(1),
+            make_interval_grid(1000),
+            make_circle_grid(144),
+            make_disc_grid(8, 32),
+            make_box_grid(2, 8),
+            make_box_grid(4, 3),
+            make_custom_space(np.random.default_rng(3).normal(size=(96, 2)) * 1e3),
+            make_custom_space(np.random.default_rng(4).normal(size=(40, 5))),
+        ],
+        ids=lambda g: g.id,
+    )
+    def test_pairwise_is_cdist_bit_for_bit(self, grid):
+        from scipy.spatial.distance import cdist
+
+        want = cdist(grid.coords, grid.coords)
+        assert np.array_equal(grid.pairwise.view(np.uint64), want.view(np.uint64))
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             make_custom_space([[0.0], [0.5], [0.5]])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]],
+            [[1.0, 2.0], [1.0, 3.0], [1.0, 2.0]],
+            [[0.0, 1.0], [-0.0, 1.0]],
+        ],
+    )
+    def test_duplicate_rows_rejected(self, pts):
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            make_custom_space(pts)
 
     def test_underflowing_distance_rejected(self):
         # distinct points whose squared difference underflows to distance 0
         with pytest.raises(ValueError, match="positive distance"):
             make_custom_space([[0.0], [1e-200]])
+
+    def test_tiny_gap_on_one_axis_is_accepted(self):
+        # x differs by an underflowing amount, y by 5: the k-d tree decides
+        grid = make_custom_space([[0.0, 0.0], [1e-200, 5.0]])
+        assert grid.pairwise[0, 1] == 5.0
+
+    def test_underflowing_pair_apart_in_every_axis_order_is_refused(self):
+        # points 0 and 1 are at distance 0.0, and on each axis another
+        # point sorts between them
+        pts = [[0.0, 0.0], [1e-200, 1e-200], [5e-201, 5.0], [5.0, 5e-201]]
+        with pytest.raises(ValueError, match="positive distance"):
+            make_custom_space(pts)
 
     def test_underflowing_distance_rejected_above_pairwise_limit(self):
         # 4097 points: the nearest-neighbour check still sees the pair
