@@ -4,15 +4,18 @@ A configuration names its grids, spans, operator family, and experiment
 parameters; cross-references are by name. ``load_config`` validates against
 the published schema and ``build_*`` functions turn validated blocks into
 package objects, raising ConfigError with the offending field path.
+
+A configuration that conforms is accepted by a small evaluator of the
+schema's own keywords; jsonschema is imported only to word a rejection.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .choquet import scan_radius
 from .engine import ExperimentConfig
@@ -177,16 +180,105 @@ CONFIG_SCHEMA = {
     },
 }
 
-# built once: jsonschema.validate re-checks the schema itself on every call
-_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    """JSON Schema's ``integer``, read as an integer literal: 2.0 is not one,
+    since the grid and kernel builders need a Python int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    "integer": _is_integer,
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality: true is not 1, and containers compare item by item."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+# keyword -> whether (instance, keyword value, enclosing schema) passes it; a
+# keyword that constrains one JSON type passes every instance of another
+_KEYWORDS = {
+    "$schema": lambda x, v, s: True,
+    "type": lambda x, v, s: _TYPES[v](x),
+    "const": lambda x, v, s: _equal(x, v),
+    "enum": lambda x, v, s: any(_equal(e, x) for e in v),
+    "anyOf": lambda x, v, s: any(_conforms(x, t) for t in v),
+    "allOf": lambda x, v, s: all(_conforms(x, t) for t in v),
+    "if": lambda x, v, s: not _conforms(x, v) or _conforms(x, s.get("then", True)),
+    "then": lambda x, v, s: True,  # read by "if"
+    "required": lambda x, v, s: not isinstance(x, dict) or all(k in x for k in v),
+    "properties": lambda x, v, s: not isinstance(x, dict)
+    or all(_conforms(x[k], t) for k, t in v.items() if k in x),
+    "additionalProperties": lambda x, v, s: not isinstance(x, dict)
+    or all(_conforms(x[k], v) for k in x if k not in s.get("properties", {})),
+    "minProperties": lambda x, v, s: not isinstance(x, dict) or len(x) >= v,
+    "items": lambda x, v, s: not isinstance(x, list) or all(_conforms(y, v) for y in x),
+    "minItems": lambda x, v, s: not isinstance(x, list) or len(x) >= v,
+    "minimum": lambda x, v, s: not _is_number(x) or not x < v,
+    "exclusiveMinimum": lambda x, v, s: not _is_number(x) or not x <= v,
+}
+
+
+def _conforms(instance, schema) -> bool:
+    """Whether ``instance`` is valid under ``schema``, a JSON Schema that
+    uses only the keywords in ``_KEYWORDS``; any other keyword raises
+    ValueError, so that a schema edit cannot be skipped silently."""
+    if isinstance(schema, bool):
+        return schema
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise ValueError(f"schema keyword {key!r} has no evaluator")
+        if not _KEYWORDS[key](instance, value, schema):
+            return False
+    return True
+
+
+@functools.cache
+def _validators():
+    """jsonschema's validators of ``CONFIG_SCHEMA``: its own reading, then
+    the strict one, which reads ``integer`` as ``_is_integer`` does."""
+    import jsonschema
+
+    base = jsonschema.Draft202012Validator
+    checker = base.TYPE_CHECKER.redefine("integer", lambda _, x: _is_integer(x))
+    strict = jsonschema.validators.extend(base, type_checker=checker)
+    return base(CONFIG_SCHEMA), strict(CONFIG_SCHEMA)
 
 
 def validate_config(cfg: dict) -> dict:
     """Schema-validate a configuration dict; returns it on success."""
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if exc is not None:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}")
+    if not _conforms(cfg, CONFIG_SCHEMA):
+        from jsonschema.exceptions import best_match
+
+        # jsonschema's own reading first, so that a configuration it refuses
+        # is worded as it always was; the strict one words the integral
+        # floats that only it refuses
+        for validator in _validators():
+            exc = best_match(validator.iter_errors(cfg))
+            if exc is not None:
+                path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
+                raise ConfigError(f"config field {path}: {exc.message}")
     version = cfg["version"]
     if version != SCHEMA_VERSION:
         raise ConfigError(

@@ -132,20 +132,24 @@ class CompactSpace:
     @cached_property
     def pairwise(self) -> np.ndarray:
         """Full Euclidean distance matrix: the squared coordinate gaps summed
-        axis by axis, in scipy's `cdist` order, a block of rows at a time."""
+        axis by axis, in scipy's `cdist` order, a block of rows at a time.
+        Each block is computed from its first row's column on and mirrored
+        below the diagonal: (a - b)² and (b - a)² are the same double."""
         c = self.coords
         n = self.n_points
         d = np.empty((n, n))
         rows = max(1, BLOCK_ENTRIES // n)
         for s in range(0, n, rows):
-            block = d[s : s + rows]
-            np.subtract(c[s : s + rows, 0, None], c[:, 0], out=block)
+            e = min(s + rows, n)
+            block = d[s:e, s:]
+            np.subtract(c[s:e, 0, None], c[s:, 0], out=block)
             block *= block
             for a in range(1, self.dim):
-                gap = c[s : s + rows, a, None] - c[:, a]
+                gap = c[s:e, a, None] - c[s:, a]
                 gap *= gap
                 block += gap
             np.sqrt(block, out=block)
+            d[e:, s:e] = d[s:e, e:].T
         d.setflags(write=False)
         return d
 

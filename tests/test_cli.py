@@ -205,6 +205,20 @@ class TestKorovkinRun:
         assert "experiment.indices" in err
 
     @pytest.mark.parametrize(
+        "preset, space, key, value",
+        [("example43_disc", "D", "rings", 2.0), ("example41_bernstein", "I", "m", 16.0)],
+    )
+    def test_integral_float_for_integer_exit_1(self, tmp_path, capsys, preset, space, key, value):
+        # `integer` means an integer literal: the grid builders need an int
+        cfg = get_preset(preset)
+        cfg["spaces"][space][key] = value
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: config field spaces.{space}.{key}: {value} is not of type 'integer'\n"
+        )
+
+    @pytest.mark.parametrize(
         "content",
         [
             b'{"version": 1, "name": "caf\xe9"}',
@@ -640,7 +654,7 @@ class TestPresets:
             ["korovkin", "run", "--preset", "example41_bernstein"],
             ["korovkin", "run", "--preset", "example42_tensor"],
         ]
-        codes, loaded = _fresh_run(commands, tmp_path)
+        codes, loaded, _ = _fresh_run(commands, tmp_path)
         assert codes == [0, 0]
         assert not {"scipy.stats", "scipy.optimize", "scipy.spatial"} & set(loaded)
 
@@ -650,15 +664,37 @@ class TestPresets:
             ["korovkin", "run", "--preset", "example43_disc"],
             ["choquet", "--preset", "example43_disc"],
         ]
-        codes, loaded = _fresh_run(commands, tmp_path)
+        codes, loaded, _ = _fresh_run(commands, tmp_path)
         assert codes == [0, 0]
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
+    def test_preset_runs_load_no_jsonschema(self, tmp_path):
+        # a configuration that conforms is accepted without jsonschema
+        commands = [
+            [*command, "--preset", name]
+            for name in sorted(preset_names())
+            for command in (["korovkin", "run"], ["choquet"])
+        ]
+        codes, loaded, _ = _fresh_run(commands, tmp_path)
+        assert codes == [0] * len(commands)
+        assert not {"jsonschema", "referencing"} & set(loaded)
 
-def _fresh_run(commands: list[list[str]], out) -> tuple[list[int], list[str]]:
+    def test_rejection_imports_jsonschema_to_word_it(self, tmp_path):
+        cfg = get_preset("example41_bernstein")
+        cfg["surprise"] = 1
+        path = write_config(tmp_path, cfg)
+        codes, loaded, err = _fresh_run([["korovkin", "run", "--config", path]], tmp_path)
+        assert codes == [1] and "jsonschema" in loaded
+        assert err == (
+            "error: config field <root>: Additional properties are not allowed"
+            " ('surprise' was unexpected)\n"
+        )
+
+
+def _fresh_run(commands: list[list[str]], out) -> tuple[list[int], list[str], str]:
     """Run CLI commands through `main` in a fresh interpreter (other tests
-    load scipy in this one); returns their exit codes and every module the
-    child then holds."""
+    load scipy in this one); returns their exit codes, every module the
+    child then holds, and its stderr."""
     child = (
         "import json, sys\n"
         "from korovkinlab.cli import main\n"
@@ -673,7 +709,8 @@ def _fresh_run(commands: list[list[str]], out) -> tuple[list[int], list[str]]:
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return tuple(json.loads(proc.stdout.splitlines()[-1]))
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return codes, loaded, proc.stderr
 
 
 def _long_flags(parser: argparse.ArgumentParser, path: tuple[str, ...]) -> set[str]:

@@ -1,16 +1,40 @@
+import copy
+import math
+import runpy
+from pathlib import Path
+
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korovkinlab import ConfigError, Field
 from korovkinlab.config import (
+    _KEYWORDS,
     CONFIG_SCHEMA,
+    _conforms,
     build_experiment,
     build_space,
     build_spans,
     build_spaces,
     validate_config,
 )
-from korovkinlab.presets import get_preset
+from korovkinlab.operators import FAMILIES
+from korovkinlab.presets import get_preset, preset_names
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PERTURBED_CONFIG = {
+    "version": 1,
+    "spaces": {"T": {"kind": "circle", "m": 16}},
+    "spans": {"analytic": {"space": "T", "basis": ["const1", "z"]}},
+    "family": {
+        "name": "perturbed_composition",
+        "space": "T",
+        "params": {"phi": {"type": "rotation", "steps": 2}, "eps": "1/n^2"},
+    },
+    "experiment": {"test_span": "analytic", "indices": [1, 2, 4]},
+}
 
 
 class TestSchemaValidation:
@@ -108,18 +132,7 @@ class TestBuilders:
         assert spans["analytic"].self_conjugate
 
     def test_perturbed_family_from_config(self):
-        cfg = {
-            "version": 1,
-            "spaces": {"T": {"kind": "circle", "m": 16}},
-            "spans": {"analytic": {"space": "T", "basis": ["const1", "z"]}},
-            "family": {
-                "name": "perturbed_composition",
-                "space": "T",
-                "params": {"phi": {"type": "rotation", "steps": 2}, "eps": "1/n^2"},
-            },
-            "experiment": {"test_span": "analytic", "indices": [1, 2, 4]},
-        }
-        built = build_experiment(validate_config(cfg))
+        built = build_experiment(validate_config(copy.deepcopy(PERTURBED_CONFIG)))
         op = built.experiment.family.operator(2)
         assert op.t_one_values == pytest.approx(1.0)
 
@@ -128,3 +141,179 @@ class TestBuilders:
         cfg["experiment"]["probes"] = ["x", "runge"]
         built = build_experiment(validate_config(cfg))
         assert [p.name for p in built.experiment.probes] == ["x", "runge"]
+
+
+# the keywords whose values are subschemas, and how to reach them
+_SUBSCHEMAS = {
+    "properties": lambda v: v.values(),
+    "anyOf": list,
+    "allOf": list,
+    "items": lambda v: [v],
+    "additionalProperties": lambda v: [v],
+    "if": lambda v: [v],
+    "then": lambda v: [v],
+}
+
+
+def _schema_walk(schema):
+    """Every (keyword, value) pair of a schema and of its subschemas."""
+    if isinstance(schema, bool):
+        return
+    for key, value in schema.items():
+        yield key, value
+        for sub in _SUBSCHEMAS.get(key, lambda v: [])(value):
+            yield from _schema_walk(sub)
+
+
+def _workload_configs():
+    generate = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["generate"]
+    names = ("disc_preset", "tensor_convergence", "cloud_reject", "cloud_accept")
+    return [generate(name, 1).config for name in names]
+
+
+# jsonschema's validator with `integer` read as an integer literal, built
+# here rather than taken from config, so that the guard does not share it
+_STRICT = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: type(x) is int
+    ),
+)(CONFIG_SCHEMA)
+
+# every optional field the other seeds leave out, so that each keyword is reached
+_FULL_CONFIG = {
+    "version": 1,
+    "name": "full",
+    "spaces": {
+        "C": {"kind": "custom", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]], "field": "complex"}
+    },
+    "spans": {"a": {"space": "C", "basis": ["const1", "z"], "conjugate_close": True}},
+    "family": {
+        "name": "perturbed_composition",
+        "space": "C",
+        "params": {"phi": {"map": [1, 2, 3, 0]}, "mix": "mean", "eps": [0.5, 0.25]},
+        "tamper": {"target_index": 1, "node_index": 0, "value": 0.5},
+    },
+    "experiment": {
+        "test_span": "a",
+        "probes": ["z"],
+        "indices": [1, 2],
+        "seed": 3,
+        "tolerances": {"abs_threshold": 0.05, "improvement_factor": 2.0},
+        "choquet": {"radius": 0.5},
+    },
+    "output": {"dir": "out"},
+}
+
+_SEED_CONFIGS = [
+    *(get_preset(name) for name in sorted(preset_names())),
+    *_workload_configs(),
+    PERTURBED_CONFIG,
+    _FULL_CONFIG,
+]
+_WALK = list(_schema_walk(CONFIG_SCHEMA))
+# the values the schema names (kinds, families, ...), and edge values of each JSON type
+_NAMES = sorted({e for k, v in _WALK if k == "enum" for e in v} | {v for k, v in _WALK if k == "const"})
+_EDGES = [None, True, False, 0, 1, -1, 2.0, 0.5, math.nan, "", "x", [], {}, [1]]
+_KEYS = sorted({name for k, v in _WALK if k == "properties" for name in v}) + ["surprise"]
+
+
+def _paths(x, path=()):
+    """The path to every node, reading only the first two items of a list."""
+    yield path
+    children = x.items() if isinstance(x, dict) else enumerate(x[:2]) if isinstance(x, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+_DROP = object()
+
+
+def _at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _edit(cfg, path, value):
+    """``cfg`` with its node at ``path`` replaced by ``value``, or removed
+    if ``value`` is _DROP (the root is never removed)."""
+    if not path:
+        return cfg if value is _DROP else value
+    parent = _at(cfg, path[:-1])
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return cfg
+
+
+@st.composite
+def _mutants(draw):
+    """A seed configuration after one or two edits: a node replaced by an
+    edge value, a schema name or a copy of another node; a node removed;
+    a key added; or an item appended."""
+    cfg = copy.deepcopy(draw(st.sampled_from(_SEED_CONFIGS)))
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(cfg))
+        path = draw(st.sampled_from(paths))
+        node = _at(cfg, path)
+        edit = draw(st.sampled_from(["edge", "name", "copy", "drop", "add", "append"]))
+        if edit == "copy":
+            value = _at(cfg, draw(st.sampled_from(paths)))
+        else:
+            value = draw(st.sampled_from(_NAMES if edit == "name" else _EDGES))
+        value = copy.deepcopy(value)
+        if edit == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(_KEYS))] = value
+        elif edit == "append" and isinstance(node, list):
+            node.append(value)
+        elif edit in ("edge", "name", "copy", "drop"):
+            cfg = _edit(cfg, path, _DROP if edit == "drop" else value)
+    return cfg
+
+
+class TestKeywordEvaluator:
+    """The evaluator that accepts configurations agrees with jsonschema."""
+
+    def test_schemas_use_only_evaluated_keywords(self):
+        for schema in [CONFIG_SCHEMA, *(f.params for f in FAMILIES.values())]:
+            assert {k for k, _ in _schema_walk(schema)} <= set(_KEYWORDS)
+
+    @pytest.mark.parametrize(
+        "schema, instance",
+        [
+            ({"pattern": "x"}, "x"),
+            ({"type": "string", "maxLength": 3}, "x"),
+            ({"properties": {"a": {"format": "uri"}}}, {"a": "b"}),
+        ],
+    )
+    def test_unknown_keyword_raises(self, schema, instance):
+        with pytest.raises(ValueError, match="has no evaluator"):
+            _conforms(instance, schema)
+
+    def test_seed_configs_conform(self):
+        for cfg in _SEED_CONFIGS:
+            assert _conforms(cfg, CONFIG_SCHEMA)
+
+    @settings(max_examples=500)
+    @given(_mutants())
+    def test_agrees_with_jsonschema(self, cfg):
+        assert _conforms(cfg, CONFIG_SCHEMA) == _STRICT.is_valid(cfg)
+
+    @pytest.mark.parametrize("seed", [_FULL_CONFIG, PERTURBED_CONFIG], ids=["full", "perturbed"])
+    def test_agrees_on_every_single_edit(self, seed):
+        # each node replaced by each edge value and schema name, or removed
+        for path in list(_paths(seed)):
+            for value in [*_EDGES, *_NAMES, _DROP]:
+                cfg = _edit(copy.deepcopy(seed), path, value)
+                assert _conforms(cfg, CONFIG_SCHEMA) == _STRICT.is_valid(cfg), (path, value)
+
+    @pytest.mark.parametrize(
+        "a, b, equal",
+        [(True, 1, False), (0, False, False), (1, 1.0, True), ([True], [1], False),
+         ({"a": [1, "x"]}, {"a": [1, "x"]}, True), ({"a": 1}, {"b": 1}, False)],
+    )
+    def test_const_follows_json_equality(self, a, b, equal):
+        assert _conforms(a, {"const": b}) is equal
+        assert _STRICT.evolve(schema={"const": b}).is_valid(a) is equal
