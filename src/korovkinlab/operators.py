@@ -9,6 +9,10 @@ are evaluation rules, so node evaluation is exact.
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
+import types
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -181,11 +185,39 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
 
 def _binom_pmf(n: int, x: np.ndarray) -> np.ndarray:
     """Rows C(n,k) x^k (1-x)^(n-k), k = 0..n, one per entry of x."""
-    # the Boost ufunc behind scipy.stats.binom.pmf; scipy.special loads only
-    # here, when a Bernstein kernel is built
-    from scipy.special import _ufuncs
+    # the Boost ufunc behind scipy.stats.binom.pmf, from the compiled
+    # extension alone: scipy.special's package init is not run
+    return _load_ufuncs()._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None])
 
-    return _ufuncs._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None])
+
+def _load_ufuncs() -> types.ModuleType:
+    """scipy.special's compiled `_ufuncs` extension, loaded without running
+    scipy/special/__init__.py, whose array-API backends, numpy.f2py and
+    docstring parsing no kernel uses.
+
+    An already loaded extension is returned as it is. Otherwise a bare
+    package with scipy's `special` directory as its path stands in for
+    scipy.special while the extension and its sibling extensions import,
+    and is removed again, so a later `import scipy.special` runs the real
+    init, which reuses the loaded extension. `scipy.__dict__` is popped
+    rather than read: scipy's lazy `__getattr__` would import the full
+    package. Swapping the `sys.modules` entry assumes a single-threaded
+    import, which holds for every caller. This relies on scipy's private
+    extension layout; a release that changes it fails here, loudly.
+    """
+    ufuncs = sys.modules.get("scipy.special._ufuncs")
+    if ufuncs is not None:
+        return ufuncs
+    import scipy
+
+    package = types.ModuleType("scipy.special")
+    package.__path__ = [os.path.join(scipy.__path__[0], "special")]
+    sys.modules["scipy.special"] = package
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        del sys.modules["scipy.special"]
+        scipy.__dict__.pop("special", None)
 
 
 def _fejer_kernel(s: np.ndarray, n: int) -> np.ndarray:

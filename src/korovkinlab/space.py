@@ -25,6 +25,9 @@ from .errors import ResourceLimitError
 DEFAULT_POINT_CAP = 2**14
 # work over the distance matrix goes this many entries at a time
 BLOCK_ENTRIES = 2**18
+# the distance matrix is mirrored below its diagonal at least this many
+# columns at a time: a narrower strip writes a few doubles per page it touches
+MIRROR_COLUMNS = 256
 # coordinates of distinct points that differ by more than this on an axis
 # differ by a gap whose square is a normal double
 _GAP_FLOOR = 1e-150
@@ -133,23 +136,28 @@ class CompactSpace:
     def pairwise(self) -> np.ndarray:
         """Full Euclidean distance matrix: the squared coordinate gaps summed
         axis by axis, in scipy's `cdist` order, a block of rows at a time.
-        Each block is computed from its first row's column on and mirrored
-        below the diagonal: (a - b)² and (b - a)² are the same double."""
+        The rows go in strips of at least MIRROR_COLUMNS; each block is
+        computed from its strip's first column on, and each strip is then
+        mirrored below the diagonal: (a - b)² and (b - a)² are the same
+        double."""
         c = self.coords
         n = self.n_points
         d = np.empty((n, n))
         rows = max(1, BLOCK_ENTRIES // n)
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
-            block = d[s:e, s:]
-            np.subtract(c[s:e, 0, None], c[s:, 0], out=block)
-            block *= block
-            for a in range(1, self.dim):
-                gap = c[s:e, a, None] - c[s:, a]
-                gap *= gap
-                block += gap
-            np.sqrt(block, out=block)
-            d[e:, s:e] = d[s:e, e:].T
+        width = max(rows, MIRROR_COLUMNS)
+        for m in range(0, n, width):
+            f = min(m + width, n)
+            for s in range(m, f, rows):
+                e = min(s + rows, f)
+                block = d[s:e, m:]
+                np.subtract(c[s:e, 0, None], c[m:, 0], out=block)
+                block *= block
+                for a in range(1, self.dim):
+                    gap = c[s:e, a, None] - c[m:, a]
+                    gap *= gap
+                    block += gap
+                np.sqrt(block, out=block)
+            d[f:, m:f] = d[m:f, f:].T
         d.setflags(write=False)
         return d
 

@@ -658,6 +658,19 @@ class TestPresets:
         assert codes == [0, 0]
         assert not {"scipy.stats", "scipy.optimize", "scipy.spatial"} & set(loaded)
 
+    def test_bernstein_runs_skip_scipy_special_init(self, tmp_path):
+        # the kernels load the compiled _ufuncs extension alone, not the
+        # array-API backends and numpy.f2py of scipy/special/__init__.py
+        commands = [
+            ["korovkin", "run", "--preset", "example41_bernstein"],
+            ["korovkin", "run", "--preset", "example42_tensor"],
+        ]
+        codes, loaded, _ = _fresh_run(commands, tmp_path)
+        assert codes == [0, 0]
+        assert "scipy.special._ufuncs" in loaded
+        init_only = {"scipy.special._support_alternative_backends", "scipy._lib._array_api", "numpy.f2py"}
+        assert not init_only & set(loaded)
+
     def test_disc_runs_load_no_scipy(self, tmp_path):
         # the Korovkin candidate certifies every disc point, so no LP is solved
         commands = [

@@ -1,6 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,11 +37,12 @@ from korovkinlab import (
     sup_norm,
     tensor_bernstein,
 )
-from korovkinlab.operators import KERNEL_BUDGET, _binom_pmf, eps_schedule
+from korovkinlab.operators import KERNEL_BUDGET, _binom_pmf, _load_ufuncs, eps_schedule
 from korovkinlab.space import DEFAULT_POINT_CAP
 
 from oracles import bernstein_exact, fejer_fourier, mollifier_loop
 
+ROOT = Path(__file__).resolve().parent.parent
 INTERVAL = make_interval_grid(100)
 CIRCLE32 = make_circle_grid(32)
 
@@ -99,6 +105,62 @@ class TestBernstein:
             want = binom.pmf(np.arange(n + 1)[None, :], n, x[:, None])
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"n={n}"
+
+
+class TestUfuncLoader:
+    # Both run in a fresh interpreter: this one has usually imported the
+    # full scipy.special already, and then the loader only reuses it.
+
+    def test_full_scipy_coexists_after_a_kernel_build(self):
+        _fresh_python("""
+            import sys
+            import numpy as np
+            from korovkinlab import make_box_grid, tensor_bernstein
+
+            box = make_box_grid(2, 8)
+            op = tensor_bernstein(256, box)
+            used = sys.modules["scipy.special._ufuncs"]
+            import scipy
+            assert "scipy.special" not in sys.modules  # the stand-in package is gone
+            assert "special" not in vars(scipy)
+
+            import scipy.optimize, scipy.special, scipy.stats
+
+            assert scipy.special._ufuncs is used
+            assert scipy.special._ufuncs._binom_pmf is used._binom_pmf
+            assert scipy.special.gamma(5.0) == 24.0
+            lp = scipy.optimize.linprog([1, 1], A_ub=[[-1, -2]], b_ub=[-2])
+            assert lp.status == 0
+            k = np.arange(257)
+            pmf = [scipy.stats.binom.pmf(k[None, :], 256, box.coords[:, d, None]) for d in (0, 1)]
+            want = np.einsum("ia,ib->iab", *pmf).reshape(81, -1)
+            assert np.array_equal(op.weights.view(np.uint64), want.view(np.uint64))
+        """)
+
+    def test_a_loaded_scipy_special_is_reused(self):
+        _fresh_python("""
+            import sys
+            import scipy.special
+            from korovkinlab import make_interval_grid, bernstein
+            from korovkinlab.operators import _load_ufuncs
+
+            full = scipy.special._ufuncs
+            assert _load_ufuncs() is full
+            bernstein(8, make_interval_grid(10))
+            assert sys.modules["scipy.special"] is scipy.special
+            assert sys.modules["scipy.special._ufuncs"] is full
+        """)
+
+
+def _fresh_python(code: str) -> None:
+    """Run a script in a fresh interpreter with korovkinlab importable."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFejer:
@@ -557,7 +619,7 @@ class TestKernelOperatorValidation:
         assert not w.flags.writeable
 
     def test_build_holds_the_weights_once(self):
-        import scipy.special  # noqa: F401  # the first build imports it; keep that out of the peak
+        _load_ufuncs()  # the first build loads the ufunc extension; keep that out of the peak
 
         box = make_box_grid(2, 8)
         tracemalloc.start()

@@ -16,6 +16,7 @@ from korovkinlab import (
     make_interval_grid,
     open_ball,
 )
+import korovkinlab.space as space_module
 from korovkinlab.space import DEFAULT_POINT_CAP
 
 
@@ -158,6 +159,19 @@ class TestMetricInvariants:
     def test_pairwise_is_cdist_bit_for_bit(self, grid):
         from scipy.spatial.distance import cdist
 
+        want = cdist(grid.coords, grid.coords)
+        assert np.array_equal(grid.pairwise.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("entries, columns", [(4000, 64), (2**18, 7), (1, 1)])
+    def test_pairwise_in_strips_is_cdist_bit_for_bit(self, monkeypatch, entries, columns):
+        # the grids above fit one block; here blocks of 3, 261 and 1 rows
+        # fill strips of 64, 261 and 1 columns of the 1001 points, the first
+        # two with a narrower last strip
+        from scipy.spatial.distance import cdist
+
+        monkeypatch.setattr(space_module, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(space_module, "MIRROR_COLUMNS", columns)
+        grid = make_disc_grid(20, 50)
         want = cdist(grid.coords, grid.coords)
         assert np.array_equal(grid.pairwise.view(np.uint64), want.view(np.uint64))
 
