@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import SolverError
 from .functions import FunctionSpan
-from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet
+from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet, open_ball
 
 # slack of every direct-evaluation check in this module
 PEAK_TOL = 1e-9
@@ -157,12 +157,26 @@ def linprog(*args, **kwargs):
     return highs(*args, **kwargs)
 
 
+def _lp_rows(g: np.ndarray, field: Field) -> np.ndarray:
+    """Real LP rows of the complex rows g: row i times the LP variables is
+    Re(g[i] @ c) for span coefficients c. The variables are (Re c, Im c) on
+    a complex grid and c on a real one. A row e^{-i phi} b(y), with b(y) the
+    basis values at y, gives Re(e^{-i phi} h(y)) for h = b @ c."""
+    return np.hstack([g.real, -g.imag]) if field is Field.COMPLEX else g.real
+
+
+def _lp_coeffs(x: np.ndarray, k: int, field: Field) -> np.ndarray:
+    """The k span coefficients that an LP solution x holds in its leading
+    variables, as laid out by `_lp_rows`."""
+    return x[:k] + 1j * x[k : 2 * k] if field is Field.COMPLEX else x[:k]
+
+
 def _solve(c, A_ub, b_ub, A_eq, b_eq, bounds):
     try:
         res = linprog(
             c,
-            A_ub=A_ub if A_ub is not None and len(A_ub) else None,
-            b_ub=b_ub if b_ub is not None and len(b_ub) else None,
+            A_ub=A_ub,
+            b_ub=b_ub,
             A_eq=A_eq,
             b_eq=b_eq,
             bounds=bounds,
@@ -212,12 +226,12 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
         return cert, cert.margin
 
     k = b_mat.shape[1]
-    is_complex = span.space.field is Field.COMPLEX
+    field = span.space.field
     far = d >= r
     others = np.argsort(d, kind="stable")
     others = others[others != x0]
 
-    if is_complex:
+    if field is Field.COMPLEX:
         phases = 2.0 * np.pi * np.arange(_START_PHASES) / _START_PHASES
     else:
         phases = np.array([0.0, np.pi])
@@ -228,15 +242,13 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
 
     def rows(y, phase):
         g = np.exp(-1j * phase)[:, None] * b_mat[y]
-        parts = [g.real, -g.imag] if is_complex else [g.real]
-        return np.column_stack(parts + [far[y]])
+        return np.column_stack([_lp_rows(g, field), far[y]])
 
+    # Re h(x0) = 1, and Im h(x0) = Re(-i h(x0)) = 0 on a complex grid
     b0 = b_mat[x0]
-    if is_complex:
-        a_eq = np.vstack([np.r_[b0.real, -b0.imag, 0.0], np.r_[b0.imag, b0.real, 0.0]])
-        b_eq = [1.0, 0.0]
-    else:
-        a_eq, b_eq = np.r_[b0, 0.0][None, :], [1.0]
+    pins = np.array([b0, -1j * b0] if field is Field.COMPLEX else [b0])
+    a_eq = np.column_stack([_lp_rows(pins, field), np.zeros(len(pins))])
+    b_eq = [1.0, 0.0][: len(pins)]
     n_var = a_eq.shape[1]
     obj = np.zeros(n_var)
     obj[-1] = -1.0
@@ -250,7 +262,7 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
         delta_lp = float(res.x[-1])
         if delta_lp < DELTA_MIN:
             return None, delta_lp
-        coeffs = res.x[:k] + 1j * res.x[k : 2 * k] if is_complex else res.x[:k]
+        coeffs = _lp_coeffs(res.x, k, field)
         h = b_mat @ coeffs
         pin = h[x0]
         if abs(pin - 1.0) > PEAK_TOL:
@@ -333,31 +345,22 @@ def lemma_b_feasible(
         raise ValueError("neighborhood lives on a different grid")
     if int(x0) not in u_set:
         raise ValueError("x0 must lie inside the neighborhood U")
-    space = span.space
+    field = span.space.field
     b_mat = span.value_matrix
-    rhs = np.full(space.n_points, -float(beta))
+    rhs = np.full(span.space.n_points, -float(beta))
     rhs[list(u_set.indices)] = 0.0
 
-    if space.field is Field.COMPLEX:
-        re_rows = np.hstack([b_mat.real, -b_mat.imag])
-    else:
-        re_rows = b_mat
+    re_rows = _lp_rows(b_mat, field)
     nv = re_rows.shape[1]
-
     a_ub = np.vstack([re_rows, -re_rows[int(x0)]])
     b_ub = np.r_[rhs, float(alpha)]
     bounds = [(-COEFF_BOUND, COEFF_BOUND)] * nv
     res = _solve(np.zeros(nv), a_ub, b_ub, None, None, bounds)
     if res.status != 0:
         return None
-    if space.field is Field.COMPLEX:
-        k = b_mat.shape[1]
-        coeffs = res.x[:k] + 1j * res.x[k:]
-    else:
-        coeffs = res.x
     cert = LemmaBCertificate(
         x0=int(x0),
-        coeffs=tuple(coeffs),
+        coeffs=tuple(_lp_coeffs(res.x, b_mat.shape[1], field)),
         alpha=float(alpha),
         beta=float(beta),
         u_indices=tuple(u_set.indices),
@@ -370,8 +373,7 @@ def lemma_b_feasible(
 
 def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> tuple[bool, str]:
     """Re-check a separation certificate by direct evaluation."""
-    f = span.value_matrix @ np.asarray(cert.coeffs)
-    re_f = f.real if np.iscomplexobj(f) else f
+    re_f = np.real(span.value_matrix @ np.asarray(cert.coeffs))
     if float(re_f.max()) > PEAK_TOL:
         return False, f"Re f reaches {re_f.max():.3e} > 0"
     inside = set(cert.u_indices)
@@ -393,8 +395,6 @@ def lemma_b_scan(span: FunctionSpan, x0: int, radius: float | None = None) -> Le
     Returns the first certificate found, so a non-None result means
     "detected at these parameters" and None means no more than that.
     """
-    from .space import open_ball
-
     u_set = open_ball(span.space, x0, scan_radius(span.space, radius))
     for alpha, beta in DEFAULT_ALPHA_BETA_GRID:
         cert = lemma_b_feasible(span, x0, alpha, beta, u_set)

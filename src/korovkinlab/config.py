@@ -20,7 +20,7 @@ from pathlib import Path
 from .choquet import scan_radius
 from .engine import ExperimentConfig
 from .errors import ConfigError, ResourceLimitError
-from .functions import FunctionSpan, default_probe_names, named_function
+from .functions import FunctionSpan, conjugate_closure, default_probe_names, named_function
 from .operators import FAMILIES, OperatorFamily, inject_weight
 from .space import (
     CompactSpace,
@@ -48,6 +48,12 @@ def _count(least: int) -> dict:
     return {"type": "integer", "minimum": least}
 
 
+# a custom grid point: a number, or a non-empty list of coordinates
+_POINT = {
+    "anyOf": [{"type": "number"}, {"type": "array", "items": {"type": "number"}, "minItems": 1}]
+}
+
+
 # grid kind -> (schema of its config keys, builder from (space name, block));
 # the builders call the factories through this module's names, which the
 # benchmark's tracer wraps to time each grid build
@@ -61,7 +67,7 @@ GRIDS = {
     "box": (_keys({"p": _count(1), "m": _count(1)}), lambda name, b: make_box_grid(b["p"], b["m"])),
     "custom": (
         _keys(
-            {"points": {"type": "array", "minItems": 2}},
+            {"points": {"type": "array", "minItems": 2, "items": _POINT}},
             {"field": {"enum": [f.value for f in Field]}},
         ),
         lambda name, b: make_custom_space(
@@ -326,8 +332,6 @@ def build_span(name: str, block: dict, spaces: dict[str, CompactSpace]) -> Funct
         raise ConfigError(f"{where}.basis: {exc}") from None
     span = FunctionSpan(basis)
     if block.get("conjugate_close"):
-        from .functions import conjugate_closure
-
         span = conjugate_closure(span)
     return span
 

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .functions import ScalarFunction, evaluate, function_from_values
-from .space import DEFAULT_POINT_CAP, CompactSpace, Field, PointSet, SpaceKind
+from .space import DEFAULT_POINT_CAP, CompactSpace, Field, SpaceKind
 
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
@@ -86,14 +86,10 @@ class KernelOperator:
         """Nonnegative-weight certificate of positivity."""
         return self.min_weight >= WEIGHT_SIGN_TOL
 
-    def node_values(self, f: ScalarFunction) -> np.ndarray:
-        """f at every node, from one rule call."""
-        return evaluate(f, self.nodes)
-
     def apply(self, f: ScalarFunction) -> ScalarFunction:
         if f.space is not self.source:
             raise ValueError("function lives on a different grid than the operator source")
-        out = self.weights @ self.node_values(f)
+        out = self.weights @ evaluate(f, self.nodes)
         return function_from_values(self.target, out, name=f"T[{f.name}]")
 
 
@@ -118,10 +114,6 @@ class CompositionIsometry:
     @cached_property
     def t_one_values(self) -> np.ndarray:
         return np.ones(self.target.n_points)
-
-    @property
-    def image(self) -> PointSet:
-        return PointSet(self.source, tuple(set(self.phi)))
 
     def apply(self, f: ScalarFunction) -> ScalarFunction:
         if f.space is not self.source:
@@ -287,7 +279,7 @@ def averaging_operator(space: CompactSpace) -> KernelOperator:
 
 def eps_schedule(spec) -> Callable[[int], float]:
     """Normalize an epsilon schedule: "1/n", "1/n^2", a list (1-based by
-    index, clamped at the end), a mapping, or a callable."""
+    index, clamped at the end), or a callable."""
     if callable(spec):
         return spec
     if isinstance(spec, str):
@@ -296,15 +288,8 @@ def eps_schedule(spec) -> Callable[[int], float]:
         if spec == "1/n^2":
             return lambda n: 1.0 / n**2
         raise ValueError(f"unknown epsilon schedule {spec!r}")
-    if isinstance(spec, dict):
-        table = {int(k): float(v) for k, v in spec.items()}
-
-        def from_map(n: int) -> float:
-            if n not in table:
-                raise ValueError(f"epsilon schedule has no entry for index {n}")
-            return table[n]
-
-        return from_map
+    if isinstance(spec, dict):  # a list of its keys would be read silently
+        raise TypeError("an epsilon schedule is a name, a list or a callable, not a mapping")
     seq = [float(v) for v in spec]
     if not seq:
         raise ValueError("epsilon schedule list must be nonempty")

@@ -28,6 +28,7 @@ from korovkinlab import (
     verify_lemma_b_certificate,
     verify_peak_certificate,
 )
+from korovkinlab.choquet import _lp_coeffs, _lp_rows
 from korovkinlab.functions import ScalarFunction
 from korovkinlab.space import Field
 
@@ -507,6 +508,32 @@ class TestScanRadius:
         assert scan_radius(disc) == pytest.approx(0.4)
         with pytest.raises(ValueError, match=r"^radius 1.2 is outside \(0, 1.0\]: "):
             scan_radius(disc, 1.2)
+
+
+@settings(max_examples=50)
+@given(
+    field=st.sampled_from(list(Field)),
+    n=st.integers(1, 12),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_lp_form_of_a_span(field, n, k, seed):
+    """The real LP rows times the real variables give Re(e^{-i phi} h(y))
+    for h = b @ c, and the read-back returns c, also with the peak LP's
+    margin variable after the coefficients."""
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(n, k))
+    c = rng.normal(size=k)
+    if field is Field.COMPLEX:
+        b = b + 1j * rng.normal(size=(n, k))
+        c = c + 1j * rng.normal(size=k)
+    x = np.r_[c.real, c.imag] if field is Field.COMPLEX else c
+    rot = np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+    rows = _lp_rows(rot[:, None] * b, field)
+    assert rows.shape == (n, x.size) and not np.iscomplexobj(rows)
+    np.testing.assert_allclose(rows @ x, np.real(rot * (b @ c)), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(_lp_coeffs(x, k, field), c)
+    np.testing.assert_array_equal(_lp_coeffs(np.r_[x, 0.5], k, field), c)
 
 
 # coordinates of random custom grids: a coarse lattice keeps every hull

@@ -483,6 +483,21 @@ def test_missing_grid_key_exit_1(tmp_path, capsys):
     assert err.count("spaces.D") == 1 and "'per_ring'" in err
 
 
+@pytest.mark.parametrize("points", [[{}, 1], [True, False]], ids=["object", "booleans"])
+def test_custom_point_of_another_type_exit_1(tmp_path, capsys, points):
+    # a point is a number or a non-empty array of numbers; true is neither
+    cfg = {
+        "version": 1,
+        "spaces": {"C": {"kind": "custom", "points": points}},
+        "spans": {"A": {"space": "C", "basis": ["const1", "x"]}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("choquet", "--config", path, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field spaces.C.points.") and err.count("\n") == 1
+    assert not (tmp_path / "choquet.csv").exists()
+
+
 def _affine_disc_config(radius):
     return {
         "version": 1,
@@ -567,7 +582,8 @@ def small_configs(draw):
         space.update(p=draw(st.integers(1, 2)), m=draw(st.integers(1, 5)))
     else:
         coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
-        space["points"] = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8, unique=True))
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8, unique=True))
+        space["points"] = [list(p) for p in pts]  # JSON arrays, as a loaded config holds
         space["field"] = draw(st.sampled_from(["real", "complex"]))
     if draw(st.integers(0, 7)) == 0:
         key = draw(st.sampled_from(_foreign_keys(kind)))

@@ -321,9 +321,10 @@ class TestPerturbedComposition:
         assert eps_schedule("1/n^2")(4) == pytest.approx(1 / 16)
         assert eps_schedule([0.5, 0.25])(1) == 0.5
         assert eps_schedule([0.5, 0.25])(9) == 0.25  # clamps at the end
-        assert eps_schedule({1: 0.9})(1) == 0.9
         with pytest.raises(ValueError):
             eps_schedule("bogus")
+        with pytest.raises(TypeError, match="mapping"):
+            eps_schedule({1: 0.9})
 
 
 class TestApply:
@@ -594,13 +595,8 @@ class TestCompositionIsometry:
 
     def test_surjectivity_enforced(self):
         space = make_interval_grid(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="surjectivity"):
             CompositionIsometry(space, space, (0, 0, 1, 2, 3))
-
-    def test_image_covers_source(self):
-        space = make_circle_grid(8)
-        phi = rotation_isometry(space, 3)
-        assert len(phi.image) == space.n_points
 
 
 class TestKernelOperatorValidation:
