@@ -423,8 +423,11 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
     names = exp.get("probes", "default")
     if names == "default":
         names = default_probe_names(family.source)
+    # a probe the test span already holds is the same function object, so the
+    # run applies it once per index
+    basis = {f.name: f for f in test_span.basis}
     try:
-        probes = tuple(named_function(n, family.source) for n in names)
+        probes = tuple(basis[n] if n in basis else named_function(n, family.source) for n in names)
         for f in probes:
             f.values  # a non-finite value is a configuration error
     except ValueError as exc:

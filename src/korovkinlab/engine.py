@@ -230,8 +230,10 @@ def run_convergence(
         if len(bset):
             boundary_idx = bset.indices
 
-    limit_probe_values = {f.name: fam.limit.apply(f).values for f in config.probes}
-    limit_test_values = {s.name: fam.limit.apply(s).values for s in config.test_span.basis}
+    # each distinct function is applied once per index, however often it is
+    # listed; functions hash by identity, so two with one name stay apart
+    distinct = tuple(dict.fromkeys((*config.test_span.basis, *config.probes)))
+    limit_values = {f: fam.limit.apply(f).values for f in distinct}
     constants = {f.name: error_bound_constant(f) for f in config.probes}
 
     rows: list[ConvergenceRow] = []
@@ -241,12 +243,13 @@ def run_convergence(
 
     for n in config.indices:
         op = fam.operator(n)
-        test_errors[n] = {}
-        for s in config.test_span.basis:
-            err = float(np.max(np.abs(op.apply(s).values - limit_test_values[s.name])))
-            test_errors[n][s.name] = err
+        images = {f: op.apply(f).values for f in distinct}
+        test_errors[n] = {
+            s.name: float(np.max(np.abs(images[s] - limit_values[s])))
+            for s in config.test_span.basis
+        }
         for f in config.probes:
-            diff = np.abs(op.apply(f).values - limit_probe_values[f.name])
+            diff = np.abs(images[f] - limit_values[f])
             sup_global = float(diff.max())
             if boundary_idx is not None:
                 sup_choquet = float(diff[list(boundary_idx)].max())

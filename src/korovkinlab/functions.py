@@ -47,11 +47,13 @@ class ScalarFunction:
         """Sampled value vector over the grid; validated once and cached."""
         with np.errstate(all="ignore"):  # a non-finite value is reported below
             raw = evaluate(self, self.space.points)
-        if not np.all(np.isfinite(raw)):
-            raise InvalidFunctionError(
-                f"function {self.name!r} takes a non-finite value on the grid"
-            )
+        _check_finite(raw, self.name)
         return _field_vector(raw, self.space, f"function {self.name!r}")
+
+
+def _check_finite(raw: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(raw)):
+        raise InvalidFunctionError(f"function {name!r} takes a non-finite value on the grid")
 
 
 def _field_vector(raw: np.ndarray, space: CompactSpace, what: str) -> np.ndarray:
@@ -84,12 +86,15 @@ def function_from_values(space: CompactSpace, values, name: str = "") -> ScalarF
 
     The returned function is only defined at the grid's own points, found
     through the grid's cached point index; asking for any other point is an
-    error rather than an interpolation.
+    error rather than an interpolation. Its cached ``values`` are the field
+    copy of the vector, checked finite here as ``values`` checks a rule's,
+    so reading them evaluates nothing.
     """
     vals = np.asarray(values)
     if vals.shape != (space.n_points,):
         raise ValueError("value vector length must match the grid")
     vals = _field_vector(vals, space, f"values for {name!r}")
+    _check_finite(vals, name)
 
     def rule(x):
         idx = space.locate(x)
@@ -100,7 +105,9 @@ def function_from_values(space: CompactSpace, values, name: str = "") -> ScalarF
             )
         return vals[idx]
 
-    return ScalarFunction(space, rule, name=name)
+    f = ScalarFunction(space, rule, name=name)
+    f.__dict__["values"] = vals  # the cached_property's slot
+    return f
 
 
 def conjugate(f: ScalarFunction) -> ScalarFunction:

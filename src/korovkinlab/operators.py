@@ -42,12 +42,14 @@ class KernelOperator:
     equal nodes are summed on construction, keeping the order of first
     occurrence: every kernel holds distinct nodes. The kernel takes
     ownership of a float ``weights`` array and freezes it, without a copy.
+    ``min_weight`` is the smallest weight after the merge.
     """
 
     source: CompactSpace
     target: CompactSpace
     nodes: np.ndarray
     weights: np.ndarray
+    min_weight: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes)
@@ -59,28 +61,29 @@ class KernelOperator:
                 f"weights must have shape (n_target={self.target.n_points}, "
                 f"n_nodes={len(nodes)}), got {w.shape}"
             )
-        if not np.all(np.isfinite(w)):
+        # two passes and no temporary: NaN propagates through min and max
+        lo, hi = w.min(), w.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("kernel weights must be finite")
-        _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
-        if first.size < len(nodes):
-            rank = np.empty_like(first)
-            rank[np.argsort(first)] = np.arange(first.size)
-            merged = np.zeros((w.shape[0], first.size))
-            np.add.at(merged, (slice(None), rank[inverse.reshape(-1)]), w)
-            nodes, w = nodes[np.sort(first)], merged
+        if not _strictly_increasing(nodes):
+            _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
+            if first.size < len(nodes):
+                rank = np.empty_like(first)
+                rank[np.argsort(first)] = np.arange(first.size)
+                merged = np.zeros((w.shape[0], first.size))
+                np.add.at(merged, (slice(None), rank[inverse.reshape(-1)]), w)
+                nodes, w = nodes[np.sort(first)], merged
+                lo = merged.min()
         for a in (nodes, w):
             a.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "min_weight", float(lo))
 
     @cached_property
     def t_one_values(self) -> np.ndarray:
         """Row sums: the image of the constant function 1."""
         return self.weights.sum(axis=1)
-
-    @property
-    def min_weight(self) -> float:
-        return float(self.weights.min())
 
     def weight_certificate(self) -> bool:
         """Nonnegative-weight certificate of positivity."""
@@ -91,6 +94,19 @@ class KernelOperator:
             raise ValueError("function lives on a different grid than the operator source")
         out = self.weights @ evaluate(f, self.nodes)
         return function_from_values(self.target, out, name=f"T[{f.name}]")
+
+
+def _strictly_increasing(nodes: np.ndarray) -> bool:
+    """Whether the nodes are distinct and already in the order in which
+    ``np.unique(nodes, axis=0)`` sorts them: rows compared lexicographically,
+    a complex entry by its real part, then its imaginary part."""
+    rows = nodes.reshape(len(nodes), -1)
+    if np.iscomplexobj(rows):
+        rows = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
+    increasing = np.zeros(len(rows) - 1, dtype=bool)
+    for before, after in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):  # last column first
+        increasing = (after > before) | ((after == before) & increasing)
+    return bool(increasing.all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +269,7 @@ def tensor_bernstein(n: int, space: CompactSpace) -> KernelOperator:
     w = _binom_pmf(n, space.coords[:, 0])
     for d in range(1, p):
         wd = _binom_pmf(n, space.coords[:, d])
-        w = np.einsum("ia,ib->iab", w, wd).reshape(space.n_points, -1)
+        w = (w[:, :, None] * wd[:, None, :]).reshape(space.n_points, -1)
     # nodes in itertools.product order, matching the weight columns
     axes = np.meshgrid(*[np.arange(n + 1) / n] * p, indexing="ij")
     nodes = np.stack(axes, axis=-1).reshape((-1,) + space.points.shape[1:])

@@ -400,9 +400,20 @@ def make_custom_space(
     """Wrap an explicit point list; complex input becomes a complex-field grid.
 
     Complex grids accept either complex scalars or [re, im] coordinate pairs
-    (the form available to JSON configurations).
+    (the form available to JSON configurations). Every point is a number,
+    or every point a list of one length.
     """
-    arr = np.asarray(points)
+    try:
+        arr = np.asarray(points)
+    except ValueError:  # a ragged list: name its first point of another form
+        form = np.shape(points[0])
+        bad = next((i for i, p in enumerate(points) if np.shape(p) != form), None)
+        if bad is None:
+            raise
+        raise ValueError(
+            f"custom grid point {bad}, {points[bad]!r}, is not of the form of point 0, "
+            f"{points[0]!r}: the points must all be numbers or all be lists of one length"
+        ) from None
     if field is Field.COMPLEX or np.iscomplexobj(arr):
         if np.iscomplexobj(arr):
             cp = arr.astype(complex).reshape(-1)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -498,6 +499,28 @@ def test_custom_point_of_another_type_exit_1(tmp_path, capsys, points):
     assert not (tmp_path / "choquet.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "points, bad",
+    [([1, [1, 2]], "point 1, [1, 2], is not of the form of point 0, 1"),
+     ([[1, 2], [3, 4], [5]], "point 2, [5], is not of the form of point 0, [1, 2]")],
+    ids=["mixed", "ragged"],
+)
+def test_custom_points_of_mixed_forms_exit_1(tmp_path, capsys, points, bad):
+    cfg = {
+        "version": 1,
+        "spaces": {"C": {"kind": "custom", "points": points}},
+        "spans": {"A": {"space": "C", "basis": ["const1", "x"]}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("choquet", "--config", path, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: spaces.C: custom grid {bad}: the points must all be numbers"
+        " or all be lists of one length\n"
+    )
+    assert not (tmp_path / "choquet.csv").exists()
+
+
 def _affine_disc_config(radius):
     return {
         "version": 1,
@@ -663,6 +686,16 @@ class TestPresets:
 
     def test_unknown_preset(self):
         assert run_cli("korovkin", "run", "--preset", "nope") == 1
+
+    @pytest.mark.parametrize("name, indices", [("example42_tensor", 3), ("example43_disc", 4)])
+    def test_each_function_is_applied_once_per_index(self, name, indices, tmp_path, monkeypatch):
+        # 8 probes, and the test span's members among them: its 5 (tensor)
+        # or 4 (disc) members are not applied a second time
+        applied = []
+        apply = KernelOperator.apply
+        monkeypatch.setattr(KernelOperator, "apply", lambda op, f: applied.append(op) or apply(op, f))
+        assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
+        assert list(Counter(applied).values()) == [8] * indices  # kernels hash by identity
 
     def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
         # the kernels need scipy.special alone: no stats, no LP, no k-d tree

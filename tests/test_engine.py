@@ -7,6 +7,7 @@ from korovkinlab import (
     FunctionSpan,
     OperatorFamily,
     PointSet,
+    ScalarFunction,
     averaging_operator,
     default_probes,
     equicontinuity_probe,
@@ -112,6 +113,16 @@ class TestRunConvergence:
         sq = next(t for t in report.trends if t.function == "x^2")
         assert sq.errors[-1] < sq.errors[0] / 2
         assert report.converged_all
+
+    def test_probe_sharing_a_name_with_a_span_member_is_applied_as_itself(self):
+        # functions are told apart by identity, not by name
+        other_x = ScalarFunction(INTERVAL, lambda x: 1.0 - x, name="x")
+        report = run_convergence(bernstein_config(indices=(4, 16), probes=(other_x,)))
+        fam = report.config.family
+        for n in (4, 16):
+            want = np.abs(fam.apply(n, other_x).values - other_x.values)
+            assert np.array_equal(report.error_fields[(n, "x")], want)
+            assert report.test_errors[n]["x"] < 1e-14  # the span's own x
 
     def test_restriction_never_exceeds_global(self):
         report = run_convergence(bernstein_config())

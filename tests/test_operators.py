@@ -13,6 +13,7 @@ import pytest
 from korovkinlab import (
     FAMILIES,
     CompositionIsometry,
+    InvalidFunctionError,
     KernelOperator,
     PositivityReport,
     ScalarFunction,
@@ -28,6 +29,7 @@ from korovkinlab import (
     inject_weight,
     make_box_grid,
     make_circle_grid,
+    make_custom_space,
     make_disc_grid,
     make_interval_grid,
     mollifier_disc,
@@ -218,6 +220,17 @@ class TestTensorBernstein:
     def test_requires_box(self):
         with pytest.raises(ValueError):
             tensor_bernstein(4, INTERVAL)
+
+    @pytest.mark.parametrize("p, m, n", [(2, 8, 256), (3, 4, 9)])
+    def test_weights_are_the_einsum_product_bit_for_bit(self, p, m, n):
+        box = make_box_grid(p, m)
+        want = _binom_pmf(n, box.coords[:, 0])
+        for d in range(1, p):
+            wd = _binom_pmf(n, box.coords[:, d])
+            want = np.einsum("ia,ib->iab", want, wd).reshape(box.n_points, -1)
+        got = tensor_bernstein(n, box).weights
+        assert got.shape == want.shape == (box.n_points, (n + 1) ** p)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestMollifierDisc:
@@ -500,6 +513,64 @@ class TestRepeatedNodes:
         with pytest.raises(ValueError, match="outside the kernel"):
             inject_weight(self.doubled(0.0), 0, 16, -0.1)
 
+    @pytest.mark.parametrize("value", [-0.9, -0.1, 0.0, 2.0])
+    def test_min_weight_is_taken_after_the_merge(self, value):
+        op = self.doubled(value)
+        assert len(op.nodes) == 16
+        assert op.min_weight == op.weights.min()
+
+
+class TestNodeOrder:
+    """Nodes already in the order np.unique sorts them into are not sorted
+    again; every order gives the same kernel."""
+
+    @pytest.fixture
+    def unique_calls(self, monkeypatch):
+        calls = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        return calls
+
+    SORTED = [
+        lambda: bernstein(9, INTERVAL),
+        lambda: tensor_bernstein(5, make_box_grid(2, 3)),
+        lambda: tensor_bernstein(2, make_box_grid(3, 2)),
+        lambda: averaging_operator(make_custom_space([-1.0, -1j, 1j, 1.0], space_id="c4")),
+    ]
+
+    @pytest.mark.parametrize("make", SORTED, ids=["interval", "box2", "box3", "complex"])
+    def test_shuffled_nodes_give_the_same_kernel(self, make, unique_calls):
+        op = make()
+        assert unique_calls == []
+        again = KernelOperator(op.source, op.target, op.nodes.copy(), op.weights.copy())
+        assert unique_calls == []
+        perm = np.random.default_rng(3).permutation(len(op.nodes))
+        shuffled = KernelOperator(op.source, op.target, op.nodes[perm], op.weights[:, perm])
+        assert unique_calls == [1]
+        for k, back in ((again, slice(None)), (shuffled, np.argsort(perm))):
+            assert np.array_equal(k.nodes[back], op.nodes)
+            assert np.array_equal(k.weights[:, back], op.weights)
+            assert k.min_weight == op.min_weight
+
+    @pytest.mark.parametrize("make", SORTED, ids=["interval", "box2", "box3", "complex"])
+    def test_sorted_repeated_nodes_are_merged(self, make):
+        op = make()
+        nodes = np.repeat(op.nodes, 2, axis=0)  # each node twice, still in order
+        merged = KernelOperator(op.source, op.target, nodes, np.repeat(op.weights / 2, 2, axis=1))
+        assert np.array_equal(merged.nodes, op.nodes)
+        assert np.array_equal(merged.weights, op.weights)
+
+    def test_unsorted_grid_points_are_sorted_once(self, unique_calls):
+        op = averaging_operator(CIRCLE32)
+        assert unique_calls == [1]
+        assert np.array_equal(op.nodes, CIRCLE32.points)
+
+    def test_signed_zeros_are_one_node(self):
+        g = make_interval_grid(2)
+        op = KernelOperator(g, g, [-0.0, 0.0, 1.0], np.ones((3, 3)))
+        assert op.nodes.tolist() == [0.0, 1.0]
+        assert op.weights.tolist() == [[2.0, 1.0]] * 3
+
 
 class TestOperatorNorm:
     def test_unital_positive_kernel_attains_norm_at_one(self):
@@ -614,6 +685,23 @@ class TestKernelOperatorValidation:
         assert op.weights is w
         assert not w.flags.writeable
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_refused(self, bad):
+        w = bernstein(6, INTERVAL).weights.copy()
+        w[50, 3] = bad
+        with pytest.raises(ValueError, match="kernel weights must be finite"):
+            KernelOperator(INTERVAL, INTERVAL, np.arange(7) / 6, w)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_non_finite_image_refused(self):
+        # 1e308 times a value above 1 overflows: the image is not a function
+        op = inject_weight(bernstein(4, INTERVAL), 0, 0, 1e308)
+        f = ScalarFunction(INTERVAL, lambda x: 2.0 + x, name="2+x")  # 2 at node 0
+        with pytest.raises(
+            InvalidFunctionError, match=r"^function 'T\[2\+x\]' takes a non-finite value on the grid$"
+        ):
+            op.apply(f).values
+
     def test_build_holds_the_weights_once(self):
         _load_ufuncs()  # the first build loads the ufunc extension; keep that out of the peak
 
@@ -625,7 +713,7 @@ class TestKernelOperatorValidation:
         finally:
             tracemalloc.stop()
         assert op.weights.nbytes == 81 * 257**2 * 8  # 40.8 MiB
-        assert peak < 1.25 * op.weights.nbytes
+        assert peak < 1.15 * op.weights.nbytes
 
     def test_perturbed_build_holds_the_kernel_once(self):
         fam = FAMILIES["perturbed_composition"].build(make_circle_grid(2048), {})
