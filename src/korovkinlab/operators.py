@@ -65,6 +65,8 @@ class KernelOperator:
         lo, hi = w.min(), w.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("kernel weights must be finite")
+        # sorted nodes skip np.unique, whose buffers add about a tenth of
+        # the weights' size to the peak memory of a large tensor build
         if not _strictly_increasing(nodes):
             _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
             if first.size < len(nodes):
