@@ -31,7 +31,7 @@ from .config import (
     validate_config,
 )
 from .engine import ConvergenceReport, run_convergence, verify_hypotheses
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, InvalidFunctionError, SolverError
 from .operators import FAMILIES
 from .presets import get_preset, preset_names
 
@@ -224,7 +224,7 @@ def cmd_korovkin_run(args) -> int:
     cfg = _load(args)
     built = build_experiment(cfg)
     hyp = verify_hypotheses(built.experiment)
-    report = run_convergence(built.experiment, hypotheses=hyp, override=True)
+    report = run_convergence(built.experiment, hypotheses=hyp)
     out = _resolve_out(args, cfg)
     _write_report_csv(out / "report.csv", report)
     (out / "hypotheses.json").write_text(
@@ -259,7 +259,8 @@ def main(argv=None) -> int:
         if args.command == "choquet":
             return cmd_choquet(args)
         return cmd_korovkin_run(args)
-    except ConfigError as exc:
+    # a non-finite image (say, of a tampered kernel) fails the run like a bad config
+    except (ConfigError, InvalidFunctionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -416,10 +416,6 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
     if span_name not in spans:
         raise ConfigError(f"experiment.test_span: unknown span {span_name!r}")
     test_span = spans[span_name]
-    if test_span.space is not family.source:
-        raise ConfigError(
-            "experiment.test_span: span and family live on different spaces"
-        )
     names = exp.get("probes", "default")
     if names == "default":
         names = default_probe_names(family.source)

@@ -57,9 +57,10 @@ class ExperimentConfig:
         probes = tuple(self.probes)
         if not probes:
             raise ValueError("an experiment needs at least one probe function")
-        names = [f.name for f in probes]
-        if len(set(names)) != len(names):
-            raise ValueError("probe names must be unique")
+        for what, fs in (("probe", probes), ("test span", self.test_span.basis)):
+            names = [f.name for f in fs]  # the errors are reported by name
+            if len(set(names)) != len(names):
+                raise ValueError(f"{what} names must be unique")
         object.__setattr__(self, "probes", probes)
         if self.test_span.space is not self.family.source:
             raise ValueError("test span must live on the family source grid")
@@ -86,6 +87,9 @@ class HypothesisReport:
     t_n_one_bound: float
     isometry_deviation: float
     choquet_inclusion: ChoquetInclusion
+    # the limit's image of each distinct test-span member and probe, keyed
+    # by the function itself (identity, not name)
+    limit_images: dict[ScalarFunction, ScalarFunction]
 
     @property
     def positivity_passed(self) -> bool:
@@ -103,11 +107,13 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     t1_bound = max(
         float(np.max(np.abs(fam.operator(n).t_one_values))) for n in config.indices
     )
-    iso_dev = max(
-        abs(sup_norm(fam.limit.apply(f)) - sup_norm(f)) for f in config.probes
-    )
+    # each distinct function's limit image, for the isometry check, the
+    # pushed span and the error tables
+    distinct = dict.fromkeys((*config.test_span.basis, *config.probes))
+    images = {f: fam.limit.apply(f) for f in distinct}
+    iso_dev = max(abs(sup_norm(images[f]) - sup_norm(f)) for f in config.probes)
 
-    pushed = FunctionSpan(tuple(fam.limit.apply(s) for s in config.test_span.basis))
+    pushed = FunctionSpan(tuple(images[s] for s in config.test_span.basis))
     target_boundary: BoundaryEstimate | None = None
     note = ""
     try:
@@ -145,6 +151,7 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
             included=included,
             note=note,
         ),
+        limit_images=images,
     )
 
 
@@ -208,20 +215,13 @@ def _trend(name, errors, abs_threshold, improvement_factor) -> ProbeTrend:
 
 
 def run_convergence(
-    config: ExperimentConfig,
-    hypotheses: HypothesisReport | None = None,
-    override: bool = False,
+    config: ExperimentConfig, hypotheses: HypothesisReport | None = None
 ) -> ConvergenceReport:
-    """Fill the per-(index, probe) error table.
-
-    Refuses to run when the hypothesis report failed, unless override is
-    set, in which case the failed report is carried along in the output.
-    """
+    """Fill the per-(index, probe) error table against the limit images of
+    ``hypotheses``, the report of ``verify_hypotheses(config)`` (verified
+    here when None). The table is filled, and carries the report, whether
+    or not the hypotheses passed."""
     hyp = hypotheses if hypotheses is not None else verify_hypotheses(config)
-    if not hyp.passed and not override:
-        raise ValueError(
-            "hypothesis checks failed; rerun with override=True to record the failure"
-        )
     fam = config.family
     boundary_idx: tuple[int, ...] | None = None
     est = hyp.choquet_inclusion.target_boundary
@@ -232,8 +232,7 @@ def run_convergence(
 
     # each distinct function is applied once per index, however often it is
     # listed; functions hash by identity, so two with one name stay apart
-    distinct = tuple(dict.fromkeys((*config.test_span.basis, *config.probes)))
-    limit_values = {f: fam.limit.apply(f).values for f in distinct}
+    limit_values = {f: image.values for f, image in hyp.limit_images.items()}
     constants = {f.name: error_bound_constant(f) for f in config.probes}
 
     rows: list[ConvergenceRow] = []
@@ -243,7 +242,7 @@ def run_convergence(
 
     for n in config.indices:
         op = fam.operator(n)
-        images = {f: op.apply(f).values for f in distinct}
+        images = {f: op.apply(f).values for f in limit_values}
         test_errors[n] = {
             s.name: float(np.max(np.abs(images[s] - limit_values[s])))
             for s in config.test_span.basis

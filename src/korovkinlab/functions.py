@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidFunctionError
-from .space import CompactSpace, Field, SpaceKind
+from .space import BLOCK_ENTRIES, CompactSpace, Field, SpaceKind
 
 MEMBERSHIP_TOL = 1e-10
 SEPARATION_TOL = 1e-12
@@ -127,13 +127,13 @@ def sup_norm(f: ScalarFunction) -> float:
 def oscillation(f: ScalarFunction) -> float:
     """Largest |f(x) - f(x')| over all grid pairs.
 
-    Complex values are compared in blocks of rows of about 2**18 pairs, so
-    memory stays flat on large grids.
+    Complex values are compared in blocks of rows of about BLOCK_ENTRIES
+    pairs, so memory stays flat on large grids.
     """
     v = f.values
     if f.space.field is Field.REAL:
         return float(v.max() - v.min())
-    step = max(1, 2**18 // v.size)
+    step = max(1, BLOCK_ENTRIES // v.size)
     return float(max(np.max(np.abs(v[i : i + step, None] - v)) for i in range(0, v.size, step)))
 
 

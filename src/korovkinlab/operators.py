@@ -94,7 +94,8 @@ class KernelOperator:
     def apply(self, f: ScalarFunction) -> ScalarFunction:
         if f.space is not self.source:
             raise ValueError("function lives on a different grid than the operator source")
-        out = self.weights @ evaluate(f, self.nodes)
+        with np.errstate(all="ignore"):  # a non-finite image is refused below
+            out = self.weights @ evaluate(f, self.nodes)
         return function_from_values(self.target, out, name=f"T[{f.name}]")
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korovkinlab import CompactSpace, ConfigError, KernelOperator
+from korovkinlab import CompactSpace, CompositionIsometry, ConfigError, KernelOperator
 from korovkinlab.cli import build_parser, main
 from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.operators import FAMILIES
@@ -326,6 +328,44 @@ class TestKorovkinRun:
         assert run_cli("korovkin", "run", "--config", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and field in err
+
+    def test_non_finite_image_exit_1(self, tmp_path, capsys):
+        # the tampered weight times sum_sq = 2 at node (1, 1) overflows: the
+        # image is refused in one line, with no numpy warning on the way
+        cfg = {
+            "version": 1,
+            "spaces": {"B": {"kind": "box", "p": 2, "m": 4}},
+            "spans": {"S": {"space": "B", "basis": ["const1", "coord 1", "coord 2"]}},
+            "family": {
+                "name": "tensor_bernstein",
+                "space": "B",
+                "tamper": {"target_index": 0, "node_index": 24, "value": 1e308},
+            },
+            "experiment": {"test_span": "S", "indices": [4, 8]},
+        }
+        path = write_config(tmp_path, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            "error: function 'T[sum_sq]' takes a non-finite value on the grid\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"basis": ["x", "x"]}, "test span names must be unique"),
+            ({"space": "J"}, "test span must live on the family source grid"),
+        ],
+        ids=["duplicate_names", "other_grid"],
+    )
+    def test_test_span_refused_exit_1(self, tmp_path, capsys, edit, message):
+        cfg = get_preset("example41_bernstein")
+        cfg["spaces"]["J"] = {"kind": "interval", "m": 20}
+        cfg["spans"]["quadratic"].update(edit)
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: experiment: {message}\n"
 
     def test_out_of_range_tamper_exit_1(self, tmp_path, capsys):
         cfg = get_preset("example41_bernstein")
@@ -664,6 +704,42 @@ def test_cli_contract_fuzz(cfg, command):
     assert code == 1 or not (foreign or bad_params)
 
 
+# per preset, SHA-256 of `korovkin run`'s report.csv and hypotheses.json, and
+# of the (point_index, classification) columns of `choquet`'s choquet.csv;
+# the margins are left out, since a better peak candidate may change them
+_PRESET_DIGESTS = {
+    "example41_bernstein": (
+        "4b374b5e1cffd3225e9dbda8cab902080d0b72bf9d3c0458527ca8d26c0bd86a",
+        "5629923f589060bf8612f64dedbc2e768009039da551d04e30e22ca3e571bac5",
+        "6dcadb2d17da9eb96cb12c56b728eef1606439be39d15849b9f4d9bcb3329e7b",
+    ),
+    "example42_tensor": (
+        "cf6fb5e2109331534165e267bffcb4756d03211687941d8681966cd717607d02",
+        "73f151682dd0980497cf549379ba5f984396ff5624f26664848013363b86843f",
+        "418294204ccf32492db51206f56fa3032894425bd8dc110c5f648d7817317c11",
+    ),
+    "example43_disc": (
+        "32187d9631858a95aefe8d001863bf2c50feab2bc175b9abe07b411200c5dd01",
+        "2baf38f39c2ea8a859b2950b170a4fa78e6ca8d8b039ae711cbd4b9c672c82f9",
+        "0c54cf82f2de152c3f89dc7947ef63da7ac0d758bfa863edf6559de1a09d3f00",
+    ),
+    "example43_fejer": (
+        "1b4d8fd3a30b4c23aaed14709d037cb515d1acff363cbc906ff803dc40637e14",
+        "76875cc36e0304f2539b546f633bffbe63ccfc5a12262fdf66319dc8e2eb5cf3",
+        "2327eab8fe2d01c5f8e1852a471a4e8e604ac1131e0fdd50594ea6bb604d8934",
+    ),
+    "remark44_fejer": (
+        "7584192ca74ec4dde22216fcd20c9a43239e734de3da8b70f1ca29cc36d83560",
+        "76875cc36e0304f2539b546f633bffbe63ccfc5a12262fdf66319dc8e2eb5cf3",
+        "2327eab8fe2d01c5f8e1852a471a4e8e604ac1131e0fdd50594ea6bb604d8934",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestPresets:
     def test_all_presets_validate(self):
         from korovkinlab.config import validate_config
@@ -674,6 +750,14 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(preset_names()))
     def test_every_preset_exits_zero(self, name, tmp_path):
         assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
+        assert run_cli("choquet", "--preset", name, "--out", str(tmp_path)) == 0
+        with open(tmp_path / "choquet.csv", newline="") as fh:
+            labels = "".join(f"{r['point_index']},{r['classification']}\n" for r in csv.DictReader(fh))
+        assert (
+            _sha256((tmp_path / "report.csv").read_bytes()),
+            _sha256((tmp_path / "hypotheses.json").read_bytes()),
+            _sha256(labels.encode()),
+        ) == _PRESET_DIGESTS[name]
 
     def test_expected_preset_names(self):
         assert set(preset_names()) == {
@@ -687,15 +771,22 @@ class TestPresets:
     def test_unknown_preset(self):
         assert run_cli("korovkin", "run", "--preset", "nope") == 1
 
-    @pytest.mark.parametrize("name, indices", [("example42_tensor", 3), ("example43_disc", 4)])
+    @pytest.mark.parametrize(
+        "name, indices", [("example42_tensor", 3), ("example43_disc", 4), ("example43_fejer", 3)]
+    )
     def test_each_function_is_applied_once_per_index(self, name, indices, tmp_path, monkeypatch):
-        # 8 probes, and the test span's members among them: its 5 (tensor)
-        # or 4 (disc) members are not applied a second time
+        # 8 probes, and the test span's members among them: its 5 (tensor),
+        # 4 (disc) or 2 (fejer) members are not applied a second time, and
+        # the limit maps each of the 8 once in the whole run
         applied = []
+        limited = []
         apply = KernelOperator.apply
         monkeypatch.setattr(KernelOperator, "apply", lambda op, f: applied.append(op) or apply(op, f))
+        limit = CompositionIsometry.apply
+        monkeypatch.setattr(CompositionIsometry, "apply", lambda m, f: limited.append(f) or limit(m, f))
         assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
         assert list(Counter(applied).values()) == [8] * indices  # kernels hash by identity
+        assert len(limited) == len(set(limited)) == 8
 
     def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
         # the kernels need scipy.special alone: no stats, no LP, no k-d tree

@@ -100,10 +100,12 @@ class TestRunConvergence:
             probes=default_probes(INTERVAL),
             indices=(4, 8),
         )
-        with pytest.raises(ValueError):
-            run_convergence(cfg)
-        report = run_convergence(cfg, override=True)
+        # the table is filled all the same, and carries the failed checks
+        report = run_convergence(cfg)
         assert not report.hypotheses.passed
+        assert not report.hypotheses.positivity_passed
+        assert [n for n, rep in report.hypotheses.positivity.items() if not rep.passed] == [4, 8]
+        assert report.trends
 
     def test_bernstein_errors_shrink(self):
         report = run_convergence(bernstein_config(indices=(16, 64, 256)))
@@ -113,6 +115,19 @@ class TestRunConvergence:
         sq = next(t for t in report.trends if t.function == "x^2")
         assert sq.errors[-1] < sq.errors[0] / 2
         assert report.converged_all
+
+    def test_test_span_names_must_be_unique(self):
+        # the test errors are keyed by name: a second "x" would hide the
+        # first, and report 0.0625 at n = 4 where |x - 1/2| reaches 0.1875
+        kink = ScalarFunction(INTERVAL, lambda x: np.abs(x - 0.5), name="x")
+        span = FunctionSpan((QUAD.basis[0], kink, QUAD.basis[2], QUAD.basis[1]))
+        with pytest.raises(ValueError, match="test span names must be unique"):
+            ExperimentConfig(
+                family=FAMILIES["bernstein"].build(INTERVAL, {}),
+                test_span=span,
+                probes=default_probes(INTERVAL),
+                indices=(4,),
+            )
 
     def test_probe_sharing_a_name_with_a_span_member_is_applied_as_itself(self):
         # functions are told apart by identity, not by name
