@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's "Unable to allocate ..." is one line
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:  # console-script hook

@@ -298,8 +298,12 @@ def load_config(path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+
+    def refuse(name):  # JSON has no NaN or Infinity, although json.loads reads them
+        raise ConfigError(f"config file {p} is not valid JSON: {name} is not a JSON value")
+
     try:
-        return validate_config(json.loads(p.read_text(encoding="utf-8")))
+        return validate_config(json.loads(p.read_text(encoding="utf-8"), parse_constant=refuse))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
     except RecursionError:  # parsing, or checking a value nested just under the parser's limit

@@ -64,9 +64,10 @@ class ExperimentConfig:
         object.__setattr__(self, "probes", probes)
         if self.test_span.space is not self.family.source:
             raise ValueError("test span must live on the family source grid")
-        for f in probes:
-            if f.space is not self.family.source:
-                raise ValueError(f"probe {f.name!r} lives on a different grid")
+        for what, fs in (("probe", probes), ("generator", self.n_generators or ())):
+            for f in fs:
+                if f.space is not self.family.source:
+                    raise ValueError(f"{what} {f.name!r} lives on a different grid")
         scan_radius(self.family.target, self.radius)  # the grid the scans run on
 
 
@@ -87,8 +88,9 @@ class HypothesisReport:
     t_n_one_bound: float
     isometry_deviation: float
     choquet_inclusion: ChoquetInclusion
-    # the limit's image of each distinct test-span member and probe, keyed
-    # by the function itself (identity, not name)
+    # T_n's image (images[n]) and the limit's image of each distinct
+    # test-span member, probe and generator, keyed by identity, not name
+    images: dict[int, dict[ScalarFunction, ScalarFunction]]
     limit_images: dict[ScalarFunction, ScalarFunction]
 
     @property
@@ -101,19 +103,20 @@ class HypothesisReport:
 
 
 def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
-    """Certify the structural hypotheses of a convergence experiment."""
-    fam = config.family
-    positivity = {n: check_positivity(fam.operator(n)) for n in config.indices}
-    t1_bound = max(
-        float(np.max(np.abs(fam.operator(n).t_one_values))) for n in config.indices
-    )
-    # each distinct function's limit image, for the isometry check, the
-    # pushed span and the error tables
-    distinct = dict.fromkeys((*config.test_span.basis, *config.probes))
-    images = {f: fam.limit.apply(f) for f in distinct}
-    iso_dev = max(abs(sup_norm(images[f]) - sup_norm(f)) for f in config.probes)
+    """Certify the structural hypotheses of a convergence experiment in a run's one pass
+    over its kernels: each is built once, certified, applied, and released before the next."""
+    distinct = dict.fromkeys((*config.test_span.basis, *config.probes, *(config.n_generators or ())))
+    positivity, images, t1_bound = {}, {}, 0.0
+    for n in config.indices:
+        op = config.family.operator(n)
+        positivity[n] = check_positivity(op)
+        t1_bound = max(t1_bound, float(np.max(np.abs(op.t_one_values))))
+        images[n] = {f: op.apply(f) for f in distinct}
+        del op  # the next build must not find this kernel alive
+    limit_images = {f: config.family.limit.apply(f) for f in distinct}
+    iso_dev = max(abs(sup_norm(limit_images[f]) - sup_norm(f)) for f in config.probes)
 
-    pushed = FunctionSpan(tuple(images[s] for s in config.test_span.basis))
+    pushed = FunctionSpan(tuple(limit_images[s] for s in config.test_span.basis))
     target_boundary: BoundaryEstimate | None = None
     note = ""
     try:
@@ -127,9 +130,8 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     if config.n_generators is not None and target_boundary is not None:
         gens: list[ScalarFunction] = []
         for g in config.n_generators:
-            for n in config.indices:
-                gens.append(fam.apply(n, g))
-            gens.append(fam.limit.apply(g))
+            gens.extend(images[n][g] for n in config.indices)
+            gens.append(limit_images[g])
         n_span = span_union(*[FunctionSpan((g,)) for g in gens])
         try:
             n_boundary = estimate_choquet_boundary(n_span, config.radius)
@@ -151,7 +153,8 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
             included=included,
             note=note,
         ),
-        limit_images=images,
+        images=images,
+        limit_images=limit_images,
     )
 
 
@@ -217,12 +220,11 @@ def _trend(name, errors, abs_threshold, improvement_factor) -> ProbeTrend:
 def run_convergence(
     config: ExperimentConfig, hypotheses: HypothesisReport | None = None
 ) -> ConvergenceReport:
-    """Fill the per-(index, probe) error table against the limit images of
+    """Fill the per-(index, probe) error table from the images of
     ``hypotheses``, the report of ``verify_hypotheses(config)`` (verified
-    here when None). The table is filled, and carries the report, whether
-    or not the hypotheses passed."""
+    here when None); no kernel is built or applied here. The table is
+    filled, and carries the report, whether or not the hypotheses passed."""
     hyp = hypotheses if hypotheses is not None else verify_hypotheses(config)
-    fam = config.family
     boundary_idx: tuple[int, ...] | None = None
     est = hyp.choquet_inclusion.target_boundary
     if est is not None:
@@ -230,9 +232,6 @@ def run_convergence(
         if len(bset):
             boundary_idx = bset.indices
 
-    # each distinct function is applied once per index, however often it is
-    # listed; functions hash by identity, so two with one name stay apart
-    limit_values = {f: image.values for f, image in hyp.limit_images.items()}
     constants = {f.name: error_bound_constant(f) for f in config.probes}
 
     rows: list[ConvergenceRow] = []
@@ -241,14 +240,13 @@ def run_convergence(
     per_probe: dict[str, list[float]] = {f.name: [] for f in config.probes}
 
     for n in config.indices:
-        op = fam.operator(n)
-        images = {f: op.apply(f).values for f in limit_values}
+        images = hyp.images[n]
         test_errors[n] = {
-            s.name: float(np.max(np.abs(images[s] - limit_values[s])))
+            s.name: float(np.max(np.abs(images[s].values - hyp.limit_images[s].values)))
             for s in config.test_span.basis
         }
         for f in config.probes:
-            diff = np.abs(images[f] - limit_values[f])
+            diff = np.abs(images[f].values - hyp.limit_images[f].values)
             sup_global = float(diff.max())
             if boundary_idx is not None:
                 sup_choquet = float(diff[list(boundary_idx)].max())

@@ -156,7 +156,7 @@ def rotation_isometry(space: CompactSpace, steps: int) -> CompositionIsometry:
 
 @dataclass(frozen=True, eq=False)
 class OperatorFamily:
-    """An indexed sequence n -> T_n together with its target isometry."""
+    """An indexed sequence n -> T_n with its target isometry; it keeps only its last kernel."""
 
     name: str
     source: CompactSpace
@@ -168,6 +168,7 @@ class OperatorFamily:
     def operator(self, n: int) -> KernelOperator:
         n = int(n)
         if n not in self._cache:
+            self._cache.clear()
             self._cache[n] = self.kernel_builder(n)
         return self._cache[n]
 

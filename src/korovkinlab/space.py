@@ -87,6 +87,11 @@ class CompactSpace:
         _check_point_count(self.kind.value, coords.shape[0])
         if not np.all(np.isfinite(coords)):
             raise ValueError("grid coordinates must be finite")
+        # every distance is at most the box diagonal, summed as `pairwise` sums
+        with np.errstate(over="ignore"):
+            extent = coords.max(axis=0) - coords.min(axis=0)
+            if not np.isfinite(np.sqrt(np.sum(extent * extent))):
+                raise ValueError("the grid spreads too far: its distances overflow a double")
         # equal rows sit next to each other in any lexicographic order
         ordered = coords[np.lexsort(coords.T)]
         if (ordered[1:] == ordered[:-1]).all(axis=1).any():

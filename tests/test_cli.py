@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from korovkinlab import CompactSpace, CompositionIsometry, ConfigError, KernelOperator
+from korovkinlab import CompactSpace, CompositionIsometry, ConfigError, KernelOperator, OperatorFamily
 from korovkinlab.cli import build_parser, main
 from korovkinlab.config import build_experiment, validate_config
 from korovkinlab.operators import FAMILIES
@@ -239,6 +239,49 @@ class TestKorovkinRun:
         assert run_cli("korovkin", "run", "--config", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config file {path} ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, value, literal",
+        [
+            ("abs_threshold", float("nan"), "NaN"),
+            ("abs_threshold", float("inf"), "Infinity"),
+            ("improvement_factor", float("nan"), "NaN"),
+            ("improvement_factor", float("-inf"), "-Infinity"),
+        ],
+    )
+    def test_non_json_number_exit_1(self, tmp_path, capsys, key, value, literal):
+        # json.dumps writes these, and json.loads reads them, but JSON has no
+        # such values: a NaN threshold failed every probe, an infinite one
+        # passed every probe
+        cfg = get_preset("example41_bernstein")
+        cfg["experiment"]["tolerances"] = {key: value}
+        path = write_config(tmp_path, cfg)
+        assert literal in Path(path).read_text()
+        assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: config file {path} is not valid JSON: {literal} is not a JSON value\n"
+        )
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (
+                MemoryError("Unable to allocate 2.00 GiB for an array with shape (16384, 16384)"),
+                "Unable to allocate 2.00 GiB for an array with shape (16384, 16384)",
+            ),
+            (MemoryError(), "an allocation failed"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_out_of_memory_exit_1(self, tmp_path, capsys, monkeypatch, exc, message):
+        def exhausted(config):
+            raise exc
+
+        monkeypatch.setattr("korovkinlab.cli.verify_hypotheses", exhausted)
+        args = ("korovkin", "run", "--preset", "example41_bernstein", "--out", str(tmp_path))
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     def test_version_mismatch_exit_1(self, tmp_path):
         cfg = get_preset("example41_bernstein")
@@ -561,6 +604,23 @@ def test_custom_points_of_mixed_forms_exit_1(tmp_path, capsys, points, bad):
     assert not (tmp_path / "choquet.csv").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_custom_grid_with_overflowing_distances_exit_1(tmp_path, capsys):
+    # 2e200 squared overflows: the scan read infinite distances, warned, and
+    # called the span {1, x} non-unital
+    cfg = {
+        "version": 1,
+        "spaces": {"C": {"kind": "custom", "points": [0, 1e200, -1e200]}},
+        "spans": {"A": {"space": "C", "basis": ["const1", "x"]}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("choquet", "--config", path, "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: spaces.C: ") and err.count("\n") == 1
+    assert "overflow" in err
+    assert not (tmp_path / "choquet.csv").exists()
+
+
 def _affine_disc_config(radius):
     return {
         "version": 1,
@@ -587,10 +647,10 @@ def test_radius_leaving_a_point_without_far_points_exit_1(command, tmp_path, cap
     [(["const1", "x"], ["x", "x^2"], "experiment.probes"), (["const1", "x^2"], ["x"], "spans.A.basis")],
 )
 def test_non_finite_function_exit_1(basis, probes, where, tmp_path, capsys):
-    # x^2 overflows at 1e200
+    # x^2 overflows above 1.35e154; the grid's distances stay finite
     cfg = {
         "version": 1,
-        "spaces": {"S": {"kind": "custom", "points": [[0.0], [0.5], [1e200]]}},
+        "spaces": {"S": {"kind": "custom", "points": [[1.4e154], [1.5e154], [1.6e154]]}},
         "spans": {"A": {"space": "S", "basis": basis}},
         "family": {"name": "perturbed_composition", "space": "S"},
         "experiment": {"test_span": "A", "indices": [1, 2], "probes": probes},
@@ -787,6 +847,20 @@ class TestPresets:
         assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
         assert list(Counter(applied).values()) == [8] * indices  # kernels hash by identity
         assert len(limited) == len(set(limited)) == 8
+
+    @pytest.mark.parametrize("name", sorted(preset_names()))
+    def test_a_run_builds_each_kernel_once(self, name, tmp_path, monkeypatch):
+        builds = []
+        operator = OperatorFamily.operator
+
+        def counted(family, n):
+            if int(n) not in family._cache:
+                builds.append(int(n))
+            return operator(family, n)
+
+        monkeypatch.setattr(OperatorFamily, "operator", counted)
+        assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
+        assert builds == get_preset(name)["experiment"]["indices"]
 
     def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
         # the kernels need scipy.special alone: no stats, no LP, no k-d tree

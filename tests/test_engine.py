@@ -1,10 +1,15 @@
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
 from korovkinlab import (
     FAMILIES,
+    CompositionIsometry,
     ExperimentConfig,
     FunctionSpan,
+    KernelOperator,
     OperatorFamily,
     PointSet,
     ScalarFunction,
@@ -50,6 +55,24 @@ def tampered_family(space):
     )
 
 
+def watched(config):
+    """``config`` with its family's builder wrapped so that each build first
+    checks that no kernel built before it is still alive, and the list of
+    (index, weak reference) of every kernel built."""
+    base = config.family
+    built = []
+
+    def build(n):
+        alive = [m for m, ref in built if ref() is not None]
+        assert not alive, f"the kernels of {alive} are alive at the build of {n}"
+        op = base.kernel_builder(n)
+        built.append((n, weakref.ref(op)))
+        return op
+
+    family = OperatorFamily(base.name, base.source, base.target, build, base.limit)
+    return dataclasses.replace(config, family=family), built
+
+
 class TestVerifyHypotheses:
     def test_bernstein_hypotheses_pass(self):
         hyp = verify_hypotheses(bernstein_config())
@@ -91,8 +114,34 @@ class TestVerifyHypotheses:
         assert hyp.choquet_inclusion.status == "checked"
         assert hyp.choquet_inclusion.included is True
 
+    @pytest.mark.parametrize("generators", [None, ("const1", "x", "x^2")], ids=["plain", "n_generators"])
+    def test_each_kernel_is_built_once_and_released_before_the_next(self, generators):
+        gens = generators and tuple(named_function(g, INTERVAL) for g in generators)
+        config, built = watched(dataclasses.replace(bernstein_config(), n_generators=gens))
+        report = run_convergence(config, verify_hypotheses(config))
+        assert [n for n, _ in built] == [4, 16, 64]
+        assert report.hypotheses.choquet_inclusion.status == ("assumed" if gens is None else "checked")
+
 
 class TestRunConvergence:
+    def test_uses_no_kernel_and_no_limit(self, monkeypatch):
+        config = bernstein_config()
+        hyp = verify_hypotheses(config)
+
+        def refuse(*args):
+            raise AssertionError("run_convergence built or applied a map")
+
+        for cls, name in (
+            (OperatorFamily, "operator"),
+            (OperatorFamily, "apply"),
+            (KernelOperator, "apply"),
+            (CompositionIsometry, "apply"),
+        ):
+            monkeypatch.setattr(cls, name, refuse)
+        report = run_convergence(config, hyp)
+        assert report.hypotheses is hyp
+        assert len(report.rows) == len(config.indices) * len(config.probes)
+
     def test_requires_passing_hypotheses(self):
         cfg = ExperimentConfig(
             family=tampered_family(INTERVAL),
@@ -281,3 +330,9 @@ class TestExperimentConfigValidation:
         other = make_interval_grid(7)
         with pytest.raises(ValueError):
             bernstein_config(probes=(named_function("x", other),))
+
+    def test_generators_share_grid(self):
+        # refused when the config is made, not after the kernels are built
+        other = make_interval_grid(7)
+        with pytest.raises(ValueError, match="generator 'x' lives on a different grid"):
+            dataclasses.replace(bernstein_config(), n_generators=(named_function("x", other),))

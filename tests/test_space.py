@@ -201,6 +201,22 @@ class TestMetricInvariants:
         grid = make_custom_space([[0.0, 0.0], [1e-200, 5.0]])
         assert grid.pairwise[0, 1] == 5.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "pts",
+        [[0.0, 1e200, -1e200], [[0.0, 0.0], [1e154, 1e154]], [0.0, 1.7e308, -1.7e308]],
+        ids=["square", "sum", "range"],
+    )
+    def test_overflowing_distance_rejected(self, pts):
+        # no n x n work: the box diagonal bounds every distance
+        with pytest.raises(ValueError, match="distances overflow"):
+            make_custom_space(pts)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_distances_are_accepted(self):
+        grid = make_custom_space([0.0, 1e150, -1e150])
+        assert np.isfinite(grid.pairwise).all() and grid.diameter > 1e150
+
     def test_underflowing_pair_apart_in_every_axis_order_is_refused(self):
         # points 0 and 1 are at distance 0.0, and on each axis another
         # point sorts between them
