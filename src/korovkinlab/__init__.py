@@ -14,23 +14,17 @@ from .choquet import (
     LemmaBCertificate,
     PeakCertificate,
     estimate_choquet_boundary,
-    find_peak_function,
-    is_boundary_for,
     lemma_b_feasible,
-    lemma_b_scan,
     scan_radius,
     verify_lemma_b_certificate,
     verify_peak_certificate,
 )
 from .engine import (
     ConvergenceReport,
-    EquicontinuityTable,
     ExperimentConfig,
     HypothesisReport,
-    equicontinuity_probe,
     error_bound_constant,
     run_convergence,
-    uniform_vs_pointwise,
     verify_hypotheses,
 )
 from .errors import ConfigError, InvalidFunctionError, ResourceLimitError, SolverError
@@ -44,7 +38,6 @@ from .functions import (
     named_function,
     oscillation,
     separates_points,
-    span_eval,
     span_union,
     sup_norm,
 )
@@ -54,12 +47,10 @@ from .operators import (
     KernelOperator,
     NormEstimate,
     OperatorFamily,
-    OperatorFlags,
     PositivityReport,
     averaging_operator,
     bernstein,
     check_positivity,
-    classify_operator,
     estimate_operator_norm,
     fejer,
     identity_isometry,

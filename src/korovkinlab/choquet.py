@@ -36,16 +36,13 @@ import numpy as np
 
 from .errors import SolverError
 from .functions import FunctionSpan
-from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet, open_ball
+from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet
 
 # slack of every direct-evaluation check in this module
 PEAK_TOL = 1e-9
 # the least margin a peak certificate must have; an LP relaxation optimum
 # below it certifies that no peak at the scan radius has that margin
 DELTA_MIN = 1e-6
-# sampling grid standing in for "every (alpha, beta)" in the separation
-# criterion; detection is always relative to these parameters
-DEFAULT_ALPHA_BETA_GRID = ((0.1, 1.0), (0.01, 1.0), (0.1, 10.0))
 _LP_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-10,
@@ -81,16 +78,6 @@ def scan_radius(space: CompactSpace, radius: float | None = None) -> float:
     if not 0 < r <= reach:
         raise ValueError(f"radius {r} is outside (0, {reach}]: some grid point has no point that far")
     return r
-
-
-def _scan_preconditions(span: FunctionSpan, radius: float | None) -> float:
-    """The scan radius of a peak search on a unital, separating span;
-    raises ValueError for any other span or a refused radius."""
-    if not span.unital:
-        raise ValueError("peak search needs a unital span")
-    if not span.separating:
-        raise ValueError("peak search needs a separating span")
-    return scan_radius(span.space, radius)
 
 
 @dataclass(frozen=True)
@@ -288,21 +275,6 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     )
 
 
-def find_peak_function(span: FunctionSpan, x0: int, r: float) -> PeakCertificate | None:
-    """Search the span for a function peaking at x0.
-
-    Maximizes the margin delta subject to h(x0) = 1, |h| <= 1 at every
-    other grid point, and |h| <= 1 - delta at points with distance >= r
-    from x0. Returns a re-verified certificate when the achievable margin
-    is at least DELTA_MIN, otherwise None. The certificate's margin is a
-    certified lower bound on the best margin, not the best margin itself.
-    """
-    r = _scan_preconditions(span, r)
-    if not 0 <= int(x0) < span.space.n_points:
-        raise ValueError("peak point index out of range")
-    return _peak_search(span, int(x0), r)[0]
-
-
 def verify_peak_certificate(span: FunctionSpan, cert: PeakCertificate) -> tuple[bool, str]:
     """Re-check a peak certificate by direct evaluation (solver-independent)."""
     h = span.value_matrix @ np.asarray(cert.coeffs)
@@ -383,24 +355,6 @@ def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> t
     if float(re_f[cert.x0]) < -cert.alpha - PEAK_TOL:
         return False, f"Re f(x0) = {re_f[cert.x0]:.3e} below -alpha"
     return True, "ok"
-
-
-def lemma_b_scan(span: FunctionSpan, x0: int, radius: float | None = None) -> LemmaBCertificate | None:
-    """Sampled form of the separation criterion at one point.
-
-    The criterion quantifies over every (alpha, beta) pair and every
-    neighborhood; here the pairs come from a small default grid and the
-    neighborhood is the scan ball. The separation LP only loses rows as the
-    neighborhood grows, so a smaller ball detects nothing this one misses.
-    Returns the first certificate found, so a non-None result means
-    "detected at these parameters" and None means no more than that.
-    """
-    u_set = open_ball(span.space, x0, scan_radius(span.space, radius))
-    for alpha, beta in DEFAULT_ALPHA_BETA_GRID:
-        cert = lemma_b_feasible(span, x0, alpha, beta, u_set)
-        if cert is not None:
-            return cert
-    return None
 
 
 def _accepted_generators(span: FunctionSpan) -> list[np.ndarray]:
@@ -519,7 +473,11 @@ def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -
     whose parent in the orbit's walk is not Boundary, is solved directly,
     so every rejection rests on the point's own relaxation optimum.
     """
-    r = _scan_preconditions(span, radius)
+    if not span.unital:
+        raise ValueError("peak search needs a unital span")
+    if not span.separating:
+        raise ValueError("peak search needs a separating span")
+    r = scan_radius(span.space, radius)
     gens = _accepted_generators(span)
     parent, via, order = _orbit_tree(span.space.n_points, gens)
     results: list[PointClassification | None] = [None] * span.space.n_points
@@ -530,28 +488,3 @@ def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -
             moved = _move_verdict(span, results[p], gens[via[i]])
         results[i] = moved or _scan_point(span, i, r)
     return BoundaryEstimate(span=span, points=tuple(results), radius=r)
-
-
-def is_boundary_for(span: FunctionSpan, pts: PointSet, probes) -> tuple[bool, float]:
-    """Whether every probe attains its maximum modulus on the point set.
-
-    Probes must belong to the span. Returns the flag together with the
-    worst ratio max-on-subset / sup-norm over all probes.
-    """
-    if len(pts) == 0:
-        raise ValueError("boundary check needs a nonempty point set")
-    if pts.space is not span.space:
-        raise ValueError("point set lives on a different grid")
-    worst = np.inf
-    idx = list(pts.indices)
-    for f in probes:
-        if not span.contains_values(f.values):
-            raise ValueError(f"probe {f.name!r} is not in the span")
-        full = float(np.max(np.abs(f.values)))
-        if full == 0.0:
-            continue
-        on_set = float(np.max(np.abs(f.values[idx])))
-        worst = min(worst, on_set / full)
-    if not np.isfinite(worst):
-        worst = 1.0
-    return worst >= 1.0 - PEAK_TOL, worst

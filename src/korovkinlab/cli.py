@@ -260,14 +260,8 @@ def main(argv=None) -> int:
             return cmd_choquet(args)
         return cmd_korovkin_run(args)
     # a non-finite image (say, of a tampered kernel) fails the run like a bad config
-    except (ConfigError, InvalidFunctionError) as exc:
+    except (ConfigError, InvalidFunctionError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's "Unable to allocate ..." is one line
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)

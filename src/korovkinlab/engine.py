@@ -21,13 +21,9 @@ import numpy as np
 from .choquet import BoundaryEstimate, estimate_choquet_boundary, scan_radius
 from .functions import FunctionSpan, ScalarFunction, oscillation, span_union, sup_norm
 from .operators import OperatorFamily, PositivityReport, check_positivity
-from .space import PointSet
 
 ISOMETRY_TOL = 1e-9
 ZERO_ERROR_FLOOR = 1e-12
-EQUICONTINUITY_THRESHOLD = 0.1
-# slack of the equicontinuity table's monotonicity check
-MONOTONE_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +182,6 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
     test_errors: dict[int, dict[str, float]]
     trends: tuple[ProbeTrend, ...]
-    error_fields: dict[tuple[int, str], np.ndarray]
-    boundary_indices: tuple[int, ...] | None
 
     @property
     def converged_all(self) -> bool:
@@ -236,7 +230,6 @@ def run_convergence(
 
     rows: list[ConvergenceRow] = []
     test_errors: dict[int, dict[str, float]] = {}
-    error_fields: dict[tuple[int, str], np.ndarray] = {}
     per_probe: dict[str, list[float]] = {f.name: [] for f in config.probes}
 
     for n in config.indices:
@@ -252,7 +245,6 @@ def run_convergence(
                 sup_choquet = float(diff[list(boundary_idx)].max())
             else:
                 sup_choquet = sup_global
-            error_fields[(n, f.name)] = diff
             per_probe[f.name].append(sup_global)
             rows.append(
                 ConvergenceRow(
@@ -274,80 +266,4 @@ def run_convergence(
         rows=tuple(rows),
         test_errors=test_errors,
         trends=trends,
-        error_fields=error_fields,
-        boundary_indices=boundary_idx,
     )
-
-
-@dataclass(frozen=True)
-class EquicontinuityTable:
-    y0: int
-    radii: tuple[float, ...]
-    values: tuple[float, ...]
-    monotone_ok: bool
-    small_at_first: bool  # judged at EQUICONTINUITY_THRESHOLD
-
-
-def equicontinuity_probe(
-    family: OperatorFamily,
-    f: ScalarFunction,
-    y0: int,
-    radii,
-    indices,
-) -> EquicontinuityTable:
-    """Shared modulus of continuity of {T_n f} around a target point.
-
-    For each radius r the table holds sup over n and over points within
-    distance r of y0 of |T_n f(y) - T_n f(y0)|.
-    """
-    radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-    if not 0 <= int(y0) < family.target.n_points:
-        raise ValueError("probe point index out of range")
-    applied = {n: family.apply(n, f).values for n in indices}
-    d = family.target.pairwise[int(y0)]
-    values = []
-    for r in radii:
-        ball = np.nonzero(d < r)[0]
-        worst = 0.0
-        for n in indices:
-            g = applied[n]
-            worst = max(worst, float(np.max(np.abs(g[ball] - g[int(y0)]))))
-        values.append(worst)
-    monotone = all(b >= a - MONOTONE_TOL for a, b in zip(values, values[1:]))
-    return EquicontinuityTable(
-        y0=int(y0),
-        radii=radii,
-        values=tuple(values),
-        monotone_ok=monotone,
-        small_at_first=values[0] <= EQUICONTINUITY_THRESHOLD,
-    )
-
-
-@dataclass(frozen=True)
-class SubsetSummaryRow:
-    n: int
-    subset_sup: float
-    global_sup: float
-
-
-def uniform_vs_pointwise(
-    report: ConvergenceReport, subset: PointSet
-) -> tuple[SubsetSummaryRow, ...]:
-    """Per-index error maxima restricted to a point subset vs globally,
-    so the restriction gap to the global column is visible in the data."""
-    if len(subset) == 0:
-        raise ValueError("subset must be nonempty")
-    if subset.space is not report.config.family.target:
-        raise ValueError("subset lives on a different grid than the family target")
-    idx = list(subset.indices)
-    out = []
-    for n in report.config.indices:
-        fields = [report.error_fields[(n, f.name)] for f in report.config.probes]
-        sup = float(np.max(np.vstack([vec[idx] for vec in fields])))
-        global_sup = max(float(vec.max()) for vec in fields)
-        out.append(SubsetSummaryRow(n=n, subset_sup=sup, global_sup=global_sup))
-    return tuple(out)

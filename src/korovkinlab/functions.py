@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -191,16 +191,6 @@ class FunctionSpan:
     @cached_property
     def separating(self) -> bool:
         return separates_points(self)[0]
-
-
-def span_eval(span: FunctionSpan, coeffs: Sequence, x):
-    """Evaluate the combination sum(coeffs[i] * basis[i]) at a point or an
-    array of points."""
-    if len(coeffs) != span.dim:
-        raise ValueError(
-            f"expected {span.dim} coefficients, got {len(coeffs)}"
-        )
-    return sum(c * f.rule(x) for c, f in zip(coeffs, span.basis))
 
 
 def separates_points(span: FunctionSpan) -> tuple[bool, tuple[int, int] | None]:

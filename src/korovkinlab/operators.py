@@ -20,13 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .functions import ScalarFunction, evaluate, function_from_values
-from .space import DEFAULT_POINT_CAP, CompactSpace, Field, SpaceKind
+from .space import DEFAULT_POINT_CAP, CompactSpace, SpaceKind
 
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
-# an operator norm up to 1 + CONTRACTION_TOL counts as a contraction
-CONTRACTION_TOL = 1e-9
 # most weights one kernel may hold: 2 GiB of float64, the budget of a grid's
 # distance matrix at the point cap
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
@@ -298,10 +296,8 @@ def averaging_operator(space: CompactSpace) -> KernelOperator:
 
 
 def eps_schedule(spec) -> Callable[[int], float]:
-    """Normalize an epsilon schedule: "1/n", "1/n^2", a list (1-based by
-    index, clamped at the end), or a callable."""
-    if callable(spec):
-        return spec
+    """Normalize an epsilon schedule, "1/n", "1/n^2" or a list (1-based by
+    index, clamped at the end), to a function of the index."""
     if isinstance(spec, str):
         if spec == "1/n":
             return lambda n: 1.0 / n
@@ -309,7 +305,7 @@ def eps_schedule(spec) -> Callable[[int], float]:
             return lambda n: 1.0 / n**2
         raise ValueError(f"unknown epsilon schedule {spec!r}")
     if isinstance(spec, dict):  # a list of its keys would be read silently
-        raise TypeError("an epsilon schedule is a name, a list or a callable, not a mapping")
+        raise TypeError("an epsilon schedule is a name or a list, not a mapping")
     seq = [float(v) for v in spec]
     if not seq:
         raise ValueError("epsilon schedule list must be nonempty")
@@ -579,30 +575,3 @@ def estimate_operator_norm(op) -> NormEstimate:
     else:
         raise TypeError("expected a KernelOperator or CompositionIsometry")
     return NormEstimate(estimate=norm, t_one_sup=float(np.max(np.abs(op.t_one_values))))
-
-
-@dataclass(frozen=True)
-class OperatorFlags:
-    unital: bool
-    contraction: bool
-    positive: bool
-    corollary_consistent: bool
-
-
-def classify_operator(op) -> OperatorFlags:
-    """Unital / contraction / positive flags, plus a consistency check.
-
-    On real-field spaces a unital contraction must act positively; any
-    failure of that implication is flagged.
-    """
-    norm = estimate_operator_norm(op)
-    unital = float(np.max(np.abs(op.t_one_values - 1.0))) <= UNITAL_TOL
-    contraction = norm.estimate <= 1.0 + CONTRACTION_TOL
-    positive = check_positivity(op).passed
-    real = op.source.field is Field.REAL and op.target.field is Field.REAL
-    return OperatorFlags(
-        unital=unital,
-        contraction=contraction,
-        positive=positive,
-        corollary_consistent=not (real and unital and contraction and not positive),
-    )

@@ -210,9 +210,6 @@ class CompactSpace:
         pos = np.searchsorted(keys, records).clip(max=self.n_points - 1)
         return np.where(keys[pos] == records, order[pos], -1)
 
-    def distance(self, i: int, j: int) -> float:
-        return float(self.pairwise[i, j])
-
     @cached_property
     def diameter(self) -> float:
         return float(self.pairwise.max())
@@ -272,16 +269,6 @@ class PointSet:
 
     def __contains__(self, i) -> bool:
         return int(i) in set(self.indices)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.space.n_points, dtype=bool)
-        m[list(self.indices)] = True
-        return m
-
-    def complement(self) -> "PointSet":
-        inside = set(self.indices)
-        outside = tuple(i for i in range(self.space.n_points) if i not in inside)
-        return PointSet(self.space, outside)
 
 
 def _ring_generators(center: int, rings: int, per_ring: int) -> tuple[np.ndarray, ...]:

@@ -11,12 +11,8 @@ from korovkinlab import (
     KernelOperator,
     PeakCertificate,
     PointSet,
-    equicontinuity_probe,
     estimate_choquet_boundary,
-    find_peak_function,
-    is_boundary_for,
     lemma_b_feasible,
-    lemma_b_scan,
     make_box_grid,
     make_circle_grid,
     make_custom_space,
@@ -28,7 +24,7 @@ from korovkinlab import (
     verify_lemma_b_certificate,
     verify_peak_certificate,
 )
-from korovkinlab.choquet import _lp_coeffs, _lp_rows
+from korovkinlab.choquet import PEAK_TOL, _lp_coeffs, _lp_rows, _peak_search
 from korovkinlab.functions import ScalarFunction
 from korovkinlab.space import Field
 
@@ -40,7 +36,7 @@ QUAD_SPAN = FunctionSpan(tuple(named_function(n, INTERVAL) for n in ("const1", "
 
 class TestFindPeakFunction:
     def test_quadratic_span_peaks_at_midpoint(self):
-        cert = find_peak_function(QUAD_SPAN, 50, 0.1)
+        cert, _ = _peak_search(QUAD_SPAN, 50, 0.1)
         assert cert is not None
         assert cert.margin >= 1e-6
         ok, why = verify_peak_certificate(QUAD_SPAN, cert)
@@ -58,7 +54,7 @@ class TestFindPeakFunction:
     def test_circle_affine_peak(self):
         g = make_circle_grid(64)
         span = FunctionSpan((named_function("const1", g), named_function("z", g)))
-        cert = find_peak_function(span, 0, 0.2)
+        cert, _ = _peak_search(span, 0, 0.2)
         assert cert is not None
         ok, why = verify_peak_certificate(span, cert)
         assert ok, why
@@ -77,15 +73,16 @@ class TestFindPeakFunction:
     def test_disc_center_has_no_affine_peak(self):
         g = make_disc_grid(4, 16)
         span = FunctionSpan((named_function("const1", g), named_function("z", g)))
-        assert find_peak_function(span, 0, 0.2) is None
+        assert _peak_search(span, 0, 0.2)[0] is None
         assert not affine_peak_scan(g, 0, 0.2, 1e-6)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            find_peak_function(QUAD_SPAN, 50, 0.0)
+        # checked once per scan, before any point's peak search
+        with pytest.raises(ValueError, match="radius 0.0"):
+            estimate_choquet_boundary(QUAD_SPAN, 0.0)
         not_unital = FunctionSpan((named_function("x", INTERVAL),))
-        with pytest.raises(ValueError):
-            find_peak_function(not_unital, 50, 0.1)
+        with pytest.raises(ValueError, match="unital"):
+            estimate_choquet_boundary(not_unital, 0.1)
 
 
 class TestLemmaBFeasible:
@@ -111,7 +108,7 @@ class TestLemmaBFeasible:
         cert = lemma_b_feasible(span, 50, 0.01, 1.0, u)
         assert cert is None
         assert not affine_lemma_scan(
-            INTERVAL.coords[:, 0], 50, 0.01, 1.0, u.mask()
+            INTERVAL.coords[:, 0], 50, 0.01, 1.0, np.isin(np.arange(INTERVAL.n_points), u.indices)
         )
 
     def test_full_neighborhood_is_vacuous(self):
@@ -154,11 +151,16 @@ class TestLemmaBFeasible:
         assert shapes == [(INTERVAL.n_points + 1, 2)]
 
     def test_sampled_scan_detects_endpoint_not_interior(self):
+        # a few (alpha, beta) pairs on the ball of the default scan radius
         span = FunctionSpan((named_function("const1", INTERVAL), named_function("x", INTERVAL)))
-        cert = lemma_b_scan(span, 0)
+        r = scan_radius(INTERVAL)
+        pairs = ((0.1, 1.0), (0.01, 1.0), (0.1, 10.0))
+        cert = lemma_b_feasible(span, 0, *pairs[0], open_ball(INTERVAL, 0, r))
         assert cert is not None
         assert verify_lemma_b_certificate(span, cert)[0]
-        assert lemma_b_scan(span, 50) is None  # affine span has no interior witnesses
+        ball = open_ball(INTERVAL, 50, r)
+        # affine span has no interior witnesses
+        assert all(lemma_b_feasible(span, 50, a, b, ball) is None for a, b in pairs)
 
 
 SMALL_INTERVAL = make_interval_grid(30)
@@ -381,38 +383,12 @@ class TestOrbitScan:
         assert len({p.source for p in est.points}) == 9  # the center and 8 rings
 
 
-class TestIsBoundaryFor:
-    def test_whole_grid_is_a_boundary(self):
-        ok, ratio = is_boundary_for(
-            SMALL_QUAD, PointSet(SMALL_INTERVAL, tuple(range(31))), SMALL_QUAD.basis
-        )
-        assert ok
-        assert ratio == pytest.approx(1.0)
-
-    def test_endpoints_suffice_for_affine_span(self):
-        span = FunctionSpan(
-            (named_function("const1", SMALL_INTERVAL), named_function("x", SMALL_INTERVAL))
-        )
-        ok, ratio = is_boundary_for(span, PointSet(SMALL_INTERVAL, (0, 30)), span.basis)
-        assert ok
-
-    def test_interior_fails_for_even_span(self):
-        g = make_custom_space([-1.0, -0.5, 0.0, 0.5, 1.0], space_id="sym5")
-        one = ScalarFunction(g, lambda x: 1.0, name="1")
-        sq = ScalarFunction(g, lambda x: x**2, name="x^2")
-        span = FunctionSpan((one, sq))
-        ok, ratio = is_boundary_for(span, PointSet(g, (1, 2, 3)), [sq])
-        assert not ok
-        assert ratio == pytest.approx(0.25)
-
-    def test_probe_must_be_in_span(self):
-        outside = named_function("x^3", SMALL_INTERVAL)
-        with pytest.raises(ValueError):
-            is_boundary_for(SMALL_QUAD, PointSet(SMALL_INTERVAL, (0,)), [outside])
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            is_boundary_for(SMALL_QUAD, PointSet(SMALL_INTERVAL, ()), SMALL_QUAD.basis)
+def _carries_span_maxima(span, est) -> bool:
+    """Whether every basis function attains its maximum modulus on the
+    scan's Boundary points."""
+    mods = np.abs(span.value_matrix)
+    on_boundary = mods[list(est.boundary_point_set().indices)].max(axis=0)
+    return bool(np.all(on_boundary >= (1.0 - PEAK_TOL) * mods.max(axis=0)))
 
 
 class TestBoundaryFromEstimate:
@@ -420,13 +396,11 @@ class TestBoundaryFromEstimate:
         g = make_disc_grid(3, 8)
         span = FunctionSpan((named_function("const1", g), named_function("z", g)))
         est = estimate_choquet_boundary(span)
-        ok, ratio = is_boundary_for(span, est.boundary_point_set(), span.basis)
-        assert ok, f"worst ratio {ratio}"
+        assert _carries_span_maxima(span, est)
 
     def test_interval_quadratic_boundary_carries_span_maxima(self):
         est = estimate_choquet_boundary(SMALL_QUAD)
-        ok, _ = is_boundary_for(SMALL_QUAD, est.boundary_point_set(), SMALL_QUAD.basis)
-        assert ok
+        assert _carries_span_maxima(SMALL_QUAD, est)
 
     def test_disc_full_span_boundary_carries_span_maxima(self):
         g = make_disc_grid(3, 8)
@@ -434,8 +408,7 @@ class TestBoundaryFromEstimate:
             tuple(named_function(n, g) for n in ("const1", "z", "zbar", "|z|^2"))
         )
         est = estimate_choquet_boundary(span)
-        ok, _ = is_boundary_for(span, est.boundary_point_set(), span.basis)
-        assert ok
+        assert _carries_span_maxima(span, est)
 
 
 class TestRadiusCheck:
@@ -448,11 +421,6 @@ class TestRadiusCheck:
     def test_scan_refuses_it(self):
         with pytest.raises(ValueError, match="radius 1.2"):
             estimate_choquet_boundary(self.AFFINE, radius=1.2)
-
-    @pytest.mark.parametrize("x0", [0, 256])  # the centre, and a rim point
-    def test_peak_search_refuses_it(self, x0):
-        with pytest.raises(ValueError, match="radius 1.2"):
-            find_peak_function(self.AFFINE, x0, 1.2)
 
     def test_largest_allowed_radius_is_the_least_eccentricity(self):
         # the centre's farthest point is on the rim, at distance 1
@@ -483,10 +451,8 @@ def test_checks_take_no_tolerance():
     checks = {
         verify_peak_certificate: ["span", "cert"],
         verify_lemma_b_certificate: ["span", "cert"],
-        is_boundary_for: ["span", "pts", "probes"],
         FunctionSpan.contains_values: ["self", "target_values"],
         KernelOperator.weight_certificate: ["self"],
-        equicontinuity_probe: ["family", "f", "y0", "radii", "indices"],
     }
     for fn, names in checks.items():
         assert list(inspect.signature(fn).parameters) == names, fn.__name__
@@ -590,6 +556,6 @@ def test_random_custom_grid_scans(case):
             assert ok, why
         else:
             for r in (est.radius / 2, est.radius / 4):
-                assert find_peak_function(span, p.index, r) is None
+                assert _peak_search(span, p.index, r)[0] is None
     _, est_perm = _scan([pts[j] for j in perm], field, basis)
     assert [p.label for p in est_perm.points] == [est.points[j].label for j in perm]

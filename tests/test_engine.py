@@ -11,11 +11,9 @@ from korovkinlab import (
     FunctionSpan,
     KernelOperator,
     OperatorFamily,
-    PointSet,
     ScalarFunction,
     averaging_operator,
     default_probes,
-    equicontinuity_probe,
     error_bound_constant,
     function_from_values,
     identity_isometry,
@@ -27,7 +25,6 @@ from korovkinlab import (
     rotation_isometry,
     run_convergence,
     sup_norm,
-    uniform_vs_pointwise,
     verify_hypotheses,
 )
 
@@ -185,7 +182,8 @@ class TestRunConvergence:
         fam = report.config.family
         for n in (4, 16):
             want = np.abs(fam.apply(n, other_x).values - other_x.values)
-            assert np.array_equal(report.error_fields[(n, "x")], want)
+            [row] = [r for r in report.rows if r.n == n]
+            assert row.function == "x" and row.sup_error_global == want.max()
             assert report.test_errors[n]["x"] < 1e-14  # the span's own x
 
     def test_restriction_never_exceeds_global(self):
@@ -196,7 +194,7 @@ class TestRunConvergence:
     def test_zero_limit_identity(self):
         space = make_circle_grid(16)
         fam = perturbed_composition(
-            rotation_isometry(space, 2), averaging_operator(space), lambda n: 0.0
+            rotation_isometry(space, 2), averaging_operator(space), [0.0]
         )
         span = FunctionSpan((named_function("const1", space), named_function("z", space)))
         cfg = ExperimentConfig(
@@ -257,60 +255,31 @@ class TestErrorBoundConstant:
         assert error_bound_constant(zero) == pytest.approx(2.0)
 
 
-class TestEquicontinuityProbe:
-    def test_constant_probe_is_flat(self):
-        fam = FAMILIES["bernstein"].build(INTERVAL, {})
-        table = equicontinuity_probe(
-            fam, named_function("const1", INTERVAL), 20, (0.05, 0.1), (1, 4, 16)
-        )
-        assert max(table.values) <= 1e-14  # flat up to summation rounding
-        assert table.monotone_ok and table.small_at_first
-
-    def test_square_probe_grows_with_radius(self):
-        fam = FAMILIES["bernstein"].build(INTERVAL, {})
-        table = equicontinuity_probe(
-            fam, named_function("x^2", INTERVAL), 20, (0.03, 0.1, 0.2), tuple(range(1, 17))
-        )
-        assert table.monotone_ok
-        assert table.values[-1] > table.values[0]
-
-    def test_single_index_is_plain_modulus(self):
-        fam = FAMILIES["bernstein"].build(INTERVAL, {})
-        f = named_function("x^2", INTERVAL)
-        table = equicontinuity_probe(fam, f, 20, (0.1,), (8,))
-        g = fam.apply(8, f).values
-        d = INTERVAL.pairwise[20]
-        expected = float(np.max(np.abs(g[d < 0.1] - g[20])))
-        assert table.values[0] == pytest.approx(expected)
-
-    def test_radii_validation(self):
-        fam = FAMILIES["bernstein"].build(INTERVAL, {})
-        f = named_function("x", INTERVAL)
-        with pytest.raises(ValueError):
-            equicontinuity_probe(fam, f, 0, (0.2, 0.1), (1,))
-        with pytest.raises(ValueError):
-            equicontinuity_probe(fam, f, 0, (), (1,))
-
-
 class TestUniformVsPointwise:
+    """The boundary column restricts each probe's error to the scan's
+    Boundary points; the global column takes the whole grid."""
+
     def test_full_subset_matches_global(self):
+        # every point of {1, x, x^2} is Boundary
         report = run_convergence(bernstein_config())
-        rows = uniform_vs_pointwise(
-            report, PointSet(INTERVAL, tuple(range(INTERVAL.n_points)))
-        )
-        for r in rows:
-            assert r.subset_sup == pytest.approx(r.global_sup)
+        est = report.hypotheses.choquet_inclusion.target_boundary
+        assert len(est.boundary_point_set()) == INTERVAL.n_points
+        for r in report.rows:
+            assert r.sup_error_choquet == r.sup_error_global
 
     def test_restricted_subset(self):
-        report = run_convergence(bernstein_config())
-        rows = uniform_vs_pointwise(report, PointSet(INTERVAL, (0, 20, 40)))
-        for r in rows:
-            assert r.subset_sup <= r.global_sup + 1e-15
-
-    def test_empty_subset_rejected(self):
-        report = run_convergence(bernstein_config())
-        with pytest.raises(ValueError):
-            uniform_vs_pointwise(report, PointSet(INTERVAL, ()))
+        # {1, x} peaks only at the two ends
+        affine = FunctionSpan(QUAD.basis[:2])
+        report = run_convergence(dataclasses.replace(bernstein_config(), test_span=affine))
+        est = report.hypotheses.choquet_inclusion.target_boundary
+        assert est.boundary_point_set().indices == (0, INTERVAL.n_points - 1)
+        hyp = report.hypotheses
+        probes = {f.name: f for f in report.config.probes}
+        for r in report.rows:
+            f = probes[r.function]
+            err = np.abs(hyp.images[r.n][f].values - hyp.limit_images[f].values)
+            assert r.sup_error_choquet == max(err[0], err[-1])
+            assert r.sup_error_choquet <= r.sup_error_global
 
 
 class TestExperimentConfigValidation:

@@ -19,7 +19,6 @@ from korovkinlab import (
     named_function,
     oscillation,
     separates_points,
-    span_eval,
     span_union,
     sup_norm,
 )
@@ -99,27 +98,6 @@ class TestSupNormProperties:
         fb = function_from_values(GRID5, vb, name="b")
         fab = function_from_values(GRID5, va + vb, name="a+b")
         assert sup_norm(fab) <= sup_norm(fa) + sup_norm(fb) + 1e-12
-
-
-class TestSpanEval:
-    def test_zero_coefficients(self):
-        span = FunctionSpan((named_function("const1", GRID5), named_function("x", GRID5)))
-        assert span_eval(span, [0.0, 0.0], 0.25) == 0.0
-
-    def test_single_constant(self):
-        span = FunctionSpan((named_function("const1", GRID5),))
-        assert span_eval(span, [3.5], 0.75) == pytest.approx(3.5)
-
-    def test_quadratic_combination(self):
-        span = FunctionSpan(
-            tuple(named_function(n, GRID5) for n in ("const1", "x", "x^2"))
-        )
-        assert span_eval(span, (1.0, -1.0, 0.0), 0.25) == pytest.approx(0.75)
-
-    def test_length_mismatch(self):
-        span = FunctionSpan((named_function("const1", GRID5),))
-        with pytest.raises(ValueError):
-            span_eval(span, [1.0, 2.0], 0.5)
 
 
 class TestSpanFlags:

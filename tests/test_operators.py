@@ -20,7 +20,6 @@ from korovkinlab import (
     averaging_operator,
     bernstein,
     check_positivity,
-    classify_operator,
     conjugate,
     estimate_operator_norm,
     fejer,
@@ -267,7 +266,7 @@ class TestPerturbedComposition:
     def test_degenerate_mix_is_pure_composition(self):
         space = make_circle_grid(16)
         phi = rotation_isometry(space, 3)
-        fam = perturbed_composition(phi, averaging_operator(space), lambda n: 0.0)
+        fam = perturbed_composition(phi, averaging_operator(space), [0.0])
         f = named_function("z", space)
         out = fam.apply(5, f).values
         assert np.max(np.abs(out - phi.apply(f).values)) == 0.0
@@ -294,7 +293,7 @@ class TestPerturbedComposition:
     def test_epsilon_out_of_range(self):
         space = make_circle_grid(16)
         fam = perturbed_composition(
-            rotation_isometry(space, 1), averaging_operator(space), lambda n: 1.5
+            rotation_isometry(space, 1), averaging_operator(space), [1.5]
         )
         with pytest.raises(ValueError):
             fam.operator(2)
@@ -338,6 +337,8 @@ class TestPerturbedComposition:
             eps_schedule("bogus")
         with pytest.raises(TypeError, match="mapping"):
             eps_schedule({1: 0.9})
+        with pytest.raises(TypeError):  # no config can hold a callable
+            eps_schedule(lambda n: 0.5)
 
 
 class TestApply:
@@ -613,18 +614,22 @@ class TestOperatorNorm:
 
 
 class TestClassifyOperator:
+    """Unital, contraction and positive, read from the exact norm, T 1 and
+    the weight signs."""
+
     def test_bernstein_flags(self):
-        flags = classify_operator(bernstein(10, INTERVAL))
-        assert flags.unital and flags.contraction and flags.positive
-        assert flags.corollary_consistent
+        op = bernstein(10, INTERVAL)
+        est = estimate_operator_norm(op)
+        assert np.max(np.abs(op.t_one_values - 1.0)) <= 1e-12
+        assert est.estimate <= 1.0 + 1e-12
+        assert check_positivity(op).passed
 
     def test_halved_operator(self):
         op = bernstein(10, INTERVAL)
         halved = KernelOperator(INTERVAL, INTERVAL, op.nodes, 0.5 * op.weights)
-        flags = classify_operator(halved)
-        assert not flags.unital
-        assert flags.contraction
-        assert flags.positive
+        assert np.max(np.abs(halved.t_one_values - 1.0)) == pytest.approx(0.5)
+        assert estimate_operator_norm(halved).estimate == pytest.approx(0.5)
+        assert check_positivity(halved).passed
 
     def test_constructed_non_positive(self):
         # evaluation at 0 with a small negative tweak on the second node
@@ -633,9 +638,10 @@ class TestClassifyOperator:
         w[:, 0] = 1.0
         w[:, 1] = -0.05
         op = KernelOperator(INTERVAL, INTERVAL, INTERVAL.points, w)
-        flags = classify_operator(op)
-        assert not flags.positive
-        assert flags.corollary_consistent  # not a unital contraction, no conflict
+        rep = check_positivity(op)
+        assert not rep.passed and rep.witness == (1, 0, -0.05)
+        # not a unital contraction, so a real space's corollary does not apply
+        assert estimate_operator_norm(op).estimate == pytest.approx(1.05)
 
 
 class TestConjugationIdentity:
