@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SolverError
-from .functions import FunctionSpan
+from .functions import MEMBERSHIP_TOL, FunctionSpan
 from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet
 
 # slack of every direct-evaluation check in this module
@@ -208,7 +208,7 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     d = span.space.pairwise[x0]
     q = d * d
     korovkin = 1.0 - 2.0 / (r * r + q.max()) * q
-    cert = _recheck(span, x0, np.linalg.lstsq(b_mat, korovkin, rcond=None)[0], r)
+    cert = _recheck(span, x0, span.fit(korovkin)[0], r)
     if cert is not None:
         return cert, cert.margin
 
@@ -357,12 +357,13 @@ def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> t
     return True, "ok"
 
 
-def _accepted_generators(span: FunctionSpan) -> list[np.ndarray]:
-    """The grid's candidate symmetries that preserve distances and the span.
+def _accepted_generators(span: FunctionSpan) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The grid's candidate symmetries g that preserve distances and the
+    span, each with the k x k map m that moves coefficients along it.
 
     A candidate g is kept when d(g[i], g[j]) = d(i, j) to _ISOMETRY_TOL,
-    compared a block of rows at a time, and every basis function composed
-    with g lies in the span.
+    compared a block of rows at a time, and the basis composed with g^-1,
+    B[argsort(g)], fits onto the span as B m to MEMBERSHIP_TOL.
     """
     space = span.space
     d = space.pairwise
@@ -374,8 +375,10 @@ def _accepted_generators(span: FunctionSpan) -> list[np.ndarray]:
             np.max(np.abs(d[g[s : s + rows]][:, g] - d[s : s + rows])) <= _ISOMETRY_TOL
             for s in range(0, n, rows)
         )
-        if isometry and all(span.contains_values(col) for col in span.value_matrix[g].T):
-            out.append(g)
+        if isometry:
+            m, residual = span.fit(span.value_matrix[np.argsort(g)])
+            if residual <= MEMBERSHIP_TOL:
+                out.append((g, m))
     return out
 
 
@@ -429,23 +432,15 @@ def _scan_point(span: FunctionSpan, i: int, r: float) -> PointClassification:
 
 
 def _move_verdict(
-    span: FunctionSpan, known: PointClassification, g: np.ndarray
+    span: FunctionSpan, known: PointClassification, g: np.ndarray, m: np.ndarray
 ) -> PointClassification | None:
-    """Carry a Boundary verdict from point p to g[p] along the symmetry g.
-
-    The peaking function moves by permuting its values, h'(g[y]) = h(y);
-    its coefficients come from least squares on the basis values. The
-    margin is recomputed on the new point's own far set at the
-    certificate's radius, and the certificate is re-verified. Returns None
-    when the moved certificate does not pass.
+    """Carry a Boundary verdict from point p to g[p] along the symmetry g:
+    h'(g[y]) = h(y) has coefficients m c (see `_accepted_generators`). The
+    margin is recomputed on the new point's own far set at the certificate's
+    radius, and the certificate is re-verified; None when it does not pass.
     """
-    b_mat = span.value_matrix
-    h = b_mat @ np.asarray(known.certificate.coeffs)
-    moved = np.empty_like(h)
-    moved[g] = h
-    coeffs = np.linalg.lstsq(b_mat, moved, rcond=None)[0]
     i = int(g[known.index])
-    cert = _recheck(span, i, coeffs, known.certificate.radius)
+    cert = _recheck(span, i, m @ np.asarray(known.certificate.coeffs), known.certificate.radius)
     if cert is None:
         return None
     return PointClassification(
@@ -478,13 +473,13 @@ def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -
     if not span.separating:
         raise ValueError("peak search needs a separating span")
     r = scan_radius(span.space, radius)
-    gens = _accepted_generators(span)
-    parent, via, order = _orbit_tree(span.space.n_points, gens)
+    moves = _accepted_generators(span)
+    parent, via, order = _orbit_tree(span.space.n_points, [g for g, _ in moves])
     results: list[PointClassification | None] = [None] * span.space.n_points
     for i in order:
         p = parent[i]
         moved = None
         if p >= 0 and results[p].label is Classification.BOUNDARY:
-            moved = _move_verdict(span, results[p], gens[via[i]])
+            moved = _move_verdict(span, results[p], *moves[via[i]])
         results[i] = moved or _scan_point(span, i, r)
     return BoundaryEstimate(span=span, points=tuple(results), radius=r)

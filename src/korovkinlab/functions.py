@@ -9,10 +9,11 @@ call evaluates every grid point or every kernel node. Built-in rules also
 accept a single point. The sampled value vector over the grid is computed
 lazily and cached on the function.
 
-Span membership (and the unital / self-conjugate flags derived from it) is
-decided by least-squares fitting over the grid value vectors with a fixed
-residual tolerance; point separation uses a tolerance well below any grid
-spacing used here.
+Every least-squares question about a span, `FunctionSpan.fit`, is answered
+from one cached SVD of its value matrix. Span membership (and the unital /
+self-conjugate flags derived from it) is a fit's residual within a fixed
+tolerance; point separation uses a tolerance well below any grid spacing
+used here.
 """
 
 from __future__ import annotations
@@ -166,17 +167,21 @@ class FunctionSpan:
         m.setflags(write=False)
         return m
 
-    def fit_residual(self, target_values) -> float:
-        """Max-abs residual of least-squares fitting target over the grid."""
-        v = np.asarray(target_values)
-        m = self.value_matrix
-        if np.iscomplexobj(v) and not np.iscomplexobj(m):
-            m = m.astype(complex)
-        sol, *_ = np.linalg.lstsq(m, v, rcond=None)
-        return float(np.max(np.abs(m @ sol - v)))
+    @cached_property
+    def _solver(self) -> np.ndarray:
+        """The k x N least-squares solver of value_matrix from one SVD; as in
+        numpy's default, singular values up to eps * max(N, k) * s_max count as 0."""
+        u, s, vh = np.linalg.svd(self.value_matrix, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(self.value_matrix.shape) * s[0]
+        return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+
+    def fit(self, values) -> tuple[np.ndarray, float]:
+        """Least-squares coefficients of values, (N,) or (N, m), and the max-abs residual."""
+        coeffs = self._solver @ values
+        return coeffs, float(np.max(np.abs(self.value_matrix @ coeffs - values)))
 
     def contains_values(self, target_values) -> bool:
-        return self.fit_residual(target_values) <= MEMBERSHIP_TOL
+        return self.fit(target_values)[1] <= MEMBERSHIP_TOL
 
     @cached_property
     def unital(self) -> bool:
@@ -184,9 +189,7 @@ class FunctionSpan:
 
     @cached_property
     def self_conjugate(self) -> bool:
-        if self.space.field is Field.REAL:
-            return True
-        return all(self.contains_values(np.conj(f.values)) for f in self.basis)
+        return self.space.field is Field.REAL or self.contains_values(np.conj(self.value_matrix))
 
     @cached_property
     def separating(self) -> bool:

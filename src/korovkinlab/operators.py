@@ -289,10 +289,10 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
 
 
 def averaging_operator(space: CompactSpace) -> KernelOperator:
-    """Rank-one unital positive operator mapping f to its grid mean times 1."""
+    """Rank-one unital positive operator mapping f to its grid mean times 1.
+    Its weights are one double, broadcast: a family keeps no dense N x N mix."""
     n_pts = space.n_points
-    w = np.full((n_pts, n_pts), 1.0 / n_pts)
-    return KernelOperator(space, space, space.points, w)
+    return KernelOperator(space, space, space.points, np.broadcast_to(1.0 / n_pts, (n_pts, n_pts)))
 
 
 def eps_schedule(spec) -> Callable[[int], float]:

@@ -15,10 +15,12 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import korovkinlab.choquet as choquet
 from korovkinlab import CompactSpace, CompositionIsometry, ConfigError, KernelOperator, OperatorFamily
 from korovkinlab.cli import build_parser, main
 from korovkinlab.config import build_experiment, validate_config
@@ -642,6 +644,25 @@ def test_quadratic_span_on_a_tiny_grid_is_all_boundary(tmp_path, capsys):
     assert labels == ["Boundary"] * 21
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the least-squares fit's rank cut-off is relative to the largest singular value: "
+    "on points of size 1e20 it drops the constant, and {1, x} is called non-unital",
+)
+def test_affine_span_on_a_huge_grid_is_scanned(tmp_path, capsys):
+    # the points [0, 1e7, -1e7] give these labels
+    cfg = {
+        "version": 1,
+        "spaces": {"C": {"kind": "custom", "points": [0, 1e20, -1e20]}},
+        "spans": {"A": {"space": "C", "basis": ["const1", "x"]}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("choquet", "--config", path, "--out", str(tmp_path)) == 0
+    with open(tmp_path / "choquet.csv", newline="") as fh:
+        labels = [row["classification"] for row in csv.DictReader(fh)]
+    assert labels == ["NotDetected", "Boundary", "Boundary"]
+
+
 @pytest.mark.parametrize(
     "command", [("choquet",), ("korovkin", "run")], ids=["choquet", "korovkin_run"]
 )
@@ -850,6 +871,32 @@ class TestPresets:
             _sha256((tmp_path / "hypotheses.json").read_bytes()),
             _sha256(labels.encode()),
         ) == _PRESET_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(preset_names()))
+    def test_every_scan_fits_by_one_svd_per_span(self, name, tmp_path, monkeypatch):
+        calls = Counter()
+        for fn in ("lstsq", "svd"):
+            real = getattr(np.linalg, fn)
+
+            def counted(*args, _real=real, _fn=fn, **kwargs):
+                calls[_fn] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, fn, counted)
+        scanned = []
+        real_generators = choquet._accepted_generators  # called once per scan
+
+        def recording(span):
+            scanned.append(span)
+            return real_generators(span)
+
+        monkeypatch.setattr(choquet, "_accepted_generators", recording)
+        for command in (("korovkin", "run"), ("choquet",)):
+            calls.clear()
+            scanned.clear()
+            assert run_cli(*command, "--preset", name, "--out", str(tmp_path)) == 0
+            assert scanned and calls["lstsq"] == 0
+            assert calls["svd"] == len({id(span) for span in scanned})
 
     def test_expected_preset_names(self):
         assert set(preset_names()) == {

@@ -312,6 +312,20 @@ class TestPerturbedComposition:
         assert np.array_equal(op.nodes, space.points)
         assert np.array_equal(op.weights, two_block.weights)
 
+    def test_mix_is_one_broadcast_double(self):
+        # the family keeps no dense N x N mix, and each kernel is still
+        # e * (1/N), plus 1 - e at (y, phi(y)), bit for bit
+        space = make_circle_grid(16)
+        phi = rotation_isometry(space, 3)
+        mix = averaging_operator(space)
+        assert mix.weights.strides == (0, 0)
+        fam = perturbed_composition(phi, mix, "1/n")
+        for n in (1, 2, 7):
+            e = 1.0 / n
+            want = np.full((16, 16), e * (1.0 / 16))
+            want[np.arange(16), list(phi.phi)] += 1.0 - e
+            assert np.array_equal(fam.operator(n).weights, want)
+
     def test_mix_nodes_must_be_the_grid_points(self):
         space = make_circle_grid(16)
         shuffled = KernelOperator(

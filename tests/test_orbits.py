@@ -22,6 +22,7 @@ from korovkinlab import (
     named_function,
     verify_peak_certificate,
 )
+from korovkinlab.functions import MEMBERSHIP_TOL
 
 # catalog spans per grid type; some are invariant under every candidate
 # symmetry, some under a part of them, and some under none
@@ -74,10 +75,13 @@ def test_orbit_scan_matches_full_scan(span):
     assert [p.label for p in est.points] == [p.label for p in full.points]
     assert all(p.source == p.index for p in full.points)
 
-    gens = choquet._accepted_generators(span)
+    moves = choquet._accepted_generators(span)
     boundary = set(est.boundary_point_set().indices)
-    for g in gens:
+    b_mat = span.value_matrix
+    for g, m in moves:
         assert {int(g[i]) for i in boundary} == boundary
+        # m moves coefficients: the basis composed with g^-1 is B m
+        assert np.max(np.abs(b_mat[np.argsort(g)] - b_mat @ m)) <= MEMBERSHIP_TOL
     for p in est.points:
         if p.label is Classification.BOUNDARY:
             ok, why = verify_peak_certificate(span, p.certificate)
@@ -85,7 +89,7 @@ def test_orbit_scan_matches_full_scan(span):
             assert p.certificate.x0 == p.index
         else:
             assert p.source == p.index  # a rejection is never moved
-    if not gens:
+    if not moves:
         assert all(p.source == p.index for p in est.points)
 
 
@@ -107,8 +111,8 @@ class TestAcceptedGenerators:
         grid = make_disc_grid(2, 8)
         span = FunctionSpan((named_function("const1", grid), named_function("z", grid)))
         rotate, _ = grid.generators
-        gens = choquet._accepted_generators(span)
-        assert len(gens) == 1 and np.array_equal(gens[0], rotate)
+        moves = choquet._accepted_generators(span)
+        assert len(moves) == 1 and np.array_equal(moves[0][0], rotate)
 
     def test_permutation_that_is_not_an_isometry(self):
         # every function on 7 points lies in the span of x^0..x^6, so only
