@@ -100,11 +100,13 @@ class HypothesisReport:
 
 def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     """Certify the structural hypotheses of a convergence experiment in a run's one pass
-    over its kernels: each is built once, certified, applied, and released before the next."""
+    over its kernels: each is swept once, a row block at a time, to certify and apply it,
+    and released before the next is built."""
     distinct = dict.fromkeys((*config.test_span.basis, *config.probes, *(config.n_generators or ())))
     positivity, images, t1_bound = {}, {}, 0.0
     for n in config.indices:
         op = config.family.operator(n)
+        op.sweep(distinct)  # the checks, T_n 1 and the images below read this pass
         positivity[n] = check_positivity(op)
         t1_bound = max(t1_bound, float(np.max(np.abs(op.t_one_values))))
         images[n] = {f: op.apply(f) for f in distinct}

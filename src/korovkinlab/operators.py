@@ -1,10 +1,12 @@
 """Kernel operators, composition isometries, and indexed operator families.
 
-Every built-in family is kernel-backed: the map at index n is a weight
-matrix against a fixed node array, so an application is one rule call on
-all nodes and one matrix product, and positivity is certified from the
-weight signs alone. Node points need not lie on the source grid; functions
-are evaluation rules, so node evaluation is exact.
+Every built-in family is kernel-backed: the map at index n is its nodes
+plus a function that returns any block of target rows of its weights, so
+no kernel holds its whole weight matrix. A sweep builds each row block
+once and, in the same step, checks it, certifies positivity from the
+weight signs, sums its rows and multiplies it into every image, after one
+rule call per function on all nodes. Node points need not lie on the
+source grid; functions are evaluation rules, so node evaluation is exact.
 """
 
 from __future__ import annotations
@@ -14,87 +16,184 @@ import os
 import sys
 import types
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .functions import ScalarFunction, evaluate, function_from_values
-from .space import DEFAULT_POINT_CAP, CompactSpace, SpaceKind
+from .space import BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind
 
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
-# most weights one kernel may hold: 2 GiB of float64, the budget of a grid's
-# distance matrix at the point cap
+# most weights a sweep may compute for one kernel: the count of a grid's
+# distance matrix at the point cap (2 GiB as float64), though a sweep holds
+# only a few row blocks of them at a time
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
+# a sweep's row blocks start at multiples of this many rows, and none is a
+# lone trailing row: then each image row takes the same BLAS path as in one
+# product over all rows, and the images are bit for bit those of that product
+ROW_ALIGN = 8
+
+
+def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """The [lo, hi) row blocks of a sweep over an n_rows x n_cols kernel:
+    about BLOCK_ENTRIES weights each, a multiple of ROW_ALIGN rows and at
+    least ROW_ALIGN, with the remainder merged into the last block."""
+    step = max(ROW_ALIGN, BLOCK_ENTRIES // n_cols // ROW_ALIGN * ROW_ALIGN)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] < step:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n_rows]))
+
+
+class _Sweep(NamedTuple):
+    """What a sweep found besides the images."""
+
+    min_weight: float
+    # (y, i) of the first smallest weight in C order; None unless it is
+    # below WEIGHT_SIGN_TOL, where it is the positivity witness
+    argmin: tuple[int, int] | None
+    t_one: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """(Tf)(y_j) = sum_i weights[j, i] * f(nodes[i]).
+    """(Tf)(y_j) = sum_i w[j, i] * f(nodes[i]).
 
     ``nodes`` is one array in the form of the source grid's ``points``:
-    shape ``(N,)``, or ``(N, dim)`` on a box grid. A function takes one
+    shape ``(N,)``, or ``(N, dim)`` on a box grid. ``rows`` is the weight
+    matrix itself or a function ``rows(lo, hi)`` returning target rows
+    ``[lo, hi)`` of it, which no caller writes into. A function takes one
     value at a point however often it is listed, so the weight columns of
-    equal nodes are summed on construction, keeping the order of first
-    occurrence: every kernel holds distinct nodes. The kernel takes
-    ownership of a float ``weights`` array and freezes it, without a copy.
-    ``min_weight`` is the smallest weight after the merge.
+    equal nodes are summed, keeping the order of first occurrence: a
+    matrix's on construction, a function's per block from a column map
+    built once from the nodes. Every kernel has distinct nodes. A matrix
+    is taken without a copy and frozen, and swept at once.
     """
 
     source: CompactSpace
     target: CompactSpace
     nodes: np.ndarray
-    weights: np.ndarray
-    min_weight: float = field(init=False, repr=False)
+    rows: np.ndarray | Callable[[int, int], np.ndarray]
+    _last: _Sweep | None = field(default=None, init=False, repr=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes)
         if nodes.shape[1:] != self.source.points.shape[1:]:
             raise ValueError(f"nodes of shape {nodes.shape} do not match the source grid's points")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.target.n_points, len(nodes)):
-            raise ValueError(
-                f"weights must have shape (n_target={self.target.n_points}, "
-                f"n_nodes={len(nodes)}), got {w.shape}"
-            )
-        # two passes and no temporary: NaN propagates through min and max
-        lo, hi = w.min(), w.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("kernel weights must be finite")
-        # sorted nodes skip np.unique, whose buffers add about a tenth of
-        # the weights' size to the peak memory of a large tensor build
+        rows = self.rows
+        if not callable(rows):
+            rows = np.asarray(rows, dtype=float)
+            if rows.shape != (self.target.n_points, len(nodes)):
+                raise ValueError(
+                    f"weights must have shape (n_target={self.target.n_points}, "
+                    f"n_nodes={len(nodes)}), got {rows.shape}"
+                )
+        # sorted nodes skip np.unique, whose buffers would add to the peak
+        # memory of a large tensor build
         if not _strictly_increasing(nodes):
             _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
             if first.size < len(nodes):
                 rank = np.empty_like(first)
                 rank[np.argsort(first)] = np.arange(first.size)
-                merged = np.zeros((w.shape[0], first.size))
-                np.add.at(merged, (slice(None), rank[inverse.reshape(-1)]), w)
-                nodes, w = nodes[np.sort(first)], merged
-                lo = merged.min()
-        for a in (nodes, w):
-            a.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+                merge = partial(_merge_columns, rank[inverse.reshape(-1)], first.size)
+                nodes = nodes[np.sort(first)]
+                rows = merge(rows) if isinstance(rows, np.ndarray) else _merged(rows, merge)
+        for a in (nodes, rows):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "min_weight", float(lo))
+        if isinstance(rows, np.ndarray):
+            self.sweep()
 
-    @cached_property
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Target rows [lo, hi) of the merged weights."""
+        rows = self.rows
+        return rows[lo:hi] if isinstance(rows, np.ndarray) else rows(lo, hi)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All merged weights at once, for small kernels: no sweep reads them."""
+        rows = self.rows
+        return rows if isinstance(rows, np.ndarray) else rows(0, self.target.n_points)
+
+    def sweep(self, functions=()) -> None:
+        """One pass over the row blocks. Each block is built once and, in
+        the same step, refused if a weight is not finite, searched for its
+        smallest weight, summed by rows (T 1) and multiplied into the image
+        of every function. ``min_weight``, ``t_one_values``,
+        ``check_positivity`` and ``apply`` read what the pass found."""
+        fs = tuple(functions)
+        for f in fs:
+            if f.space is not self.source:
+                raise ValueError("function lives on a different grid than the operator source")
+        values = [evaluate(f, self.nodes) for f in fs]
+        n = self.target.n_points
+        t_one = np.empty(n)
+        images = [np.empty(n, dtype=np.result_type(float, v)) for v in values]
+        low, argmin = np.inf, None
+        for lo, hi in row_blocks(n, len(self.nodes)):
+            w = self.block(lo, hi)
+            w_min = w.min()
+            # NaN propagates through min and max
+            if not (np.isfinite(w_min) and np.isfinite(w.max())):
+                raise ValueError("kernel weights must be finite")
+            if w_min < low:
+                low = w_min
+                if w_min < WEIGHT_SIGN_TOL:  # the first most negative weight in C order
+                    y, i = np.unravel_index(int(np.argmin(w)), w.shape)
+                    argmin = (lo + int(y), int(i))
+            w.sum(axis=1, out=t_one[lo:hi])
+            with np.errstate(all="ignore"):  # a non-finite image is refused below
+                for v, out in zip(values, images):
+                    np.matmul(w, v, out=out[lo:hi])
+            del w  # the next block is built without this one alive
+        t_one.setflags(write=False)
+        object.__setattr__(self, "_last", _Sweep(float(low), argmin, t_one))
+        for f, out in zip(fs, images):
+            self._images[f] = function_from_values(self.target, out, name=f"T[{f.name}]")
+
+    @property
+    def _swept(self) -> _Sweep:
+        if self._last is None:
+            self.sweep()
+        return self._last
+
+    @property
+    def min_weight(self) -> float:
+        """The smallest merged weight."""
+        return self._swept.min_weight
+
+    @property
     def t_one_values(self) -> np.ndarray:
         """Row sums: the image of the constant function 1."""
-        return self.weights.sum(axis=1)
+        return self._swept.t_one
 
     def weight_certificate(self) -> bool:
         """Nonnegative-weight certificate of positivity."""
         return self.min_weight >= WEIGHT_SIGN_TOL
 
     def apply(self, f: ScalarFunction) -> ScalarFunction:
-        if f.space is not self.source:
-            raise ValueError("function lives on a different grid than the operator source")
-        with np.errstate(all="ignore"):  # a non-finite image is refused below
-            out = self.weights @ evaluate(f, self.nodes)
-        return function_from_values(self.target, out, name=f"T[{f.name}]")
+        """The image of f: the one a sweep over f made, or a sweep's for f alone."""
+        if f not in self._images:
+            self.sweep((f,))
+        return self._images[f]
+
+
+def _merge_columns(columns: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
+    """The k merged columns of w: column j of w is added into columns[j]."""
+    merged = np.zeros((w.shape[0], k))
+    np.add.at(merged, (slice(None), columns), w)
+    return merged
+
+
+def _merged(rows: Callable[[int, int], np.ndarray], merge) -> Callable[[int, int], np.ndarray]:
+    """``rows`` with ``merge`` applied to each block; it holds no kernel alive."""
+    return lambda lo, hi: merge(rows(lo, hi))
 
 
 def _strictly_increasing(nodes: np.ndarray) -> bool:
@@ -189,8 +288,8 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
     if n < 1:
         raise ValueError("bernstein index must be >= 1")
     FAMILIES["bernstein"].check_kind(space)
-    w = _binom_pmf(n, space.coords[:, 0])
-    return KernelOperator(space, space, np.arange(n + 1) / n, w)
+    x = space.coords[:, 0]
+    return KernelOperator(space, space, np.arange(n + 1) / n, lambda lo, hi: _binom_pmf(n, x[lo:hi]))
 
 
 def _binom_pmf(n: int, x: np.ndarray) -> np.ndarray:
@@ -258,24 +357,30 @@ def fejer(n: int, space: CompactSpace) -> KernelOperator:
     m = space.n_points
     check_fejer_grid(n, m)
     theta = 2.0 * np.pi * np.arange(m) / m
-    w = _fejer_kernel(theta[:, None] - theta[None, :], n) / m
-    return KernelOperator(space, space, space.points, w)
+    return KernelOperator(
+        space, space, space.points, lambda lo, hi: _fejer_kernel(theta[lo:hi, None] - theta, n) / m
+    )
 
 
 def tensor_bernstein(n: int, space: CompactSpace) -> KernelOperator:
-    """Coordinatewise tensor product of 1-d Bernstein weights on a box grid."""
+    """Coordinatewise tensor product of 1-d Bernstein weights on a box grid:
+    each row is the outer product of the grid point's per-axis rows."""
     if n < 1:
         raise ValueError("tensor_bernstein index must be >= 1")
     FAMILIES["tensor_bernstein"].check_kind(space)
     p = space.dim
-    w = _binom_pmf(n, space.coords[:, 0])
-    for d in range(1, p):
-        wd = _binom_pmf(n, space.coords[:, d])
-        w = (w[:, :, None] * wd[:, None, :]).reshape(space.n_points, -1)
+    pmf = [_binom_pmf(n, space.coords[:, d]) for d in range(p)]
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        w = pmf[0][lo:hi]
+        for wd in pmf[1:]:
+            w = (w[:, :, None] * wd[lo:hi, None, :]).reshape(hi - lo, -1)
+        return w
+
     # nodes in itertools.product order, matching the weight columns
     axes = np.meshgrid(*[np.arange(n + 1) / n] * p, indexing="ij")
     nodes = np.stack(axes, axis=-1).reshape((-1,) + space.points.shape[1:])
-    return KernelOperator(space, space, nodes, w)
+    return KernelOperator(space, space, nodes, rows)
 
 
 def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
@@ -283,9 +388,12 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
     if n < 1:
         raise ValueError("mollifier index must be >= 1")
     FAMILIES["mollifier_disc"].check_kind(space)
-    inside = space.pairwise < 1.0 / n
-    w = inside / inside.sum(axis=1, keepdims=True)
-    return KernelOperator(space, space, space.points, w)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        inside = space.pairwise[lo:hi] < 1.0 / n
+        return inside / inside.sum(axis=1, keepdims=True)
+
+    return KernelOperator(space, space, space.points, rows)
 
 
 def averaging_operator(space: CompactSpace) -> KernelOperator:
@@ -333,35 +441,46 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
     if np.max(np.abs(mix.t_one_values - 1.0)) > UNITAL_TOL:
         raise ValueError("mix operator must be unital")
     eps_fn = eps_schedule(eps)
-    rows = np.arange(phi.target.n_points)
-    phi_idx = list(phi.phi)
+    phi_idx = np.array(phi.phi, dtype=np.intp)
 
     def build(n: int) -> KernelOperator:
         e = float(eps_fn(n))
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"epsilon at index {n} is {e}, outside [0, 1]")
-        w = e * mix.weights
-        w[rows, phi_idx] += 1.0 - e
-        return KernelOperator(phi.source, phi.target, mix.nodes, w)
+
+        def rows(lo: int, hi: int) -> np.ndarray:
+            w = e * mix.block(lo, hi)
+            w[np.arange(hi - lo), phi_idx[lo:hi]] += 1.0 - e
+            return w
+
+        return KernelOperator(phi.source, phi.target, mix.nodes, rows)
 
     return OperatorFamily("perturbed_composition", phi.source, phi.target, build, limit=phi)
 
 
 def inject_weight(op: KernelOperator, target_index: int, node_index: int, value: float) -> KernelOperator:
-    """Copy of a kernel operator with one weight overridden.
+    """A kernel operator with one weight of ``op`` overridden, in the one
+    row block that holds it.
 
     Used to construct positivity counterexamples in tests and demos.
     ``node_index`` counts the kernel's distinct nodes.
     """
-    w = op.weights.copy()
-    y, i = int(target_index), int(node_index)
-    if not (0 <= y < w.shape[0] and 0 <= i < w.shape[1]):
+    y, i, value = int(target_index), int(node_index), float(value)
+    n_rows, n_nodes = op.target.n_points, len(op.nodes)
+    if not (0 <= y < n_rows and 0 <= i < n_nodes):
         raise ValueError(
-            f"weight index ({y}, {i}) is outside the kernel's {w.shape[0]} target "
-            f"points x {w.shape[1]} nodes"
+            f"weight index ({y}, {i}) is outside the kernel's {n_rows} target "
+            f"points x {n_nodes} nodes"
         )
-    w[y, i] = float(value)
-    return KernelOperator(op.source, op.target, op.nodes, w)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        w = op.block(lo, hi)
+        if lo <= y < hi:
+            w = np.array(w)
+            w[y - lo, i] = value
+        return w
+
+    return KernelOperator(op.source, op.target, op.nodes, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +669,8 @@ def check_positivity(op) -> PositivityReport:
         )
     witness = None
     if not op.weight_certificate():
-        y, i = np.unravel_index(int(np.argmin(op.weights)), op.weights.shape)
-        witness = (int(i), int(y), op.min_weight)
+        y, i = op._swept.argmin
+        witness = (i, y, op.min_weight)
     return PositivityReport(op.min_weight, witness)
 
 
@@ -566,12 +685,15 @@ def estimate_operator_norm(op) -> NormEstimate:
 
     A kernel operator's norm is its largest absolute row sum
     max_j sum_i |w_ji| over its distinct nodes, attained by the sign (or
-    phase) pattern of that row. A composition isometry has norm 1.
+    phase) pattern of that row, streamed a row block at a time. A
+    composition isometry has norm 1.
     """
     if isinstance(op, KernelOperator):
-        norm = float(np.abs(op.weights).sum(axis=1).max())
+        t_one = op.t_one_values  # from a sweep, which refuses non-finite weights
+        blocks = row_blocks(op.target.n_points, len(op.nodes))
+        norm = max(float(np.abs(op.block(lo, hi)).sum(axis=1).max()) for lo, hi in blocks)
     elif isinstance(op, CompositionIsometry):
-        norm = 1.0
+        t_one, norm = op.t_one_values, 1.0
     else:
         raise TypeError("expected a KernelOperator or CompositionIsometry")
-    return NormEstimate(estimate=norm, t_one_sup=float(np.max(np.abs(op.t_one_values))))
+    return NormEstimate(estimate=norm, t_one_sup=float(np.max(np.abs(t_one))))

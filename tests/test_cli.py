@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korovkinlab.choquet as choquet
+import korovkinlab.operators as operators
 from korovkinlab import CompactSpace, CompositionIsometry, ConfigError, KernelOperator, OperatorFamily
 from korovkinlab.cli import build_parser, main
 from korovkinlab.config import build_experiment, validate_config
@@ -940,6 +941,37 @@ class TestPresets:
         monkeypatch.setattr(OperatorFamily, "operator", counted)
         assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
         assert builds == get_preset(name)["experiment"]["indices"]
+
+    @pytest.mark.parametrize("name", sorted(preset_names()))
+    def test_a_run_in_row_blocks_of_eight_keeps_the_pins(self, name, tmp_path, monkeypatch):
+        # most presets' kernels fit one row block; at the smallest blocks every
+        # kernel takes several. Each block of each kernel is built once, no
+        # run reads a kernel's dense weights, and the outputs keep their pins.
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)
+        built = Counter()
+        block = KernelOperator.block
+
+        def counted(op, lo, hi):
+            built[op, lo, hi] += 1
+            return block(op, lo, hi)
+
+        def dense(op):
+            raise AssertionError("a run read a kernel's dense weights")
+
+        monkeypatch.setattr(KernelOperator, "block", counted)
+        monkeypatch.setattr(KernelOperator, "weights", property(dense))
+        assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
+        assert (
+            _sha256((tmp_path / "report.csv").read_bytes()),
+            _sha256((tmp_path / "hypotheses.json").read_bytes()),
+        ) == _PRESET_DIGESTS[name][:2]
+        assert set(built.values()) == {1}
+        kernels = {op for op, _, _ in built}
+        assert len(kernels) == len(get_preset(name)["experiment"]["indices"])
+        for op in kernels:
+            spans = sorted((lo, hi) for k, lo, hi in built if k is op)
+            assert spans == operators.row_blocks(op.target.n_points, len(op.nodes))
+            assert len(spans) > 1
 
     def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
         # the kernels need scipy.special alone: no stats, no LP, no k-d tree

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from korovkinlab import (
     bernstein,
     check_positivity,
     conjugate,
+    default_probes,
     estimate_operator_norm,
     fejer,
     function_from_values,
@@ -38,8 +40,11 @@ from korovkinlab import (
     sup_norm,
     tensor_bernstein,
 )
-from korovkinlab.operators import KERNEL_BUDGET, _binom_pmf, _load_ufuncs, eps_schedule
-from korovkinlab.space import DEFAULT_POINT_CAP
+from korovkinlab import operators
+from korovkinlab.cli import main
+from korovkinlab.functions import evaluate
+from korovkinlab.operators import KERNEL_BUDGET, ROW_ALIGN, _binom_pmf, eps_schedule, row_blocks
+from korovkinlab.space import BLOCK_ENTRIES, DEFAULT_POINT_CAP
 
 from oracles import bernstein_exact, fejer_fourier, mollifier_loop
 
@@ -722,29 +727,125 @@ class TestKernelOperatorValidation:
         ):
             op.apply(f).values
 
-    def test_build_holds_the_weights_once(self):
-        _load_ufuncs()  # the first build loads the ufunc extension; keep that out of the peak
-
-        box = make_box_grid(2, 8)
+    def test_a_tensor_run_holds_a_few_row_blocks(self, tmp_path):
+        # tensor Bernstein up to n = 256 on the 81-point box: the kernel at
+        # n = 256 has 81 x 66 049 weights (40.8 MiB), and a sweep holds one
+        # block of 8 of its rows (4.0 MiB) next to the 8 functions' node values
+        cfg = {
+            "version": 1,
+            "spaces": {"K": {"kind": "box", "p": 2, "m": 8}},
+            "spans": {
+                "quadratic2d": {
+                    "space": "K",
+                    "basis": ["const1", "coord 1", "coord 2", "coord 1^2", "coord 2^2"],
+                }
+            },
+            "family": {"name": "tensor_bernstein", "space": "K"},
+            "experiment": {"test_span": "quadratic2d", "probes": "default", "indices": [8, 32, 128, 256]},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        # a first run at one small index loads every module the run needs
+        # (it exits 2: one index shows no convergence)
+        warm = tmp_path / "warm.json"
+        warm.write_text(json.dumps({**cfg, "experiment": {**cfg["experiment"], "indices": [8]}}))
+        assert main(["korovkin", "run", "--config", str(warm), "--out", str(tmp_path / "warm")]) == 2
         tracemalloc.start()
         try:
-            op = tensor_bernstein(256, box)
+            code = main(["korovkin", "run", "--config", str(path), "--out", str(tmp_path / "run")])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.weights.nbytes == 81 * 257**2 * 8  # 40.8 MiB
-        assert peak < 1.15 * op.weights.nbytes
+        assert code == 0
+        assert peak < 16 * 2**20
 
-    def test_perturbed_build_holds_the_kernel_once(self):
+    def test_a_perturbed_sweep_holds_a_few_row_blocks(self):
         fam = FAMILIES["perturbed_composition"].build(make_circle_grid(2048), {})
+        f = named_function("z", fam.source)
         tracemalloc.start()
         try:
             op = fam.operator(3)
+            op.sweep([f])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert op.weights.nbytes == 2048**2 * 8  # 32 MiB
-        assert peak < 1.25 * op.weights.nbytes
+        # a dense kernel would take 2048^2 doubles, 32 MiB; a sweep holds one
+        # block of 128 rows (2 MiB) and its complex copy for the product
+        assert len(op.nodes) == 2048
+        assert peak < 8 * 2**20
+        assert np.max(np.abs(op.t_one_values - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_sweep_refuses_a_non_finite_weight_before_any_image(self, bad, monkeypatch):
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks
+        made = []
+        monkeypatch.setattr(
+            operators, "function_from_values", lambda *a, **k: made.append(a) or function_from_values(*a, **k)
+        )
+        op = inject_weight(bernstein(6, INTERVAL), 90, 3, bad)  # in the last block
+        with pytest.raises(ValueError, match="kernel weights must be finite"):
+            op.apply(named_function("x", INTERVAL))
+        with pytest.raises(ValueError, match="kernel weights must be finite"):
+            check_positivity(op)
+        assert made == []
+
+    def test_the_witness_is_the_first_most_negative_weight_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks
+        op = bernstein(6, INTERVAL)
+        for y, i in ((70, 2), (20, 5), (21, 0)):  # equal minima in blocks 2 and 8
+            op = inject_weight(op, y, i, -0.5)
+        assert len(row_blocks(INTERVAL.n_points, 7)) == 12
+        rep = check_positivity(op)
+        assert rep.witness == (5, 20, -0.5) and rep.min_weight == -0.5
+        w = op.weights
+        assert np.unravel_index(np.argmin(w), w.shape) == (20, 5)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_cols", [1, 257, 66049, 2**20])
+    @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 17, 81, 257, 4097])
+    def test_blocks_tile_the_rows_from_multiples_of_eight(self, n_rows, n_cols):
+        blocks = row_blocks(n_rows, n_cols)
+        starts = [lo for lo, _ in blocks]
+        assert starts == [0, *(hi for _, hi in blocks[:-1])] and blocks[-1][1] == n_rows
+        assert all(lo % ROW_ALIGN == 0 for lo in starts)
+        lo, hi = blocks[-1]
+        assert hi - lo >= ROW_ALIGN or blocks == [(0, n_rows)]
+        # every block but the last has one size: about BLOCK_ENTRIES weights,
+        # a multiple of ROW_ALIGN rows, and never fewer than ROW_ALIGN
+        step = blocks[0][1]
+        assert all(hi - lo == step for lo, hi in blocks[:-1])
+        if len(blocks) > 1:
+            assert step % ROW_ALIGN == 0
+            assert step == ROW_ALIGN or step * n_cols <= BLOCK_ENTRIES
+            assert step == ROW_ALIGN or (step + ROW_ALIGN) * n_cols > BLOCK_ENTRIES
+            assert step <= hi - lo < 2 * step
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mollifier_disc(2, make_disc_grid(8, 32)),
+            lambda: mollifier_disc(4, make_disc_grid(8, 32)),
+            lambda: fejer(4, make_circle_grid(37)),
+            lambda: tensor_bernstein(16, make_box_grid(2, 8)),
+            lambda: bernstein(16, make_interval_grid(100)),
+        ],
+        ids=["disc2", "disc4", "fejer", "tensor", "bernstein"],
+    )
+    def test_images_in_blocks_of_eight_are_one_product_bit_for_bit(self, make, monkeypatch):
+        # a lone trailing row would take another BLAS path: on the 257-point
+        # disc at n = 2 and 4, row 256 then moves by one ulp
+        op = make()
+        w = op.weights
+        fs = [named_function("const1", op.source), *default_probes(op.source)]
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)
+        assert len(row_blocks(*w.shape)) > 1
+        op.sweep(fs)
+        assert np.array_equal(op.t_one_values, w.sum(axis=1))
+        for f in fs:
+            got = op.apply(f).values  # in the grid's field
+            want = np.asarray(w @ evaluate(f, op.nodes), dtype=got.dtype)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f.name
 
 
 class TestFamilyTable:
