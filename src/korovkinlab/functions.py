@@ -199,16 +199,30 @@ class FunctionSpan:
 def separates_points(span: FunctionSpan) -> tuple[bool, tuple[int, int] | None]:
     """Whether basis value vectors distinguish every grid pair.
 
-    On failure, returns a witness pair of indistinguishable point indices.
+    On failure, returns the lexicographically smallest pair (i, j), i < j,
+    of indistinguishable point indices. Values within SEPARATION_TOL are as
+    close in every real coordinate, so only pairs within twice that (a
+    margin over rounding) in the coordinate with the widest range are
+    compared: the rows sorted by it, one offset along the order at a time.
     """
     b = span.value_matrix
-    n = b.shape[0]
-    for i in range(n - 1):
-        diff = np.max(np.abs(b[i + 1 :] - b[i]), axis=1)
-        bad = np.nonzero(diff <= SEPARATION_TOL)[0]
-        if bad.size:
-            return False, (i, i + 1 + int(bad[0]))
-    return True, None
+    n = len(b)
+    coords = np.hstack([b.real, b.imag]) if np.iscomplexobj(b) else b
+    key = coords[:, int(np.argmax(np.ptp(coords, axis=0)))]
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    reach = np.searchsorted(ordered, ordered + 2 * SEPARATION_TOL, side="right") - np.arange(n)
+    rows = b[order]
+    witness = None
+    for d in range(1, int(reach.max(initial=1))):
+        at = np.nonzero(reach > d)[0]
+        close = at[np.max(np.abs(rows[at + d] - rows[at]), axis=1) <= SEPARATION_TOL]
+        if close.size:
+            i, j = order[close], order[close + d]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            first = np.lexsort((hi, lo))[0]
+            witness = min(witness or (n, n), (int(lo[first]), int(hi[first])))
+    return witness is None, witness
 
 
 def conjugate_closure(span: FunctionSpan) -> FunctionSpan:

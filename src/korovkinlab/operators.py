@@ -1,8 +1,9 @@
 """Kernel operators, composition isometries, and indexed operator families.
 
 Every built-in family is kernel-backed: the map at index n is its nodes
-plus a function that returns any block of target rows of its weights, so
-no kernel holds its whole weight matrix. A sweep builds each row block
+plus a function that writes any block of target rows of its weights into
+a buffer it is given, so no kernel holds its whole weight matrix. A sweep
+allocates one buffer for its largest row block, builds each block into it
 once and, in the same step, checks it, certifies positivity from the
 weight signs, sums its rows and multiplies it into every image, after one
 rule call per function on all nodes. Node points need not lie on the
@@ -29,7 +30,8 @@ WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
 # most weights a sweep may compute for one kernel: the count of a grid's
 # distance matrix at the point cap (2 GiB as float64), though a sweep holds
-# only a few row blocks of them at a time
+# only its node values and one buffer of its largest row block (and that
+# buffer's complex copy when a function is complex)
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
 # a sweep's row blocks start at multiples of this many rows, and none is a
 # lone trailing row: then each image row takes the same BLAS path as in one
@@ -64,8 +66,9 @@ class KernelOperator:
 
     ``nodes`` is one array in the form of the source grid's ``points``:
     shape ``(N,)``, or ``(N, dim)`` on a box grid. ``rows`` is the weight
-    matrix itself or a function ``rows(lo, hi)`` returning target rows
-    ``[lo, hi)`` of it, which no caller writes into. A function takes one
+    matrix itself or a function ``rows(lo, hi, out)`` that writes target
+    rows ``[lo, hi)`` of it into ``out``, a C-contiguous float array of
+    shape ``(hi - lo, N)``. A function takes one
     value at a point however often it is listed, so the weight columns of
     equal nodes are summed, keeping the order of first occurrence: a
     matrix's on construction, a function's per block from a column map
@@ -76,7 +79,7 @@ class KernelOperator:
     source: CompactSpace
     target: CompactSpace
     nodes: np.ndarray
-    rows: np.ndarray | Callable[[int, int], np.ndarray]
+    rows: np.ndarray | Callable[[int, int, np.ndarray], None]
     _last: _Sweep | None = field(default=None, init=False, repr=False)
     _images: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -99,9 +102,12 @@ class KernelOperator:
             if first.size < len(nodes):
                 rank = np.empty_like(first)
                 rank[np.argsort(first)] = np.arange(first.size)
-                merge = partial(_merge_columns, rank[inverse.reshape(-1)], first.size)
+                merge = partial(_merge_columns, rank[inverse.reshape(-1)])
+                if isinstance(rows, np.ndarray):
+                    rows = merge(rows, np.empty((len(rows), first.size)))
+                else:
+                    rows = _merged(rows, merge, len(nodes))
                 nodes = nodes[np.sort(first)]
-                rows = merge(rows) if isinstance(rows, np.ndarray) else _merged(rows, merge)
         for a in (nodes, rows):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
@@ -110,23 +116,44 @@ class KernelOperator:
         if isinstance(rows, np.ndarray):
             self.sweep()
 
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """Target rows [lo, hi) of the merged weights."""
+    def block(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Target rows [lo, hi) of the merged weights: a view of the matrix,
+        or built by ``rows`` into ``out``, which is allocated when None."""
         rows = self.rows
-        return rows[lo:hi] if isinstance(rows, np.ndarray) else rows(lo, hi)
+        if isinstance(rows, np.ndarray):
+            return rows[lo:hi]
+        if out is None:
+            out = np.empty((hi - lo, len(self.nodes)))
+        rows(lo, hi, out)
+        return out
+
+    def _buffer_shape(self) -> tuple[int, int]:
+        """The shape of a sweep's buffer: its largest row block."""
+        spans = row_blocks(self.target.n_points, len(self.nodes))
+        return max(hi - lo for lo, hi in spans), len(self.nodes)
+
+    def _blocks(self):
+        """(lo, hi, block) for each row block of a sweep. The blocks that
+        ``rows`` builds all go into one buffer, allocated before the first;
+        a matrix hands out views of itself."""
+        buffer = None if isinstance(self.rows, np.ndarray) else np.empty(self._buffer_shape())
+        for lo, hi in row_blocks(self.target.n_points, len(self.nodes)):
+            yield lo, hi, self.block(lo, hi, None if buffer is None else buffer[: hi - lo])
 
     @property
     def weights(self) -> np.ndarray:
         """All merged weights at once, for small kernels: no sweep reads them."""
         rows = self.rows
-        return rows if isinstance(rows, np.ndarray) else rows(0, self.target.n_points)
+        return rows if isinstance(rows, np.ndarray) else self.block(0, self.target.n_points)
 
     def sweep(self, functions=()) -> None:
         """One pass over the row blocks. Each block is built once and, in
         the same step, refused if a weight is not finite, searched for its
         smallest weight, summed by rows (T 1) and multiplied into the image
-        of every function. ``min_weight``, ``t_one_values``,
-        ``check_positivity`` and ``apply`` read what the pass found."""
+        of every function. When a function is complex, each block is copied
+        once into a complex buffer for its products. ``min_weight``,
+        ``t_one_values``, ``check_positivity`` and ``apply`` read what the
+        pass found."""
         fs = tuple(functions)
         for f in fs:
             if f.space is not self.source:
@@ -136,8 +163,10 @@ class KernelOperator:
         t_one = np.empty(n)
         images = [np.empty(n, dtype=np.result_type(float, v)) for v in values]
         low, argmin = np.inf, None
-        for lo, hi in row_blocks(n, len(self.nodes)):
-            w = self.block(lo, hi)
+        complex_block = None
+        if any(np.iscomplexobj(v) for v in values):
+            complex_block = np.empty(self._buffer_shape(), dtype=complex)
+        for lo, hi, w in self._blocks():
             w_min = w.min()
             # NaN propagates through min and max
             if not (np.isfinite(w_min) and np.isfinite(w.max())):
@@ -148,10 +177,12 @@ class KernelOperator:
                     y, i = np.unravel_index(int(np.argmin(w)), w.shape)
                     argmin = (lo + int(y), int(i))
             w.sum(axis=1, out=t_one[lo:hi])
+            if complex_block is not None:
+                wc = complex_block[: hi - lo]
+                wc[...] = w  # the cast np.matmul would make for every complex v
             with np.errstate(all="ignore"):  # a non-finite image is refused below
                 for v, out in zip(values, images):
-                    np.matmul(w, v, out=out[lo:hi])
-            del w  # the next block is built without this one alive
+                    np.matmul(wc if np.iscomplexobj(v) else w, v, out=out[lo:hi])
         t_one.setflags(write=False)
         object.__setattr__(self, "_last", _Sweep(float(low), argmin, t_one))
         for f, out in zip(fs, images):
@@ -184,16 +215,23 @@ class KernelOperator:
         return self._images[f]
 
 
-def _merge_columns(columns: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
-    """The k merged columns of w: column j of w is added into columns[j]."""
-    merged = np.zeros((w.shape[0], k))
-    np.add.at(merged, (slice(None), columns), w)
+def _merge_columns(columns: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The merged columns of w, in out: column j of w is added into out's columns[j]."""
+    out[...] = 0.0
+    np.add.at(out, (slice(None), columns), w)
+    return out
+
+
+def _merged(rows: Callable, merge, n_nodes: int) -> Callable[[int, int, np.ndarray], None]:
+    """``rows`` over n_nodes unmerged nodes, with ``merge`` applied to each
+    block; it holds no kernel alive."""
+
+    def merged(lo: int, hi: int, out: np.ndarray) -> None:
+        unmerged = np.empty((hi - lo, n_nodes))
+        rows(lo, hi, unmerged)
+        merge(unmerged, out)
+
     return merged
-
-
-def _merged(rows: Callable[[int, int], np.ndarray], merge) -> Callable[[int, int], np.ndarray]:
-    """``rows`` with ``merge`` applied to each block; it holds no kernel alive."""
-    return lambda lo, hi: merge(rows(lo, hi))
 
 
 def _strictly_increasing(nodes: np.ndarray) -> bool:
@@ -289,14 +327,16 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
         raise ValueError("bernstein index must be >= 1")
     FAMILIES["bernstein"].check_kind(space)
     x = space.coords[:, 0]
-    return KernelOperator(space, space, np.arange(n + 1) / n, lambda lo, hi: _binom_pmf(n, x[lo:hi]))
+    return KernelOperator(
+        space, space, np.arange(n + 1) / n, lambda lo, hi, out: _binom_pmf(n, x[lo:hi], out=out)
+    )
 
 
-def _binom_pmf(n: int, x: np.ndarray) -> np.ndarray:
-    """Rows C(n,k) x^k (1-x)^(n-k), k = 0..n, one per entry of x."""
+def _binom_pmf(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows C(n,k) x^k (1-x)^(n-k), k = 0..n, one per entry of x (into out if given)."""
     # the Boost ufunc behind scipy.stats.binom.pmf, from the compiled
     # extension alone: scipy.special's package init is not run
-    return _load_ufuncs()._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None])
+    return _load_ufuncs()._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None], out=out)
 
 
 def _load_ufuncs() -> types.ModuleType:
@@ -358,24 +398,31 @@ def fejer(n: int, space: CompactSpace) -> KernelOperator:
     check_fejer_grid(n, m)
     theta = 2.0 * np.pi * np.arange(m) / m
     return KernelOperator(
-        space, space, space.points, lambda lo, hi: _fejer_kernel(theta[lo:hi, None] - theta, n) / m
+        space,
+        space,
+        space.points,
+        lambda lo, hi, out: np.divide(_fejer_kernel(theta[lo:hi, None] - theta, n), m, out=out),
     )
 
 
 def tensor_bernstein(n: int, space: CompactSpace) -> KernelOperator:
     """Coordinatewise tensor product of 1-d Bernstein weights on a box grid:
-    each row is the outer product of the grid point's per-axis rows."""
+    each row is the outer product of the grid point's per-axis rows, the
+    last one taken straight into the sweep's buffer."""
     if n < 1:
         raise ValueError("tensor_bernstein index must be >= 1")
     FAMILIES["tensor_bernstein"].check_kind(space)
     p = space.dim
     pmf = [_binom_pmf(n, space.coords[:, d]) for d in range(p)]
 
-    def rows(lo: int, hi: int) -> np.ndarray:
+    def rows(lo: int, hi: int, out: np.ndarray) -> None:
         w = pmf[0][lo:hi]
-        for wd in pmf[1:]:
+        for wd in pmf[1:-1]:
             w = (w[:, :, None] * wd[lo:hi, None, :]).reshape(hi - lo, -1)
-        return w
+        if p == 1:
+            out[...] = w
+        else:
+            np.multiply(w[:, :, None], pmf[-1][lo:hi, None, :], out=out.reshape(hi - lo, w.shape[1], -1))
 
     # nodes in itertools.product order, matching the weight columns
     axes = np.meshgrid(*[np.arange(n + 1) / n] * p, indexing="ij")
@@ -389,9 +436,9 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
         raise ValueError("mollifier index must be >= 1")
     FAMILIES["mollifier_disc"].check_kind(space)
 
-    def rows(lo: int, hi: int) -> np.ndarray:
+    def rows(lo: int, hi: int, out: np.ndarray) -> None:
         inside = space.pairwise[lo:hi] < 1.0 / n
-        return inside / inside.sum(axis=1, keepdims=True)
+        np.divide(inside, inside.sum(axis=1, keepdims=True), out=out)
 
     return KernelOperator(space, space, space.points, rows)
 
@@ -448,10 +495,9 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"epsilon at index {n} is {e}, outside [0, 1]")
 
-        def rows(lo: int, hi: int) -> np.ndarray:
-            w = e * mix.block(lo, hi)
-            w[np.arange(hi - lo), phi_idx[lo:hi]] += 1.0 - e
-            return w
+        def rows(lo: int, hi: int, out: np.ndarray) -> None:
+            np.multiply(e, mix.block(lo, hi), out=out)
+            out[np.arange(hi - lo), phi_idx[lo:hi]] += 1.0 - e
 
         return KernelOperator(phi.source, phi.target, mix.nodes, rows)
 
@@ -473,12 +519,12 @@ def inject_weight(op: KernelOperator, target_index: int, node_index: int, value:
             f"points x {n_nodes} nodes"
         )
 
-    def rows(lo: int, hi: int) -> np.ndarray:
-        w = op.block(lo, hi)
+    def rows(lo: int, hi: int, out: np.ndarray) -> None:
+        w = op.block(lo, hi, out)
+        if w is not out:  # a view of op's weight matrix
+            out[...] = w
         if lo <= y < hi:
-            w = np.array(w)
-            w[y - lo, i] = value
-        return w
+            out[y - lo, i] = value
 
     return KernelOperator(op.source, op.target, op.nodes, rows)
 
@@ -690,8 +736,11 @@ def estimate_operator_norm(op) -> NormEstimate:
     """
     if isinstance(op, KernelOperator):
         t_one = op.t_one_values  # from a sweep, which refuses non-finite weights
-        blocks = row_blocks(op.target.n_points, len(op.nodes))
-        norm = max(float(np.abs(op.block(lo, hi)).sum(axis=1).max()) for lo, hi in blocks)
+        norm = 0.0
+        for _, _, w in op._blocks():
+            # in place in the sweep's buffer; a matrix's read-only view is copied
+            w = np.abs(w, out=w if w.flags.writeable else None)
+            norm = max(norm, float(w.sum(axis=1).max()))
     elif isinstance(op, CompositionIsometry):
         t_one, norm = op.t_one_values, 1.0
     else:

@@ -4,8 +4,8 @@ Each oracle deliberately takes a different computational route than the
 implementation under test: exact rational arithmetic for polynomial
 operator moments, a discrete Fourier multiplier route for the circle
 convolution operator, brute-force coefficient scans for LP
-feasibility questions, and the per-point Python formulas of the named
-function catalog.
+feasibility questions, the per-point Python formulas of the named
+function catalog, and an all-pairs loop for point separation.
 """
 
 from __future__ import annotations
@@ -142,3 +142,16 @@ def mollifier_loop(pairwise: np.ndarray, n: int) -> np.ndarray:
         ball = np.nonzero(pairwise[i] < 1.0 / n)[0]
         w[i, ball] = 1.0 / ball.size
     return w
+
+
+def separates_points_loop(b: np.ndarray, tol: float) -> tuple[bool, tuple[int, int] | None]:
+    """All-pairs point separation: each row of the value matrix b against
+    every later row. On failure, the first pair (i, j), i < j, whose values
+    all lie within tol, in lexicographic order."""
+    n = b.shape[0]
+    for i in range(n - 1):
+        diff = np.max(np.abs(b[i + 1 :] - b[i]), axis=1)
+        bad = np.nonzero(diff <= tol)[0]
+        if bad.size:
+            return False, (i, i + 1 + int(bad[0]))
+    return True, None

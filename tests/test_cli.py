@@ -945,15 +945,18 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(preset_names()))
     def test_a_run_in_row_blocks_of_eight_keeps_the_pins(self, name, tmp_path, monkeypatch):
         # most presets' kernels fit one row block; at the smallest blocks every
-        # kernel takes several. Each block of each kernel is built once, no
-        # run reads a kernel's dense weights, and the outputs keep their pins.
+        # kernel takes several. Each block of each kernel is built once, into
+        # the kernel's one buffer, no run reads a kernel's dense weights, and
+        # the outputs keep their pins.
         monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)
         built = Counter()
+        buffers = {}
         block = KernelOperator.block
 
-        def counted(op, lo, hi):
+        def counted(op, lo, hi, out=None):
             built[op, lo, hi] += 1
-            return block(op, lo, hi)
+            buffers.setdefault(op, set()).add(id(out.base))
+            return block(op, lo, hi, out)
 
         def dense(op):
             raise AssertionError("a run read a kernel's dense weights")
@@ -972,6 +975,7 @@ class TestPresets:
             spans = sorted((lo, hi) for k, lo, hi in built if k is op)
             assert spans == operators.row_blocks(op.target.n_points, len(op.nodes))
             assert len(spans) > 1
+            assert len(buffers[op]) == 1
 
     def test_bernstein_runs_load_no_scipy_stats(self, tmp_path):
         # the kernels need scipy.special alone: no stats, no LP, no k-d tree

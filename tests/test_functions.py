@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import separates_points_loop
 
 from korovkinlab import (
     FunctionSpan,
@@ -22,7 +25,7 @@ from korovkinlab import (
     span_union,
     sup_norm,
 )
-from korovkinlab.functions import default_probe_names
+from korovkinlab.functions import SEPARATION_TOL, default_probe_names
 
 GRID5 = make_interval_grid(4)
 
@@ -31,6 +34,29 @@ finite_vals = st.lists(
     min_size=5,
     max_size=5,
 )
+
+
+@st.composite
+def value_matrices(draw):
+    """A real or complex N x k value matrix with repeated entries (ties in
+    every coordinate) and planted pairs: row j set to row i, one entry then
+    moved by 0.5e-12 (indistinguishable) or 2e-12 (separated)."""
+    n, k, cplx = draw(st.integers(1, 30)), draw(st.integers(1, 3)), draw(st.booleans())
+    entry = st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 1.0]), st.floats(-2.0, 2.0))
+    parts = draw(st.lists(entry, min_size=n * k * (1 + cplx), max_size=n * k * (1 + cplx)))
+    b = np.array(parts).reshape(n, k, 1 + cplx)
+    b = b[..., 0] + 1j * b[..., 1] if cplx else b[..., 0]
+    plant = st.tuples(
+        st.integers(0, n - 1),
+        st.integers(0, n - 1),
+        st.integers(0, k - 1),
+        st.sampled_from([0.5e-12, -0.5e-12, 2e-12, -2e-12]),
+        st.sampled_from([1.0, 1j, 0.6 + 0.8j]),
+    )
+    for i, j, c, delta, phase in draw(st.lists(plant, max_size=3)):
+        b[j] = b[i]
+        b[j, c] += delta * (phase if cplx else 1.0)
+    return b
 
 
 class TestSupNorm:
@@ -118,6 +144,19 @@ class TestSpanFlags:
         ok, witness = separates_points(span)
         assert not ok
         assert witness is not None
+
+    @given(value_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_separation_is_the_all_pairs_loop(self, b):
+        span = SimpleNamespace(value_matrix=b)
+        assert separates_points(span) == separates_points_loop(b, SEPARATION_TOL)
+
+    @pytest.mark.parametrize("delta, separated", [(0.5e-12, False), (2e-12, True)])
+    def test_a_planted_near_duplicate_is_found_at_the_tolerance(self, delta, separated):
+        b = np.exp(2j * np.pi * np.arange(64) / 64)[:, None] * [1.0, 2.0]
+        b[40] = b[7] + [0.0, delta * 1j]
+        ok, witness = separates_points(SimpleNamespace(value_matrix=b))
+        assert (ok, witness) == ((True, None) if separated else (False, (7, 40)))
 
     def test_even_span_on_symmetric_grid(self):
         g = make_custom_space([-1.0, -0.5, 0.0, 0.5, 1.0], space_id="sym")

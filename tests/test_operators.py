@@ -730,7 +730,8 @@ class TestKernelOperatorValidation:
     def test_a_tensor_run_holds_a_few_row_blocks(self, tmp_path):
         # tensor Bernstein up to n = 256 on the 81-point box: the kernel at
         # n = 256 has 81 x 66 049 weights (40.8 MiB), and a sweep holds one
-        # block of 8 of its rows (4.0 MiB) next to the 8 functions' node values
+        # buffer of its largest row block, 9 rows (4.5 MiB), next to the 8
+        # functions' node values
         cfg = {
             "version": 1,
             "spaces": {"K": {"kind": "box", "p": 2, "m": 8}},
@@ -770,7 +771,8 @@ class TestKernelOperatorValidation:
         finally:
             tracemalloc.stop()
         # a dense kernel would take 2048^2 doubles, 32 MiB; a sweep holds one
-        # block of 128 rows (2 MiB) and its complex copy for the product
+        # buffer of its largest row block, 128 rows (2 MiB), and that
+        # buffer's complex copy (4 MiB) for the products with z
         assert len(op.nodes) == 2048
         assert peak < 8 * 2**20
         assert np.max(np.abs(op.t_one_values - 1.0)) <= 1e-12
@@ -846,6 +848,82 @@ class TestRowBlocks:
             got = op.apply(f).values  # in the grid's field
             want = np.asarray(w @ evaluate(f, op.nodes), dtype=got.dtype)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f.name
+
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: bernstein(16, make_interval_grid(100)),
+            lambda: tensor_bernstein(16, make_box_grid(2, 8)),
+            lambda: fejer(4, make_circle_grid(37)),
+            lambda: mollifier_disc(2, make_disc_grid(8, 32)),
+            lambda: FAMILIES["perturbed_composition"].build(make_circle_grid(37), {}).operator(3),
+            lambda: inject_weight(bernstein(16, make_interval_grid(100)), 90, 3, -0.5),
+            lambda: KernelOperator(  # equal nodes, merged into the buffer
+                CIRCLE32,
+                CIRCLE32,
+                np.concatenate([CIRCLE32.points, CIRCLE32.points]),
+                lambda lo, hi, out: out.fill(1.0 / 64),
+            ),
+        ],
+        ids=["bernstein", "tensor", "fejer", "disc", "perturbed", "inject", "merged"],
+    )
+    def test_every_block_of_a_sweep_is_built_into_one_buffer(self, make, monkeypatch):
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks, the last one larger
+        op = make()
+        built = []
+        block = KernelOperator.block
+
+        def recorded(k, lo, hi, out=None):
+            w = block(k, lo, hi, out)
+            if k is op:
+                built.append((hi - lo, out, w))
+            return w
+
+        monkeypatch.setattr(KernelOperator, "block", recorded)
+        op.sweep([named_function("const1", op.source)])
+        spans = row_blocks(op.target.n_points, len(op.nodes))
+        assert len(spans) > 1
+        assert [rows for rows, _, _ in built] == [hi - lo for lo, hi in spans]
+        buffer = built[0][1].base
+        assert buffer.shape == (max(hi - lo for lo, hi in spans), len(op.nodes))
+        assert buffer.dtype == float
+        for rows, out, w in built:
+            assert w is out and out.base is buffer
+            assert out.shape == (rows, len(op.nodes)) and out.flags.c_contiguous
+        assert np.array_equal(op.t_one_values, op.weights.sum(axis=1))
+
+    def test_complex_products_share_one_complex_copy_per_block(self, monkeypatch):
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks
+        op = mollifier_disc(2, make_disc_grid(8, 32))
+        fs = [named_function(name, op.source) for name in ("const1", "z", "zbar", "|z|^2", "re_z2")]
+        n_blocks = len(row_blocks(op.target.n_points, len(op.nodes)))
+        calls = []
+        matmul = np.matmul
+
+        def recorded(a, v, **kwargs):
+            calls.append((a, v))
+            return matmul(a, v, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        op.sweep(fs)
+        monkeypatch.undo()
+        assert len(calls) == n_blocks * len(fs)
+        copies = []
+        for at in range(0, len(calls), len(fs)):
+            products = calls[at : at + len(fs)]
+            real = {id(a) for a, v in products if not np.iscomplexobj(v)}
+            cplx = {id(a) for a, v in products if np.iscomplexobj(v)}
+            assert len(real) == 1 and len(cplx) == 1  # the block, and its one complex copy
+            copy = next(a for a, v in products if np.iscomplexobj(v))
+            block = next(a for a, v in products if not np.iscomplexobj(v))
+            assert copy.dtype == complex and np.array_equal(copy, block)
+            copies.append(copy)
+        assert all(c.base is copies[0].base for c in copies)  # one complex buffer for the sweep
+        w = op.weights
+        for f in fs:
+            want = np.asarray(w @ evaluate(f, op.nodes), dtype=op.apply(f).values.dtype)
+            assert np.array_equal(op.apply(f).values, want), f.name
 
 
 class TestFamilyTable:
