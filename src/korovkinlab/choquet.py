@@ -22,9 +22,10 @@ and rejections are certified by a relaxation's optimum. The candidate never
 rejects.
 
 A boundary scan solves one point per orbit of the grid symmetries that
-preserve the metric and the span, and moves each Boundary verdict along the
-orbit as a re-verified certificate (Bödi, Herr & Joswig, Math. Program.
-137, 2013). A rejection is never moved.
+preserve the span, and moves each Boundary verdict along the orbit as a
+certificate re-verified where it lands (Bödi, Herr & Joswig, Math.
+Program. 137, 2013). A rejection is never moved. The factory grids'
+symmetries are isometries, so there a margin is constant on an orbit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import SolverError
 from .functions import MEMBERSHIP_TOL, FunctionSpan
-from .space import BLOCK_ENTRIES, CompactSpace, Field, PointSet
+from .space import CompactSpace, Field, PointSet
 
 # slack of every direct-evaluation check in this module
 PEAK_TOL = 1e-9
@@ -58,8 +59,6 @@ _MAX_ROUNDS = 64
 # refine it, so it changes the work done, not which constraints a
 # certificate satisfies
 _START_PHASES = 16
-# a grid symmetry must preserve every distance to this tolerance
-_ISOMETRY_TOL = 1e-12
 
 
 def scan_radius(space: CompactSpace, radius: float | None = None) -> float:
@@ -358,27 +357,16 @@ def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> t
 
 
 def _accepted_generators(span: FunctionSpan) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The grid's candidate symmetries g that preserve distances and the
-    span, each with the k x k map m that moves coefficients along it.
-
-    A candidate g is kept when d(g[i], g[j]) = d(i, j) to _ISOMETRY_TOL,
-    compared a block of rows at a time, and the basis composed with g^-1,
-    B[argsort(g)], fits onto the span as B m to MEMBERSHIP_TOL.
-    """
-    space = span.space
-    d = space.pairwise
-    n = space.n_points
-    rows = max(1, BLOCK_ENTRIES // n)
+    """The grid's candidate symmetries g that preserve the span, each with
+    the k x k map m that moves coefficients along it: the basis composed
+    with g^-1, B[argsort(g)], fits onto the span as B m to MEMBERSHIP_TOL.
+    Distances go unchecked, as every moved certificate is re-verified where
+    it lands."""
     out = []
-    for g in space.generators:
-        isometry = all(
-            np.max(np.abs(d[g[s : s + rows]][:, g] - d[s : s + rows])) <= _ISOMETRY_TOL
-            for s in range(0, n, rows)
-        )
-        if isometry:
-            m, residual = span.fit(span.value_matrix[np.argsort(g)])
-            if residual <= MEMBERSHIP_TOL:
-                out.append((g, m))
+    for g in span.space.generators:
+        m, residual = span.fit(span.value_matrix[np.argsort(g)])
+        if residual <= MEMBERSHIP_TOL:
+            out.append((g, m))
     return out
 
 
@@ -462,11 +450,13 @@ def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -
     Indeterminate when the solver failed.
 
     Points are scanned one orbit at a time under the grid symmetries that
-    preserve the metric and the span. Each orbit's representative is
-    solved directly; a Boundary verdict moves along the orbit as a
-    re-verified certificate. A point whose moved certificate fails, or
-    whose parent in the orbit's walk is not Boundary, is solved directly,
-    so every rejection rests on the point's own relaxation optimum.
+    preserve the span. Each orbit's representative is solved directly; a
+    Boundary verdict moves along the orbit as a certificate re-verified
+    at its new point. A point whose moved certificate fails, or whose
+    parent in the orbit's walk is not Boundary, is solved directly, so
+    every rejection rests on the point's own relaxation optimum. On the
+    factory grids, whose symmetries are isometries, margins are constant
+    on an orbit.
     """
     if not span.unital:
         raise ValueError("peak search needs a unital span")

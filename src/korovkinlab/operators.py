@@ -65,15 +65,15 @@ class KernelOperator:
     """(Tf)(y_j) = sum_i w[j, i] * f(nodes[i]).
 
     ``nodes`` is one array in the form of the source grid's ``points``:
-    shape ``(N,)``, or ``(N, dim)`` on a box grid. ``rows`` is the weight
-    matrix itself or a function ``rows(lo, hi, out)`` that writes target
-    rows ``[lo, hi)`` of it into ``out``, a C-contiguous float array of
-    shape ``(hi - lo, N)``. A function takes one
-    value at a point however often it is listed, so the weight columns of
-    equal nodes are summed, keeping the order of first occurrence: a
-    matrix's on construction, a function's per block from a column map
-    built once from the nodes. Every kernel has distinct nodes. A matrix
-    is taken without a copy and frozen, and swept at once.
+    shape ``(N,)``, or ``(N, dim)`` on a box grid. ``rows`` is a function
+    ``rows(lo, hi, out)`` that writes target rows ``[lo, hi)`` of the
+    weights into ``out``, a C-contiguous float array of shape
+    ``(hi - lo, N)``, or the weight matrix itself, which is taken without
+    a copy, frozen, and wrapped as the function that copies its rows. A
+    function takes one value at a point however often it is listed, so the
+    weight columns of equal nodes are summed per block, keeping the order
+    of first occurrence, from a column map built once from the nodes.
+    Every kernel has distinct nodes.
     """
 
     source: CompactSpace
@@ -89,12 +89,14 @@ class KernelOperator:
             raise ValueError(f"nodes of shape {nodes.shape} do not match the source grid's points")
         rows = self.rows
         if not callable(rows):
-            rows = np.asarray(rows, dtype=float)
-            if rows.shape != (self.target.n_points, len(nodes)):
+            w = np.asarray(rows, dtype=float)
+            if w.shape != (self.target.n_points, len(nodes)):
                 raise ValueError(
                     f"weights must have shape (n_target={self.target.n_points}, "
-                    f"n_nodes={len(nodes)}), got {rows.shape}"
+                    f"n_nodes={len(nodes)}), got {w.shape}"
                 )
+            w.setflags(write=False)
+            rows = lambda lo, hi, out: np.copyto(out, w[lo:hi])
         # sorted nodes skip np.unique, whose buffers would add to the peak
         # memory of a large tensor build
         if not _strictly_increasing(nodes):
@@ -103,28 +105,18 @@ class KernelOperator:
                 rank = np.empty_like(first)
                 rank[np.argsort(first)] = np.arange(first.size)
                 merge = partial(_merge_columns, rank[inverse.reshape(-1)])
-                if isinstance(rows, np.ndarray):
-                    rows = merge(rows, np.empty((len(rows), first.size)))
-                else:
-                    rows = _merged(rows, merge, len(nodes))
+                rows = _merged(rows, merge, len(nodes))
                 nodes = nodes[np.sort(first)]
-        for a in (nodes, rows):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+        nodes.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nodes", nodes)
-        if isinstance(rows, np.ndarray):
-            self.sweep()
 
     def block(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Target rows [lo, hi) of the merged weights: a view of the matrix,
-        or built by ``rows`` into ``out``, which is allocated when None."""
-        rows = self.rows
-        if isinstance(rows, np.ndarray):
-            return rows[lo:hi]
+        """Target rows [lo, hi) of the merged weights, built by ``rows``
+        into ``out``, which is allocated when None."""
         if out is None:
             out = np.empty((hi - lo, len(self.nodes)))
-        rows(lo, hi, out)
+        self.rows(lo, hi, out)
         return out
 
     def _buffer_shape(self) -> tuple[int, int]:
@@ -133,18 +125,16 @@ class KernelOperator:
         return max(hi - lo for lo, hi in spans), len(self.nodes)
 
     def _blocks(self):
-        """(lo, hi, block) for each row block of a sweep. The blocks that
-        ``rows`` builds all go into one buffer, allocated before the first;
-        a matrix hands out views of itself."""
-        buffer = None if isinstance(self.rows, np.ndarray) else np.empty(self._buffer_shape())
+        """(lo, hi, block) for each row block of a sweep, all built into
+        one buffer allocated before the first."""
+        buffer = np.empty(self._buffer_shape())
         for lo, hi in row_blocks(self.target.n_points, len(self.nodes)):
-            yield lo, hi, self.block(lo, hi, None if buffer is None else buffer[: hi - lo])
+            yield lo, hi, self.block(lo, hi, buffer[: hi - lo])
 
     @property
     def weights(self) -> np.ndarray:
         """All merged weights at once, for small kernels: no sweep reads them."""
-        rows = self.rows
-        return rows if isinstance(rows, np.ndarray) else self.block(0, self.target.n_points)
+        return self.block(0, self.target.n_points)
 
     def sweep(self, functions=()) -> None:
         """One pass over the row blocks. Each block is built once and, in
@@ -445,9 +435,9 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
 
 def averaging_operator(space: CompactSpace) -> KernelOperator:
     """Rank-one unital positive operator mapping f to its grid mean times 1.
-    Its weights are one double, broadcast: a family keeps no dense N x N mix."""
-    n_pts = space.n_points
-    return KernelOperator(space, space, space.points, np.broadcast_to(1.0 / n_pts, (n_pts, n_pts)))
+    Every weight is 1/N, filled a row block at a time: no N x N mix is held."""
+    w = 1.0 / space.n_points
+    return KernelOperator(space, space, space.points, lambda lo, hi, out: out.fill(w))
 
 
 def eps_schedule(spec) -> Callable[[int], float]:
@@ -496,7 +486,8 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
             raise ValueError(f"epsilon at index {n} is {e}, outside [0, 1]")
 
         def rows(lo: int, hi: int, out: np.ndarray) -> None:
-            np.multiply(e, mix.block(lo, hi), out=out)
+            mix.block(lo, hi, out)
+            out *= e
             out[np.arange(hi - lo), phi_idx[lo:hi]] += 1.0 - e
 
         return KernelOperator(phi.source, phi.target, mix.nodes, rows)
@@ -520,9 +511,7 @@ def inject_weight(op: KernelOperator, target_index: int, node_index: int, value:
         )
 
     def rows(lo: int, hi: int, out: np.ndarray) -> None:
-        w = op.block(lo, hi, out)
-        if w is not out:  # a view of op's weight matrix
-            out[...] = w
+        op.block(lo, hi, out)
         if lo <= y < hi:
             out[y - lo, i] = value
 
@@ -738,8 +727,7 @@ def estimate_operator_norm(op) -> NormEstimate:
         t_one = op.t_one_values  # from a sweep, which refuses non-finite weights
         norm = 0.0
         for _, _, w in op._blocks():
-            # in place in the sweep's buffer; a matrix's read-only view is copied
-            w = np.abs(w, out=w if w.flags.writeable else None)
+            np.abs(w, out=w)  # in place in the sweep's buffer
             norm = max(norm, float(w.sum(axis=1).max()))
     elif isinstance(op, CompositionIsometry):
         t_one, norm = op.t_one_values, 1.0

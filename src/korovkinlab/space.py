@@ -66,7 +66,8 @@ class CompactSpace:
     topological boundary by the constructing factory. ``generators`` holds candidate
     symmetries as index arrays: ``g`` maps point ``i`` to point ``g[i]``.
     They are candidates only; a boundary scan keeps those that preserve
-    every distance and its span.
+    its span and re-verifies every certificate it moves along one. The
+    factories' symmetries are isometries.
     """
 
     id: str

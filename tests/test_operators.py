@@ -318,12 +318,12 @@ class TestPerturbedComposition:
         assert np.array_equal(op.weights, two_block.weights)
 
     def test_mix_is_one_broadcast_double(self):
-        # the family keeps no dense N x N mix, and each kernel is still
-        # e * (1/N), plus 1 - e at (y, phi(y)), bit for bit
+        # the mix fills one double, 1/N, into every weight, and each kernel
+        # is e * (1/N), plus 1 - e at (y, phi(y)), bit for bit
         space = make_circle_grid(16)
         phi = rotation_isometry(space, 3)
         mix = averaging_operator(space)
-        assert mix.weights.strides == (0, 0)
+        assert np.array_equal(mix.weights, np.full((16, 16), 1.0 / 16))
         fam = perturbed_composition(phi, mix, "1/n")
         for n in (1, 2, 7):
             e = 1.0 / n
@@ -705,17 +705,23 @@ class TestKernelOperatorValidation:
         np.testing.assert_allclose(op.t_one_values, op.weights.sum(axis=1))
 
     def test_weights_are_taken_and_frozen(self):
+        # the caller's matrix is frozen, not copied, and its rows are the kernel's
         w = np.full((32, 32), 1.0 / 32)
+        w[3, 5] = 0.5
         op = KernelOperator(CIRCLE32, CIRCLE32, CIRCLE32.points, w)
-        assert op.weights is w
         assert not w.flags.writeable
+        assert np.array_equal(op.weights, w)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_refused(self, bad):
+        # a weight matrix is taken as it is; its first sweep refuses it
         w = bernstein(6, INTERVAL).weights.copy()
         w[50, 3] = bad
+        op = KernelOperator(INTERVAL, INTERVAL, np.arange(7) / 6, w)
         with pytest.raises(ValueError, match="kernel weights must be finite"):
-            KernelOperator(INTERVAL, INTERVAL, np.arange(7) / 6, w)
+            op.min_weight
+        with pytest.raises(ValueError, match="kernel weights must be finite"):
+            op.apply(named_function("x", INTERVAL))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
     def test_non_finite_image_refused(self):

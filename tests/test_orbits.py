@@ -1,7 +1,8 @@
 """Orbit scans: one peak search per orbit of the grid symmetries that keep
-the metric and the span, with Boundary verdicts moved along each orbit."""
+the span, with Boundary verdicts moved along each orbit and re-verified."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -64,7 +65,7 @@ def same_points_without_symmetry(span: FunctionSpan) -> FunctionSpan:
     grid = span.space
     pts = grid.complex_points if grid.field is Field.COMPLEX else grid.coords
     bare = make_custom_space(pts, field=grid.field)
-    return FunctionSpan(tuple(named_function(f.name, bare) for f in span.basis))
+    return FunctionSpan(tuple(ScalarFunction(bare, f.rule, name=f.name) for f in span.basis))
 
 
 @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
@@ -114,9 +115,11 @@ class TestAcceptedGenerators:
         moves = choquet._accepted_generators(span)
         assert len(moves) == 1 and np.array_equal(moves[0][0], rotate)
 
-    def test_permutation_that_is_not_an_isometry(self):
-        # every function on 7 points lies in the span of x^0..x^6, so only
-        # the metric check can reject the cyclic shift k -> k + 1
+    def test_a_shift_that_is_not_an_isometry_is_kept(self):
+        # every function on 7 points lies in the span of x^0..x^6, so the
+        # cyclic shift k -> k + 1 is kept; it breaks distances, so a moved
+        # certificate has its own margin, but it is re-verified where it
+        # lands and the labels are those of a scan without symmetries
         shift = (np.arange(7) + 1) % 7
         grid = CompactSpace(
             id="interval7",
@@ -132,7 +135,35 @@ class TestAcceptedGenerators:
             )
         )
         assert all(span.contains_values(col) for col in span.value_matrix[shift].T)
-        assert choquet._accepted_generators(span) == []
+        moves = choquet._accepted_generators(span)
+        assert len(moves) == 1 and np.array_equal(moves[0][0], shift)
+        est = estimate_choquet_boundary(span)
+        full = estimate_choquet_boundary(same_points_without_symmetry(span))
+        assert [p.label for p in est.points] == [p.label for p in full.points]
+        assert any(p.source != p.index for p in est.points)
+        for p in est.points:
+            if p.label is Classification.BOUNDARY:
+                ok, why = verify_peak_certificate(span, p.certificate)
+                assert ok, why
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            make_interval_grid(10),
+            make_circle_grid(12),
+            make_disc_grid(3, 8),
+            make_box_grid(2, 4),
+            make_box_grid(3, 2),
+        ],
+        ids=["interval10", "circle12", "disc3x8", "box2x4", "box3x2"],
+    )
+    def test_factory_symmetries_are_isometries(self, grid):
+        # a scan keeps a symmetry for its span alone; margins stay constant
+        # on an orbit because every factory symmetry preserves distances
+        d = grid.pairwise
+        assert grid.generators
+        for g in grid.generators:
+            assert np.max(np.abs(d[np.ix_(g, g)] - d)) <= 1e-12
 
 
 class TestMovedVerdicts:
