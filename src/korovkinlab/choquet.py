@@ -207,7 +207,7 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     d = span.space.pairwise[x0]
     q = d * d
     korovkin = 1.0 - 2.0 / (r * r + q.max()) * q
-    cert = _recheck(span, x0, span.fit(korovkin)[0], r)
+    cert = _recheck(span, x0, d, span.fit(korovkin)[0], r)
     if cert is not None:
         return cert, cert.margin
 
@@ -256,7 +256,7 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
                 raise SolverError(f"peak pin drifted to {pin!r} at point {x0}")
             coeffs = coeffs / pin
             h = b_mat @ coeffs
-        cert = _recheck(span, x0, coeffs, r)
+        cert = _recheck(span, x0, d, coeffs, r)
         if cert is not None:
             return cert, cert.margin
         mods = np.abs(h)
@@ -398,11 +398,11 @@ def _orbit_tree(n: int, gens: list[np.ndarray]) -> tuple[list[int], list[int], l
     return parent, via, order
 
 
-def _recheck(span: FunctionSpan, i: int, coeffs, r: float) -> PeakCertificate | None:
+def _recheck(span: FunctionSpan, i: int, d: np.ndarray, coeffs, r: float) -> PeakCertificate | None:
     """The certificate of `coeffs` peaking at point i outside radius r, with
-    its exact margin, when that clears DELTA_MIN and re-verifies."""
+    its exact margin on i's distance row d, when that clears DELTA_MIN and re-verifies."""
     h = span.value_matrix @ np.asarray(coeffs)
-    margin = 1.0 - float(np.max(np.abs(h[span.space.pairwise[i] >= r])))
+    margin = 1.0 - float(np.max(np.abs(h[d >= r])))
     cert = PeakCertificate(i, tuple(coeffs), margin, float(r))
     if margin >= DELTA_MIN and verify_peak_certificate(span, cert)[0]:
         return cert
@@ -428,7 +428,8 @@ def _move_verdict(
     radius, and the certificate is re-verified; None when it does not pass.
     """
     i = int(g[known.index])
-    cert = _recheck(span, i, m @ np.asarray(known.certificate.coeffs), known.certificate.radius)
+    coeffs = m @ np.asarray(known.certificate.coeffs)
+    cert = _recheck(span, i, span.space.pairwise[i], coeffs, known.certificate.radius)
     if cert is None:
         return None
     return PointClassification(

@@ -85,11 +85,11 @@ def evaluate(f: ScalarFunction, points: np.ndarray) -> np.ndarray:
 def function_from_values(space: CompactSpace, values, name: str = "") -> ScalarFunction:
     """Wrap a grid-sampled value vector as an evaluation rule.
 
-    The returned function is only defined at the grid's own points, found
-    through the grid's cached point index; asking for any other point is an
-    error rather than an interpolation. Its cached ``values`` are the field
-    copy of the vector, checked finite here as ``values`` checks a rule's,
-    so reading them evaluates nothing.
+    Its rule returns the vector for ``space.points`` or an array equal to
+    it; anything else (another point, one grid point, the points in another
+    order) is an error rather than an interpolation. Its cached ``values``
+    are the field copy of the vector, checked finite here as ``values``
+    checks a rule's, so reading them evaluates nothing.
     """
     vals = np.asarray(values)
     if vals.shape != (space.n_points,):
@@ -98,13 +98,11 @@ def function_from_values(space: CompactSpace, values, name: str = "") -> ScalarF
     _check_finite(vals, name)
 
     def rule(x):
-        idx = space.locate(x)
-        if np.any(idx < 0):
-            off = np.asarray(x)[tuple(np.argwhere(idx < 0)[0])]
+        if x is not space.points and not np.array_equal(x, space.points):
             raise InvalidFunctionError(
-                f"{name!r} is grid-sampled and has no value at point {off!r}"
+                f"{name!r} is grid-sampled and has values only at the grid's points, in grid order"
             )
-        return vals[idx]
+        return vals
 
     f = ScalarFunction(space, rule, name=name)
     f.__dict__["values"] = vals  # the cached_property's slot

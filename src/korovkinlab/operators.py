@@ -28,10 +28,9 @@ from .space import BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
-# most weights a sweep may compute for one kernel: the count of a grid's
-# distance matrix at the point cap (2 GiB as float64), though a sweep holds
-# only its node values and one buffer of its largest row block (and that
-# buffer's complex copy when a function is complex)
+# most weights a sweep may compute for one kernel: the point cap squared (2
+# GiB as float64), though a sweep holds only its node values and one buffer
+# of its largest row block (and its complex copy when a function is complex)
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
 # a sweep's row blocks start at multiples of this many rows, and none is a
 # lone trailing row: then each image row takes the same BLAS path as in one
@@ -427,7 +426,7 @@ def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
     FAMILIES["mollifier_disc"].check_kind(space)
 
     def rows(lo: int, hi: int, out: np.ndarray) -> None:
-        inside = space.pairwise[lo:hi] < 1.0 / n
+        inside = space.pairwise.within(lo, hi, 1.0 / n, out)
         np.divide(inside, inside.sum(axis=1, keepdims=True), out=out)
 
     return KernelOperator(space, space, space.points, rows)

@@ -11,6 +11,8 @@ tasks.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -20,14 +22,10 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# the dense pairwise distance matrix of this many points takes 2 GiB, the
-# memory budget of one grid; larger grids are refused before any n x n work
+# most points of a grid: its square is a kernel's weight budget
 DEFAULT_POINT_CAP = 2**14
 # work over the distance matrix goes this many entries at a time
 BLOCK_ENTRIES = 2**18
-# the distance matrix is mirrored below its diagonal at least this many
-# columns at a time: a narrower strip writes a few doubles per page it touches
-MIRROR_COLUMNS = 256
 # coordinates of distinct points that differ by more than this on an axis
 # differ by a gap whose square is a normal double
 _GAP_FLOOR = 1e-150
@@ -38,9 +36,68 @@ def _check_point_count(kind: str, n_pts: int) -> None:
     it before they list a point."""
     if n_pts > DEFAULT_POINT_CAP:
         raise ResourceLimitError(
-            f"{kind} grid would have {n_pts} points, above the cap of "
-            f"{DEFAULT_POINT_CAP} (a dense distance matrix of 2 GiB)"
+            f"{kind} grid would have {n_pts} points, above the cap of {DEFAULT_POINT_CAP}: its "
+            "square is a kernel's weight budget, and a boundary scan computes a row per point"
         )
+
+
+def _squared_distances(points: np.ndarray, columns: np.ndarray, out=None) -> np.ndarray:
+    """Squared distances from each coordinate row of ``points`` to each
+    column of ``columns``, into ``out`` when given: the squared coordinate
+    gaps summed axis by axis, in scipy's `cdist` order."""
+    out = np.subtract(points[:, 0, None], columns[0], out=out)
+    out *= out
+    for k in range(1, points.shape[1]):
+        gap = points[:, k, None] - columns[k]
+        gap *= gap
+        out += gap
+    return out
+
+
+class DistanceRows:
+    """A grid's distance matrix, never held: ``d[i]`` computes row i
+    (``d[-1]`` the last) and ``d[lo:hi]`` a block of rows. Every entry is
+    the double `scipy.spatial.distance.cdist` gives: the squared coordinate
+    gaps summed axis by axis, then one square root."""
+
+    def __init__(self, coords: np.ndarray) -> None:
+        self._coords = coords
+        self._columns = np.ascontiguousarray(coords.T)  # strided columns read slower
+
+    def __getitem__(self, key: int | slice) -> np.ndarray:
+        one = not isinstance(key, slice)
+        points = self._coords[operator.index(key), None] if one else self._coords[key]
+        squared = _squared_distances(points, self._columns)
+        rows = np.sqrt(squared, out=squared)
+        return rows[0] if one else rows
+
+    def within(self, lo: int, hi: int, r: float, out: np.ndarray) -> np.ndarray:
+        """Rows [lo, hi) of the mask ``d < r``, from squared distances written
+        into ``out``: the square root is correctly rounded, so monotone, and
+        sqrt(x) < r exactly when x is below the least double whose root reaches r."""
+        limit = r * r
+        while math.sqrt(limit) >= r:
+            limit = math.nextafter(limit, 0.0)
+        while math.sqrt(limit) < r:
+            limit = math.nextafter(limit, math.inf)
+        return _squared_distances(self._coords[lo:hi], self._columns, out) < limit
+
+    @cached_property
+    def farthest(self) -> np.ndarray:
+        """Each point's distance to its farthest point, from one pass over the
+        upper triangle: block [lo, hi) x [lo, n) counts for its rows and its
+        columns, as (a - b)² and (b - a)² are the same double; sqrt is monotone."""
+        n = len(self._coords)
+        farthest = np.zeros(n)
+        step = max(1, BLOCK_ENTRIES // n)
+        buffer = np.empty(step * n)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            block = buffer[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            _squared_distances(self._coords[lo:hi], self._columns[:, lo:], block)
+            np.maximum(farthest[lo:hi], block.max(axis=1), out=farthest[lo:hi])
+            np.maximum(farthest[lo:], block.max(axis=0), out=farthest[lo:])
+        return np.sqrt(farthest)
 
 
 class Field(Enum):
@@ -139,33 +196,9 @@ class CompactSpace:
         return np.ascontiguousarray(self.coords).view(np.complex128)[:, 0]
 
     @cached_property
-    def pairwise(self) -> np.ndarray:
-        """Full Euclidean distance matrix: the squared coordinate gaps summed
-        axis by axis, in scipy's `cdist` order, a block of rows at a time.
-        The rows go in strips of at least MIRROR_COLUMNS; each block is
-        computed from its strip's first column on, and each strip is then
-        mirrored below the diagonal: (a - b)² and (b - a)² are the same
-        double."""
-        c = self.coords
-        n = self.n_points
-        d = np.empty((n, n))
-        rows = max(1, BLOCK_ENTRIES // n)
-        width = max(rows, MIRROR_COLUMNS)
-        for m in range(0, n, width):
-            f = min(m + width, n)
-            for s in range(m, f, rows):
-                e = min(s + rows, f)
-                block = d[s:e, m:]
-                np.subtract(c[s:e, 0, None], c[m:, 0], out=block)
-                block *= block
-                for a in range(1, self.dim):
-                    gap = c[s:e, a, None] - c[m:, a]
-                    gap *= gap
-                    block += gap
-                np.sqrt(block, out=block)
-            d[f:, m:f] = d[m:f, f:].T
-        d.setflags(write=False)
-        return d
+    def pairwise(self) -> DistanceRows:
+        """The distance matrix, read by rows: each row is computed when read."""
+        return DistanceRows(self.coords)
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -179,47 +212,15 @@ class CompactSpace:
             return self.complex_points
         return self.coords[:, 0] if self.dim == 1 else self.coords
 
-    def _records(self, points) -> np.ndarray:
-        # one sortable record per point; complex points on a real grid, or a
-        # last axis of the wrong width, become NaN records that match nothing
-        pts = np.asarray(points)
-        if self.field is Field.COMPLEX:
-            rows = np.stack([pts.real, pts.imag], axis=-1)
-        else:
-            rows = pts[..., None] if self.dim == 1 else pts
-        width = self.coords.shape[1]
-        if rows.shape[-1:] != (width,) or np.iscomplexobj(rows):
-            rows = np.full(rows.shape[:-1] + (width,), np.nan)
-        rows = np.ascontiguousarray(rows, dtype=float)
-        return rows.view(np.dtype([("", float)] * width))[..., 0]
-
-    @cached_property
-    def _sorted_records(self) -> tuple[np.ndarray, np.ndarray]:
-        records = self._records(self.points)
-        order = np.argsort(records)
-        return records[order], order
-
-    def locate(self, points) -> np.ndarray:
-        """Grid index of each point in an array shaped like ``points``.
-
-        ``points`` takes the form of ``self.points``, or is one point. The
-        result has its leading shape and holds -1 where a point is not on
-        the grid. The sorted index behind it is built once per grid.
-        """
-        records = self._records(points)
-        keys, order = self._sorted_records
-        pos = np.searchsorted(keys, records).clip(max=self.n_points - 1)
-        return np.where(keys[pos] == records, order[pos], -1)
-
-    @cached_property
+    @property
     def diameter(self) -> float:
-        return float(self.pairwise.max())
+        return float(self.pairwise.farthest.max())
 
-    @cached_property
+    @property
     def least_eccentricity(self) -> float:
         """The least, over grid points, of the distance to the farthest point:
         every point has a point this far, and some point has none farther."""
-        return float(self.pairwise.max(axis=1).min())
+        return float(self.pairwise.farthest.min())
 
     def validate_metric(self) -> None:
         """Check that every point's nearest neighbour is at positive distance.

@@ -136,7 +136,7 @@ def scalar_catalog(field: str, dim: int) -> dict:
 
 def mollifier_loop(pairwise: np.ndarray, n: int) -> np.ndarray:
     """Equal-weight rows over each point's ball of radius 1/n, built one row
-    at a time."""
+    at a time from a whole distance matrix (scipy's `cdist`)."""
     w = np.zeros(pairwise.shape)
     for i in range(pairwise.shape[0]):
         ball = np.nonzero(pairwise[i] < 1.0 / n)[0]

@@ -133,13 +133,22 @@ class TestOneRuleCallPerApply:
 
 
 class TestGridLookup:
-    def test_array_lookup_in_any_order(self):
-        space = make_box_grid(2, 3)
+    @pytest.mark.parametrize(
+        "space",
+        [make_box_grid(2, 3), make_interval_grid(4), make_circle_grid(8)],
+        ids=["box", "interval", "circle"],
+    )
+    def test_values_only_on_the_grid_points(self, space):
         vals = np.arange(space.n_points, dtype=float)
         f = function_from_values(space, vals, name="idx")
+        np.testing.assert_array_equal(f(space.points), vals)
+        np.testing.assert_array_equal(f(space.points.copy()), vals)
         order = np.random.default_rng(0).permutation(space.n_points)
-        np.testing.assert_array_equal(f(space.points[order]), vals[order])
-        assert f(space.points[5]) == 5.0
+        off = space.points.copy()
+        off[1] = off[1] + 0.1
+        for wrong in (off, space.points[2], space.points[order]):
+            with pytest.raises(InvalidFunctionError, match="grid-sampled"):
+                f(wrong)
 
     @pytest.mark.parametrize(
         "space, off",

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from korovkinlab import (
 )
 from korovkinlab.choquet import PEAK_TOL, _lp_coeffs, _lp_rows, _peak_search
 from korovkinlab.functions import ScalarFunction
-from korovkinlab.space import Field
+from korovkinlab.space import BLOCK_ENTRIES, Field
 
 from oracles import affine_lemma_scan, affine_peak_scan
 
@@ -277,13 +278,13 @@ class TestWorkingSetLoop:
         real_recheck = choquet_mod._recheck
         offered = set()
 
-        def refuse_candidates(span_, i, coeffs, r):
+        def refuse_candidates(span_, i, d, coeffs, r):
             # each point's first offer is the Korovkin candidate; refusing
             # it sends the point through the cutting-plane loop
             if i not in offered:
                 offered.add(i)
                 return None
-            return real_recheck(span_, i, coeffs, r)
+            return real_recheck(span_, i, d, coeffs, r)
 
         monkeypatch.setattr(choquet_mod, "_recheck", refuse_candidates)
         calls = _count_lps(monkeypatch)
@@ -467,13 +468,25 @@ class TestScanRadius:
         assert scan_radius(INTERVAL, 0.3) == 0.3
         assert estimate_choquet_boundary(SMALL_QUAD, radius=0.3).radius == 0.3
 
-    def test_second_call_makes_no_distance_pass(self):
+    def test_second_call_makes_no_distance_pass(self, monkeypatch):
+        import korovkinlab.space as space_module
+
+        calls = []
+        real = space_module._squared_distances
+
+        def counted(a, b, out=None):
+            calls.append(len(a))
+            return real(a, b, out)
+
+        monkeypatch.setattr(space_module, "_squared_distances", counted)
         disc = make_disc_grid(2, 8)
         assert scan_radius(disc) == pytest.approx(0.4)
-        disc.__dict__["pairwise"] = None  # any further read of the matrix fails
+        assert sum(calls) == disc.n_points  # one pass: every row once
+        calls.clear()
         assert scan_radius(disc) == pytest.approx(0.4)
         with pytest.raises(ValueError, match=r"^radius 1.2 is outside \(0, 1.0\]: "):
             scan_radius(disc, 1.2)
+        assert calls == []
 
 
 @settings(max_examples=50)
@@ -559,3 +572,20 @@ def test_random_custom_grid_scans(case):
                 assert _peak_search(span, p.index, r)[0] is None
     _, est_perm = _scan([pts[j] for j in perm], field, basis)
     assert [p.label for p in est_perm.points] == [est.points[j].label for j in perm]
+
+
+def test_a_scan_holds_no_distance_matrix():
+    # 2049 points: the distance matrix alone would take 33.6 MB. The scan
+    # computes one distance row at a time, and the diameter's pass holds one
+    # block of squared distances and one axis's squared gaps, 16 bytes per
+    # entry of BLOCK_ENTRIES; the rest is a few vectors of the grid's length
+    disc = make_disc_grid(32, 64)
+    span = FunctionSpan(tuple(named_function(n, disc) for n in ("const1", "z", "zbar", "|z|^2")))
+    tracemalloc.start()
+    try:
+        est = estimate_choquet_boundary(span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.counts()["Boundary"] == disc.n_points
+    assert peak < 24 * BLOCK_ENTRIES

@@ -201,12 +201,6 @@ class TestConjugateClosure:
 
 
 class TestFromValues:
-    def test_lookup_matches(self):
-        vals = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        f = function_from_values(GRID5, vals, name="seq")
-        assert f(0.5) == 4.0
-        np.testing.assert_array_equal(f.values, vals)
-
     def test_off_grid_point_rejected(self):
         f = function_from_values(GRID5, np.zeros(5), name="zero")
         with pytest.raises(InvalidFunctionError):

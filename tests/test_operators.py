@@ -260,11 +260,32 @@ class TestMollifierDisc:
         with pytest.raises(ValueError):
             mollifier_disc(2, CIRCLE32)
 
+    def test_a_sweep_holds_no_distance_matrix(self):
+        # 2049 points: the distance matrix alone would take 33.6 MB. A sweep
+        # holds one buffer of its largest row block (8 bytes per weight, about
+        # BLOCK_ENTRIES weights), its complex copy for z (16), the squared
+        # gaps of one axis (8) and the mask of the ball (1)
+        disc = make_disc_grid(32, 64)
+        f = named_function("z", disc)
+        f.values
+        tracemalloc.start()
+        try:
+            op = mollifier_disc(4, disc)
+            op.sweep([f])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * BLOCK_ENTRIES
+        assert np.max(np.abs(op.t_one_values - 1.0)) <= 1e-14
+
     @pytest.mark.parametrize("rings,per_ring", [(8, 32), (3, 5), (20, 64)])
     def test_weights_match_a_row_by_row_build_bit_for_bit(self, rings, per_ring):
+        from scipy.spatial.distance import cdist
+
         disc = make_disc_grid(rings, per_ring)
+        d = cdist(disc.coords, disc.coords)
         for n in (1, 2, 4, 8, 32, 100):
-            assert np.array_equal(mollifier_disc(n, disc).weights, mollifier_loop(disc.pairwise, n))
+            assert np.array_equal(mollifier_disc(n, disc).weights, mollifier_loop(d, n))
 
 
 class TestPerturbedComposition:

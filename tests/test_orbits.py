@@ -160,7 +160,7 @@ class TestAcceptedGenerators:
     def test_factory_symmetries_are_isometries(self, grid):
         # a scan keeps a symmetry for its span alone; margins stay constant
         # on an orbit because every factory symmetry preserves distances
-        d = grid.pairwise
+        d = grid.pairwise[:]
         assert grid.generators
         for g in grid.generators:
             assert np.max(np.abs(d[np.ix_(g, g)] - d)) <= 1e-12

@@ -48,7 +48,7 @@ class TestCircleGrid:
 
     def test_chordal_diameter(self):
         g = make_circle_grid(4)
-        assert g.pairwise[0, 2] == pytest.approx(2.0, abs=1e-15)
+        assert g.pairwise[0][2] == pytest.approx(2.0, abs=1e-15)
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestMetricInvariants:
     )
     def test_pairwise_positive_and_symmetric(self, grid):
         grid.validate_metric()
-        d = grid.pairwise
+        d = grid.pairwise[:]
         assert np.max(np.abs(d - d.T)) == 0.0
         off = d + 10.0 * np.eye(grid.n_points)
         assert off.min() > 0.0
@@ -159,21 +159,58 @@ class TestMetricInvariants:
     def test_pairwise_is_cdist_bit_for_bit(self, grid):
         from scipy.spatial.distance import cdist
 
-        want = cdist(grid.coords, grid.coords)
-        assert np.array_equal(grid.pairwise.view(np.uint64), want.view(np.uint64))
+        want = cdist(grid.coords, grid.coords).view(np.uint64)
+        n = grid.n_points
+        rows = np.stack([grid.pairwise[i] for i in range(n)])
+        assert np.array_equal(rows.view(np.uint64), want)
+        for lo, hi in [(0, n), (0, 1), (n // 3, n // 3 + 2), (n - 1, n)]:
+            assert np.array_equal(grid.pairwise[lo:hi].view(np.uint64), want[lo:hi])
+        farthest = cdist(grid.coords, grid.coords).max(axis=1)
+        assert grid.diameter == farthest.max()
+        assert grid.least_eccentricity == farthest.min()
 
-    @pytest.mark.parametrize("entries, columns", [(4000, 64), (2**18, 7), (1, 1)])
-    def test_pairwise_in_strips_is_cdist_bit_for_bit(self, monkeypatch, entries, columns):
-        # the grids above fit one block; here blocks of 3, 261 and 1 rows
-        # fill strips of 64, 261 and 1 columns of the 1001 points, the first
-        # two with a narrower last strip
+    @pytest.mark.parametrize("grid", [make_disc_grid(8, 32), make_box_grid(3, 4)], ids=lambda g: g.id)
+    def test_ball_mask_is_the_rows_mask(self, grid):
+        # at every distance of the grid and the doubles either side of it
+        d = grid.pairwise[:]
+        radii = np.unique(d[d > 0])[::7]
+        out = np.empty_like(d)
+        for r in np.r_[radii, np.nextafter(radii, 0.0), np.nextafter(radii, np.inf), 1e-160]:
+            assert np.array_equal(grid.pairwise.within(0, grid.n_points, r, out), d < r)
+
+    def test_rows_count_back_from_the_end(self):
+        grid = make_disc_grid(2, 5)
+        n = grid.n_points
+        assert np.array_equal(grid.pairwise[-1], grid.pairwise[n - 1])
+        assert np.array_equal(grid.pairwise[-n], grid.pairwise[0])
+        assert np.array_equal(grid.pairwise[-2:], grid.pairwise[n - 2 : n])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                grid.pairwise[i]
+        with pytest.raises(TypeError):
+            grid.pairwise[0, 1]
+
+    @pytest.mark.parametrize("entries", [4000, 2**18, 1])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_disc_grid(20, 50),
+            lambda: make_custom_space(np.random.default_rng(5).normal(size=(300, 3))),
+        ],
+        ids=["disc", "custom3d"],
+    )
+    def test_extremes_in_blocks_are_cdist_bit_for_bit(self, monkeypatch, entries, make):
+        # the grids above fit one block; here the 1001 disc points go in
+        # blocks of 3, 261 and 1 rows, the 300 custom points in blocks of 13,
+        # one block, and blocks of 1 row: a row's maximum left of the
+        # diagonal comes from the column maxima of earlier blocks
         from scipy.spatial.distance import cdist
 
         monkeypatch.setattr(space_module, "BLOCK_ENTRIES", entries)
-        monkeypatch.setattr(space_module, "MIRROR_COLUMNS", columns)
-        grid = make_disc_grid(20, 50)
-        want = cdist(grid.coords, grid.coords)
-        assert np.array_equal(grid.pairwise.view(np.uint64), want.view(np.uint64))
+        grid = make()  # a new grid: the pass is cached on it
+        farthest = cdist(grid.coords, grid.coords).max(axis=1)
+        assert grid.diameter == farthest.max()
+        assert grid.least_eccentricity == farthest.min()
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -199,7 +236,7 @@ class TestMetricInvariants:
     def test_tiny_gap_on_one_axis_is_accepted(self):
         # x differs by an underflowing amount, y by 5: the k-d tree decides
         grid = make_custom_space([[0.0, 0.0], [1e-200, 5.0]])
-        assert grid.pairwise[0, 1] == 5.0
+        assert grid.pairwise[0][1] == 5.0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -215,7 +252,7 @@ class TestMetricInvariants:
     @pytest.mark.filterwarnings("error")
     def test_large_finite_distances_are_accepted(self):
         grid = make_custom_space([0.0, 1e150, -1e150])
-        assert np.isfinite(grid.pairwise).all() and grid.diameter > 1e150
+        assert np.isfinite(grid.pairwise[:]).all() and grid.diameter > 1e150
 
     def test_underflowing_pair_apart_in_every_axis_order_is_refused(self):
         # points 0 and 1 are at distance 0.0, and on each axis another
@@ -253,7 +290,7 @@ class TestGenerators:
     )
     def test_factory_generators_are_isometries(self, grid, count):
         assert len(grid.generators) == count
-        d = grid.pairwise
+        d = grid.pairwise[:]
         for g in grid.generators:
             assert sorted(g) == list(range(grid.n_points))
             assert np.max(np.abs(d[g][:, g] - d)) <= 1e-12
@@ -337,7 +374,7 @@ class TestCustomSpace:
         g = make_custom_space([1 + 0j, -1 + 0j, 1j], field=Field.COMPLEX)
         assert g.field is Field.COMPLEX
         assert g.kind is SpaceKind.CUSTOM
-        assert g.pairwise[0, 1] == pytest.approx(2.0)
+        assert g.pairwise[0][1] == pytest.approx(2.0)
 
     def test_complex_from_coordinate_pairs(self):
         g = make_custom_space([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], field=Field.COMPLEX)
