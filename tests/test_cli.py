@@ -1000,6 +1000,31 @@ class TestPresets:
         init_only = {"scipy.special._support_alternative_backends", "scipy._lib._array_api", "numpy.f2py"}
         assert not init_only & set(loaded)
 
+    def test_each_phase_of_the_disc_run_peaks_below_2_mb(self, tmp_path, monkeypatch):
+        # on the 257-point disc every blocked pass, distance blocks and
+        # sweep rows, holds about BLOCK_ENTRIES doubles (256 KiB) at a time
+        import korovkinlab.cli as cli_module
+
+        peaks = {}
+
+        def traced(phase):
+            def run(*args, **kwargs):
+                tracemalloc.start()
+                try:
+                    out = phase(*args, **kwargs)
+                    peaks[phase.__name__] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                return out
+
+            return run
+
+        for name in ("build_experiment", "verify_hypotheses", "run_convergence"):
+            monkeypatch.setattr(cli_module, name, traced(getattr(cli_module, name)))
+        assert run_cli("korovkin", "run", "--preset", "example43_disc", "--out", str(tmp_path)) == 0
+        assert list(peaks) == ["build_experiment", "verify_hypotheses", "run_convergence"]
+        assert all(peak < 2_000_000 for peak in peaks.values()), peaks
+
     def test_disc_runs_load_no_scipy(self, tmp_path):
         # the Korovkin candidate certifies every disc point, so no LP is solved
         commands = [

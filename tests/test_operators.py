@@ -798,8 +798,8 @@ class TestKernelOperatorValidation:
         finally:
             tracemalloc.stop()
         # a dense kernel would take 2048^2 doubles, 32 MiB; a sweep holds one
-        # buffer of its largest row block, 128 rows (2 MiB), and that
-        # buffer's complex copy (4 MiB) for the products with z
+        # buffer of its largest row block, 16 rows (256 KiB), and that
+        # buffer's complex copy (512 KiB) for the products with z
         assert len(op.nodes) == 2048
         assert peak < 8 * 2**20
         assert np.max(np.abs(op.t_one_values - 1.0)) <= 1e-12
@@ -875,6 +875,42 @@ class TestRowBlocks:
             got = op.apply(f).values  # in the grid's field
             want = np.asarray(w @ evaluate(f, op.nodes), dtype=got.dtype)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f.name
+
+    @pytest.mark.parametrize(
+        "make,names",
+        [
+            (lambda: mollifier_disc(4, make_disc_grid(8, 32)), ("z", "|z|^2")),
+            (lambda: tensor_bernstein(32, make_box_grid(2, 8)), ("coord 1^2", "prod_coords")),
+        ],
+        ids=["disc", "tensor"],
+    )
+    def test_old_and_new_block_sizes_give_the_same_bits(self, make, names, monkeypatch):
+        # 2**18 entries fit each kernel and grid below in one block; 2**15
+        # splits the sweep in two or three row blocks and the 257-point
+        # diameter pass in three
+        import korovkinlab.functions as functions_module
+        import korovkinlab.space as space_module
+
+        runs = []
+        for entries in (2**18, 2**15):
+            for module in (space_module, operators, functions_module):
+                monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
+            op = make()  # a new grid: the distance pass is cached on it
+            fs = [named_function(name, op.source) for name in names]
+            op.sweep(fs)
+            runs.append(
+                (
+                    len(row_blocks(op.target.n_points, len(op.nodes))),
+                    [op.apply(f).values.tobytes() for f in fs],
+                    op.t_one_values.tobytes(),
+                    np.float64(op.min_weight).tobytes(),
+                    np.float64(op.source.diameter).tobytes(),
+                    np.float64(op.source.least_eccentricity).tobytes(),
+                )
+            )
+        (old_blocks, *old), (new_blocks, *new) = runs
+        assert old_blocks == 1 < new_blocks
+        assert old == new
 
 
     @pytest.mark.parametrize(

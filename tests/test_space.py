@@ -200,7 +200,7 @@ class TestMetricInvariants:
         ids=["disc", "custom3d"],
     )
     def test_extremes_in_blocks_are_cdist_bit_for_bit(self, monkeypatch, entries, make):
-        # the grids above fit one block; here the 1001 disc points go in
+        # the grids above take at most three blocks; here the 1001 disc points go in
         # blocks of 3, 261 and 1 rows, the 300 custom points in blocks of 13,
         # one block, and blocks of 1 row: a row's maximum left of the
         # diagonal comes from the column maxima of earlier blocks
@@ -211,6 +211,24 @@ class TestMetricInvariants:
         farthest = cdist(grid.coords, grid.coords).max(axis=1)
         assert grid.diameter == farthest.max()
         assert grid.least_eccentricity == farthest.min()
+
+    @pytest.mark.parametrize(
+        "make", [lambda: make_interval_grid(99), lambda: make_disc_grid(8, 32)], ids=["interval", "disc"]
+    )
+    def test_a_pass_over_fewer_rows_than_a_block_holds_their_triangle(self, monkeypatch, make):
+        # at 2**18 entries both grids fit one block: the pass holds the block
+        # and one axis's squared gaps, 16 bytes per pair, and numpy's ufunc
+        # buffers (about 130 kB), not a block of 2**18 entries
+        monkeypatch.setattr(space_module, "BLOCK_ENTRIES", 2**18)
+        grid = make()
+        grid.pairwise
+        tracemalloc.start()
+        try:
+            grid.diameter
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * grid.n_points**2 + 2**18
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
