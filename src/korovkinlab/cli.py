@@ -141,7 +141,10 @@ def _write_certificates_json(path: Path, estimate: BoundaryEstimate) -> None:
             if pc.certificate is not None
         ],
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    # dumped to the file chunk by chunk: json.dumps would first hold every chunk
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_choquet(args) -> int:

@@ -32,17 +32,20 @@ UNITAL_TOL = 1e-10
 # GiB as float64), though a sweep holds only its node values and one buffer
 # of its largest row block (and its complex copy when a function is complex)
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
-# a sweep's row blocks start at multiples of this many rows, and none is a
-# lone trailing row: then each image row takes the same BLAS path as in one
-# product over all rows, and the images are bit for bit those of that product
-ROW_ALIGN = 8
+# under one BLAS thread, OpenBLAS's gemv (np.matmul of a block and a vector)
+# takes a block's rows in groups of this many. A sweep's row blocks start at
+# multiples of it and only the last one ends in a partial group, so each
+# image row takes the same BLAS path as in one product over all rows, and the
+# images are bit for bit those of that product. Blocks are multiples of 8
+# rows wherever 8 rows fit, and this many where they do not
+ROW_ALIGN = 4
 
 
 def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     """The [lo, hi) row blocks of a sweep over an n_rows x n_cols kernel:
-    about BLOCK_ENTRIES weights each, a multiple of ROW_ALIGN rows and at
-    least ROW_ALIGN, with the remainder merged into the last block."""
-    step = max(ROW_ALIGN, BLOCK_ENTRIES // n_cols // ROW_ALIGN * ROW_ALIGN)
+    the largest multiple of 8 rows within BLOCK_ENTRIES weights, else
+    ROW_ALIGN rows, with the remainder merged into the last block."""
+    step = max(ROW_ALIGN, BLOCK_ENTRIES // n_cols // 8 * 8)
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] < step:
         starts.pop()

@@ -91,6 +91,21 @@ class TestChoquetCommand:
         certs = json.loads((tmp_path / "certificates.json").read_text())
         assert len(certs["certificates"]) == 101
 
+    def test_certificates_are_written_as_their_whole_string_would_be(self, tmp_path, monkeypatch):
+        payloads = []
+        dump = json.dump
+
+        def recorded(obj, fh, **kwargs):
+            payloads.append(obj)
+            return dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", recorded)
+        assert run_cli("choquet", "--preset", "example43_disc", "--out", str(tmp_path)) == 0
+        monkeypatch.undo()
+        (payload,) = payloads
+        want = (json.dumps(payload, indent=2) + "\n").encode()
+        assert (tmp_path / "certificates.json").read_bytes() == want
+
     def test_disc_certificates_move_along_rings(self, tmp_path):
         from korovkinlab.choquet import PeakCertificate, verify_peak_certificate
         from korovkinlab.config import build_spaces, build_spans

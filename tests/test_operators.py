@@ -158,9 +158,10 @@ class TestUfuncLoader:
         """)
 
 
-def _fresh_python(code: str) -> None:
-    """Run a script in a fresh interpreter with korovkinlab importable."""
-    env = dict(os.environ)
+def _fresh_python(code: str, **variables: str) -> None:
+    """Run a script in a fresh interpreter with korovkinlab importable and
+    the given environment variables set."""
+    env = dict(os.environ, **variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
@@ -806,7 +807,7 @@ class TestKernelOperatorValidation:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_sweep_refuses_a_non_finite_weight_before_any_image(self, bad, monkeypatch):
-        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 4-row blocks
         made = []
         monkeypatch.setattr(
             operators, "function_from_values", lambda *a, **k: made.append(a) or function_from_values(*a, **k)
@@ -819,19 +820,30 @@ class TestKernelOperatorValidation:
         assert made == []
 
     def test_the_witness_is_the_first_most_negative_weight_across_blocks(self, monkeypatch):
-        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 4-row blocks
         op = bernstein(6, INTERVAL)
-        for y, i in ((70, 2), (20, 5), (21, 0)):  # equal minima in blocks 2 and 8
+        for y, i in ((70, 2), (20, 5), (21, 0)):  # equal minima in blocks 5 and 17
             op = inject_weight(op, y, i, -0.5)
-        assert len(row_blocks(INTERVAL.n_points, 7)) == 12
+        assert len(row_blocks(INTERVAL.n_points, 7)) == 25
         rep = check_positivity(op)
         assert rep.witness == (5, 20, -0.5) and rep.min_weight == -0.5
         w = op.weights
         assert np.unravel_index(np.argmin(w), w.shape) == (20, 5)
 
 
+def blocks_of_eight(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
+    """The row blocks of an earlier rule: as many multiples of 8 rows as fit
+    in BLOCK_ENTRIES weights, and never fewer than 8, with the remainder
+    merged into the last block."""
+    step = max(8, operators.BLOCK_ENTRIES // n_cols // 8 * 8)
+    starts = list(range(0, n_rows, step))
+    if len(starts) > 1 and n_rows - starts[-1] < step:
+        starts.pop()
+    return list(zip(starts, [*starts[1:], n_rows]))
+
+
 class TestRowBlocks:
-    @pytest.mark.parametrize("n_cols", [1, 257, 66049, 2**20])
+    @pytest.mark.parametrize("n_cols", [1, 257, 4096, 4097, 4225, 66049, 2**20])
     @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 17, 81, 257, 4097])
     def test_blocks_tile_the_rows_from_multiples_of_eight(self, n_rows, n_cols):
         blocks = row_blocks(n_rows, n_cols)
@@ -840,15 +852,20 @@ class TestRowBlocks:
         assert all(lo % ROW_ALIGN == 0 for lo in starts)
         lo, hi = blocks[-1]
         assert hi - lo >= ROW_ALIGN or blocks == [(0, n_rows)]
-        # every block but the last has one size: about BLOCK_ENTRIES weights,
-        # a multiple of ROW_ALIGN rows, and never fewer than ROW_ALIGN
+        # every block but the last has one size: the largest multiple of 8
+        # rows within BLOCK_ENTRIES weights, else ROW_ALIGN rows when not
+        # even 8 rows fit
         step = blocks[0][1]
         assert all(hi - lo == step for lo, hi in blocks[:-1])
         if len(blocks) > 1:
-            assert step % ROW_ALIGN == 0
-            assert step == ROW_ALIGN or step * n_cols <= BLOCK_ENTRIES
-            assert step == ROW_ALIGN or (step + ROW_ALIGN) * n_cols > BLOCK_ENTRIES
+            if 8 * n_cols <= BLOCK_ENTRIES:
+                assert step % 8 == 0 and step * n_cols <= BLOCK_ENTRIES < (step + 8) * n_cols
+            else:
+                assert step == ROW_ALIGN
             assert step <= hi - lo < 2 * step
+        # no block is larger than under the rule of 8-row multiples, so no
+        # sweep's buffer grows
+        assert max(hi - lo for lo, hi in blocks) <= max(hi - lo for lo, hi in blocks_of_eight(n_rows, n_cols))
 
     @pytest.mark.parametrize(
         "make",
@@ -862,19 +879,21 @@ class TestRowBlocks:
         ids=["disc2", "disc4", "fejer", "tensor", "bernstein"],
     )
     def test_images_in_blocks_of_eight_are_one_product_bit_for_bit(self, make, monkeypatch):
-        # a lone trailing row would take another BLAS path: on the 257-point
-        # disc at n = 2 and 4, row 256 then moves by one ulp
+        # blocks of 8 rows, then of ROW_ALIGN rows; a lone trailing row would
+        # take another BLAS path: on the 257-point disc at n = 2 and 4, row
+        # 256 then moves by one ulp
         op = make()
         w = op.weights
         fs = [named_function("const1", op.source), *default_probes(op.source)]
-        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)
-        assert len(row_blocks(*w.shape)) > 1
-        op.sweep(fs)
-        assert np.array_equal(op.t_one_values, w.sum(axis=1))
-        for f in fs:
-            got = op.apply(f).values  # in the grid's field
-            want = np.asarray(w @ evaluate(f, op.nodes), dtype=got.dtype)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f.name
+        for entries, rows in ((8 * w.shape[1], 8), (1, ROW_ALIGN)):
+            monkeypatch.setattr(operators, "BLOCK_ENTRIES", entries)
+            assert row_blocks(*w.shape)[0] == (0, rows)
+            op.sweep(fs)
+            assert np.array_equal(op.t_one_values, w.sum(axis=1))
+            for f in fs:
+                got = op.apply(f).values  # in the grid's field
+                want = np.asarray(w @ evaluate(f, op.nodes), dtype=got.dtype)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f.name
 
     @pytest.mark.parametrize(
         "make,names",
@@ -912,6 +931,67 @@ class TestRowBlocks:
         assert old_blocks == 1 < new_blocks
         assert old == new
 
+    def test_blocks_of_four_and_of_eight_give_the_same_bits(self):
+        # under one BLAS thread, as the benchmark runs: OpenBLAS's gemv then
+        # takes rows in groups of 4 wherever a block starts at a multiple of
+        # 4. ROW_ALIGN = 8 gives the rule of 8-row blocks. The random kernels
+        # have 84-87 rows, every remainder mod 4, and 4100 complex nodes.
+        _fresh_python(
+            """
+            import numpy as np
+            from korovkinlab import (KernelOperator, check_positivity, default_probes, make_box_grid,
+                                     make_circle_grid, named_function, tensor_bernstein)
+            from korovkinlab import operators
+
+            row_align = operators.ROW_ALIGN
+            assert row_align < 8
+            box = make_box_grid(2, 8)
+            cases = [(tensor_bernstein(128, box), default_probes(box))]
+            circle = make_circle_grid(4100)
+            rng = np.random.default_rng(5)
+            for n_rows in (84, 85, 86, 87):
+                w = rng.standard_normal((n_rows, circle.n_points))
+                op = KernelOperator(circle, make_circle_grid(n_rows), circle.points, w)
+                names = ("const1", "z", "zbar", "re_z2")
+                cases.append((op, [named_function(name, circle) for name in names]))
+            for op, fs in cases:
+                runs = []
+                for align in (8, row_align):
+                    operators.ROW_ALIGN = align
+                    op.sweep(fs)
+                    runs.append((
+                        [op.apply(f).values.tobytes() for f in fs],
+                        op.t_one_values.tobytes(),
+                        np.float64(op.min_weight).tobytes(),
+                        check_positivity(op).witness,
+                    ))
+                    first = operators.row_blocks(op.target.n_points, len(op.nodes))[0]
+                    assert first == (0, align), first
+                assert runs[0] == runs[1], (op.target.n_points, len(op.nodes))
+            """,
+            OPENBLAS_NUM_THREADS="1",
+        )
+
+    def test_the_widest_tensor_sweep_holds_five_rows(self):
+        # n = 256 on the 81-point box: 66049 columns, so not even 8 rows fit
+        # in BLOCK_ENTRIES weights: 19 blocks of 4 rows and the last of 5
+        box = make_box_grid(2, 8)
+        fs = default_probes(box)
+        tensor_bernstein(2, box).sweep(fs)  # loads what a first build loads
+        tracemalloc.start()
+        try:
+            op = tensor_bernstein(256, box)
+            op.sweep(fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(fs) == 8 and op._buffer_shape() == (5, 66049)
+        # the buffer (2.64 MB), the 8 probes' node values (4.23 MB) and the
+        # nodes (1.06 MB), plus 1 MiB for the per-axis rows and the probes'
+        # temporaries: 8.97 MB. 9-row blocks peak at 10.5 MB.
+        buffer, values, nodes = 5 * 66049 * 8, 8 * 66049 * 8, 66049 * 2 * 8
+        assert peak < buffer + values + nodes + 2**20
+
 
     @pytest.mark.parametrize(
         "make",
@@ -932,7 +1012,7 @@ class TestRowBlocks:
         ids=["bernstein", "tensor", "fejer", "disc", "perturbed", "inject", "merged"],
     )
     def test_every_block_of_a_sweep_is_built_into_one_buffer(self, make, monkeypatch):
-        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks, the last one larger
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 4-row blocks, the last one larger
         op = make()
         built = []
         block = KernelOperator.block
@@ -957,7 +1037,7 @@ class TestRowBlocks:
         assert np.array_equal(op.t_one_values, op.weights.sum(axis=1))
 
     def test_complex_products_share_one_complex_copy_per_block(self, monkeypatch):
-        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 8-row blocks
+        monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 4-row blocks
         op = mollifier_disc(2, make_disc_grid(8, 32))
         fs = [named_function(name, op.source) for name in ("const1", "z", "zbar", "|z|^2", "re_z2")]
         n_blocks = len(row_blocks(op.target.n_points, len(op.nodes)))
