@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidFunctionError
-from .space import BLOCK_ENTRIES, CompactSpace, Field, SpaceKind
+from .space import CompactSpace, Field, SpaceKind, rows_by_bound, visit_rows
 
 MEMBERSHIP_TOL = 1e-10
 SEPARATION_TOL = 1e-12
@@ -126,14 +126,27 @@ def sup_norm(f: ScalarFunction) -> float:
 def oscillation(f: ScalarFunction) -> float:
     """Largest |f(x) - f(x')| over all grid pairs.
 
-    Complex values are compared in blocks of rows of about BLOCK_ENTRIES
-    pairs, so memory stays flat on large grids.
+    Complex values are compared only in the rows that can hold the largest
+    difference (`space.rows_by_bound`, around the centre of their bounding
+    box), each against the rows not yet visited (`space.visit_rows`); every
+    difference is computed as an all-pairs pass computes it, so the maximum
+    is the same double.
     """
     v = f.values
     if f.space.field is Field.REAL:
         return float(v.max() - v.min())
-    step = max(1, BLOCK_ENTRIES // v.size)
-    return float(max(np.max(np.abs(v[i : i + step, None] - v)) for i in range(0, v.size, step)))
+    # halves, not (hi - lo) / 2: the parts' range can overflow
+    centre = complex(*(part.min() / 2 + part.max() / 2 for part in (v.real, v.imag)))
+    e = np.abs(v - centre)
+    if not e.any():  # every value is the centre
+        return 0.0
+    order, reach = rows_by_bound(e, 2, squared=False)
+    w = v[order]
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        return np.abs(w[lo:hi, None] - w[lo:])
+
+    return float(visit_rows(np.zeros(v.size), block, 0, 0.0, np.maximum, reach)[1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,10 +24,12 @@ from .errors import ResourceLimitError
 
 # most points of a grid: its square is a kernel's weight budget
 DEFAULT_POINT_CAP = 2**14
-# entries of one block of every blocked pass (distance blocks, a sweep's
-# row blocks, oscillation's pairs): 256 KiB of float64, about one L2 cache.
-# The diameter pass at the point cap takes as long as at 2**18 and about
-# 40% longer at 2**14: 2**15 is the smallest block that costs no time
+# entries of one block of every blocked pass (a sweep's row blocks, the disc
+# mollifier's distance blocks, the largest row group of `visit_rows`):
+# 256 KiB of float64, about one L2 cache. At 2**14, 2**15 and 2**18 the
+# extremes of the 16384-point circle, whose every row is visited, take 0.55,
+# 0.41 and 0.47 s, and the 4097-point disc's mollifier sweeps 0.82, 0.81
+# and 0.82 s (medians of 5 interleaved rounds): 2**15 is the fastest
 BLOCK_ENTRIES = 2**15
 # coordinates of distinct points that differ by more than this on an axis
 # differ by a gap whose square is a normal double
@@ -86,21 +88,94 @@ class DistanceRows:
         return _squared_distances(self._coords[lo:hi], self._columns, out) < limit
 
     @cached_property
-    def farthest(self) -> np.ndarray:
-        """Each point's distance to its farthest point, from one pass over the
-        upper triangle: block [lo, hi) x [lo, n) counts for its rows and its
-        columns, as (a - b)² and (b - a)² are the same double; sqrt is monotone."""
-        n = len(self._coords)
-        farthest = np.zeros(n)
-        step = min(max(1, BLOCK_ENTRIES // n), n)
-        buffer = np.empty(step * n)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            block = buffer[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
-            _squared_distances(self._coords[lo:hi], self._columns[:, lo:], block)
-            np.maximum(farthest[lo:hi], block.max(axis=1), out=farthest[lo:hi])
-            np.maximum(farthest[lo:], block.max(axis=0), out=farthest[lo:])
-        return np.sqrt(farthest)
+    def extremes(self) -> tuple[float, float]:
+        """The diameter and the least eccentricity, from the rows that can set them.
+
+        Rows go in `rows_by_bound` order until no bound reaches the largest
+        entry. The rest then go in increasing order of their largest entry
+        so far, a lower bound of their own (it includes their distances to
+        both ends of the diameter), until none is below the least maximum
+        of a visited row. Both are square roots of maxima of squared entries."""
+        n, dim = self._coords.shape
+        centre = self._columns.min(axis=1) / 2 + self._columns.max(axis=1) / 2
+        e = np.sqrt(_squared_distances(centre[None], self._columns)[0])
+        order, reach = rows_by_bound(e, dim, squared=True)
+        columns = np.take(self._columns, order, axis=1)  # C order: `[:, order]` is not
+        buffer = np.empty(min(max(BLOCK_ENTRIES, n), n * n))  # the largest group
+
+        def block(lo: int, hi: int) -> np.ndarray:
+            out = buffer[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+            return _squared_distances(columns[:, lo:hi].T, columns[:, lo:], out)
+
+        far = np.zeros(n)
+        k, best = visit_rows(far, block, 0, 0.0, np.maximum, reach)
+        rest = k + np.argsort(far[k:], kind="stable")
+        columns[:, k:], far[k:] = np.take(columns, rest, axis=1), far[rest]
+        key = far[k:].copy()
+        _, least = visit_rows(
+            far, block, k, far[:k].min(), np.minimum, lambda least: k + int(key.searchsorted(least))
+        )
+        return math.sqrt(best), math.sqrt(least)
+
+
+# unit roundoff and least subnormal of a double
+_U = 2.0**-53
+_ETA = math.ulp(0.0)
+
+
+def rows_by_bound(e: np.ndarray, dim: int, squared: bool) -> tuple:
+    """Rows of a symmetric all-pairs maximum in decreasing order of a bound
+    on their entries, and ``reach(best)``: how many can hold one above ``best``.
+
+    ``e`` (overwritten) holds each row's computed distance to a centre c, and
+    the bound is ub_i = (e_i + R)(1 + 2(dim + 8)u) + 8t, with R = max e,
+    u = 2**-53 and η = 2**-1074. Entries and e are exact distances within a
+    factor 1 + εu, plus β where results underflow (Higham, §3.1):
+    - ``squared``: squared distances of dim coordinates, gaps squared and
+      summed, compared through their roots: ε = (dim + 4) / 2,
+      β = sqrt(dim * η / 2) and t = sqrt(dim * η);
+    - complex values (dim = 2): each part of a difference rounds once, and
+      numpy's |z| is within 2 ulps (glibc's hypot within 1, numpy's SIMD
+      form within 3u): ε = 5 and β = t = η.
+    By |x_i - x_j| <= |x_i - c| + |x_j - c| an entry is then at most
+    (1 + εu)²(e_i + e_j) + 3β; the rest of 2(dim + 8)u and of 8t covers the
+    rounding of ub_i itself. A bound that overflows is inf and keeps its row."""
+    neg = np.add(e, e.max(), out=e)
+    neg *= -(1 + 2 * (dim + 8) * _U)
+    neg -= 8 * (math.sqrt(dim * _ETA) if squared else _ETA)
+    order = np.argsort(neg, kind="stable")  # numpy's SIMD quicksort maps ~0.3 MB of code
+    neg = neg[order]
+    root = math.sqrt if squared else float
+    return order, lambda best: int(neg.searchsorted(-root(best), "right"))
+
+
+def visit_rows(far: np.ndarray, block, lo: int, ext, better, end) -> tuple:
+    """Visit rows lo, lo + 1, ... of a symmetric all-pairs pass, in groups.
+
+    ``block(lo, hi)`` computes rows [lo, hi) against columns [lo, n): the
+    upper triangle of the visit order. Its row and column maxima raise
+    ``far``, so a visited row's ``far`` is its maximum and a later row's is
+    a maximum of some of its entries. Groups start at one row and double
+    while they hold at most BLOCK_ENTRIES entries (at least one row), as a
+    block of BLOCK_ENTRIES // n full rows did. ``ext`` is the ``better``
+    (np.maximum or np.minimum) of the visited rows' maxima, brought up to
+    date each time the visited rows have doubled and on reaching
+    ``end(ext)``, the first row whose bound cannot improve it, where the
+    pass stops. A stale ``ext`` only moves that row later, so the pass
+    visits at most about twice the rows it must. Returns the first row not
+    visited and ``ext``."""
+    n = far.size
+    first, done, seen, size, stop = lo, 0, 0, 1, end(ext)
+    while (hi := min(lo + size, stop)) > lo:
+        rows = block(lo, hi)
+        np.maximum(far[lo:hi], rows.max(axis=1), out=far[lo:hi])
+        np.maximum(far[lo:], rows.max(axis=0), out=far[lo:])
+        done += hi - lo
+        lo, size = hi, max(1, min(done, BLOCK_ENTRIES // max(n - hi, 1)))
+        if done >= 2 * seen or lo == stop:
+            ext = better(ext, better.reduce(far[first + seen : lo]))
+            seen, stop = done, end(ext)
+    return lo, ext
 
 
 class Field(Enum):
@@ -217,13 +292,13 @@ class CompactSpace:
 
     @property
     def diameter(self) -> float:
-        return float(self.pairwise.farthest.max())
+        return self.pairwise.extremes[0]
 
     @property
     def least_eccentricity(self) -> float:
         """The least, over grid points, of the distance to the farthest point:
         every point has a point this far, and some point has none farther."""
-        return float(self.pairwise.farthest.min())
+        return self.pairwise.extremes[1]
 
     def validate_metric(self) -> None:
         """Check that every point's nearest neighbour is at positive distance.

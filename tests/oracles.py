@@ -5,7 +5,9 @@ implementation under test: exact rational arithmetic for polynomial
 operator moments, a discrete Fourier multiplier route for the circle
 convolution operator, brute-force coefficient scans for LP
 feasibility questions, the per-point Python formulas of the named
-function catalog, and an all-pairs loop for point separation.
+function catalog, an all-pairs loop for point separation, and blocked
+all-pairs passes for the largest difference of values and the extreme
+distances of a grid.
 """
 
 from __future__ import annotations
@@ -155,3 +157,29 @@ def separates_points_loop(b: np.ndarray, tol: float) -> tuple[bool, tuple[int, i
         if bad.size:
             return False, (i, i + 1 + int(bad[0]))
     return True, None
+
+
+def oscillation_blocked(values: np.ndarray, entries: int) -> float:
+    """Largest |v_i - v_j| of complex values over all pairs: rows compared
+    against every value, about `entries` pairs at a time."""
+    step = max(1, entries // values.size)
+    return float(max(np.max(np.abs(values[i : i + step, None] - values)) for i in range(0, values.size, step)))
+
+
+def farthest_blocked(coords: np.ndarray, entries: int) -> np.ndarray:
+    """Each point's distance to its farthest point, from one pass over the
+    upper triangle in blocks of about `entries` squared distances (gaps
+    squared and summed axis by axis, as `cdist` does): block [lo, hi) x
+    [lo, n) counts for its rows and its columns."""
+    n = len(coords)
+    farthest = np.zeros(n)
+    step = min(max(1, entries // n), n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = np.zeros((hi - lo, n - lo))
+        for k in range(coords.shape[1]):
+            gap = coords[lo:hi, k, None] - coords[lo:, k]
+            block += gap * gap
+        np.maximum(farthest[lo:hi], block.max(axis=1), out=farthest[lo:hi])
+        np.maximum(farthest[lo:], block.max(axis=0), out=farthest[lo:])
+    return np.sqrt(farthest)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import separates_points_loop
+from oracles import oscillation_blocked, separates_points_loop
 
 from korovkinlab import (
     FunctionSpan,
@@ -26,6 +26,7 @@ from korovkinlab import (
     sup_norm,
 )
 from korovkinlab.functions import SEPARATION_TOL, default_probe_names
+from korovkinlab.space import rows_by_bound
 
 GRID5 = make_interval_grid(4)
 
@@ -86,6 +87,30 @@ class TestSupNorm:
             sup_norm(f)
 
 
+@st.composite
+def complex_values(draw):
+    """Values at 3 to 60 points: one constant (every bound is then 0), a few
+    tied values, points on a circle (every row can hold the maximum), on a
+    line or spread, scaled by 10**k for -320 <= k <= 300, or parts that are
+    a few least subnormals."""
+    n = draw(st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["constant", "ties", "circle", "line", "spread", "subnormal"]))
+    if kind == "subnormal":  # every part a few least subnormals
+        return (rng.integers(0, 6, n) + 1j * rng.integers(0, 6, n)) * 5e-324
+    if kind == "constant":
+        values = np.full(n, complex(*rng.normal(size=2)))
+    elif kind == "ties":
+        values = rng.choice(rng.normal(size=3) + 1j * rng.normal(size=3), size=n)
+    elif kind == "circle":
+        values = np.exp(2j * np.pi * np.arange(n) / n) + complex(*rng.normal(size=2))
+    elif kind == "line":  # the triangle inequality through the centre is an equality
+        values = rng.normal(size=n) * np.exp(2j * np.pi * rng.random()) + complex(*rng.normal(size=2))
+    else:
+        values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return values * 10.0 ** draw(st.integers(-320, 300))
+
+
 class TestOscillation:
     def test_constant_is_flat(self):
         assert oscillation(named_function("const1", GRID5)) == 0.0
@@ -99,6 +124,20 @@ class TestOscillation:
     def test_complex_pairwise(self):
         g = make_circle_grid(4)
         assert oscillation(named_function("z", g)) == pytest.approx(2.0)
+
+    @given(complex_values())
+    @settings(max_examples=200)
+    def test_complex_values_give_the_blocked_pass_bit_for_bit(self, values):
+        f = function_from_values(make_circle_grid(values.size), values, name="v")
+        assert oscillation(f).hex() == oscillation_blocked(values, 2**15).hex()
+
+    @given(complex_values())
+    @settings(max_examples=200)
+    def test_each_row_bound_reaches_the_row_maximum(self, values):
+        centre = complex(*(part.min() / 2 + part.max() / 2 for part in (values.real, values.imag)))
+        order, reach = rows_by_bound(np.abs(values - centre), 2, squared=False)
+        row_max = np.abs(values[order, None] - values).max(axis=1)
+        assert all(reach(m) > at for at, m in enumerate(row_max))
 
     @given(finite_vals)
     @settings(max_examples=60)

@@ -904,15 +904,13 @@ class TestRowBlocks:
         ids=["disc", "tensor"],
     )
     def test_old_and_new_block_sizes_give_the_same_bits(self, make, names, monkeypatch):
-        # 2**18 entries fit each kernel and grid below in one block; 2**15
-        # splits the sweep in two or three row blocks and the 257-point
-        # diameter pass in three
-        import korovkinlab.functions as functions_module
+        # 2**18 entries fit each kernel below in one block; 2**15 splits the
+        # sweep in two or three row blocks
         import korovkinlab.space as space_module
 
         runs = []
         for entries in (2**18, 2**15):
-            for module in (space_module, operators, functions_module):
+            for module in (space_module, operators):
                 monkeypatch.setattr(module, "BLOCK_ENTRIES", entries)
             op = make()  # a new grid: the distance pass is cached on it
             fs = [named_function(name, op.source) for name in names]

@@ -1,7 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import farthest_blocked
 
 from korovkinlab import (
     CompactSpace,
@@ -18,6 +22,19 @@ from korovkinlab import (
 )
 import korovkinlab.space as space_module
 from korovkinlab.space import DEFAULT_POINT_CAP
+
+
+def _count_products(monkeypatch) -> list:
+    """(rows, columns) of each later `_squared_distances` call."""
+    calls = []
+    real = space_module._squared_distances
+
+    def counted(points, columns, out=None):
+        calls.append((len(points), columns.shape[1]))
+        return real(points, columns, out)
+
+    monkeypatch.setattr(space_module, "_squared_distances", counted)
+    return calls
 
 
 class TestIntervalGrid:
@@ -196,14 +213,16 @@ class TestMetricInvariants:
         [
             lambda: make_disc_grid(20, 50),
             lambda: make_custom_space(np.random.default_rng(5).normal(size=(300, 3))),
+            lambda: make_circle_grid(301),
         ],
-        ids=["disc", "custom3d"],
+        ids=["disc", "custom3d", "circle"],
     )
     def test_extremes_in_blocks_are_cdist_bit_for_bit(self, monkeypatch, entries, make):
-        # the grids above take at most three blocks; here the 1001 disc points go in
-        # blocks of 3, 261 and 1 rows, the 300 custom points in blocks of 13,
-        # one block, and blocks of 1 row: a row's maximum left of the
-        # diagonal comes from the column maxima of earlier blocks
+        # row groups double while they hold at most BLOCK_ENTRIES entries, so
+        # here they stop at 4000 entries, take every row left, or take one
+        # row at a time; every row of the 301 circle points has to be
+        # visited. A row meets only the rows after it, so its maximum left of
+        # the diagonal comes from earlier groups' column maxima
         from scipy.spatial.distance import cdist
 
         monkeypatch.setattr(space_module, "BLOCK_ENTRIES", entries)
@@ -216,19 +235,51 @@ class TestMetricInvariants:
         "make", [lambda: make_interval_grid(99), lambda: make_disc_grid(8, 32)], ids=["interval", "disc"]
     )
     def test_a_pass_over_fewer_rows_than_a_block_holds_their_triangle(self, monkeypatch, make):
-        # at 2**18 entries both grids fit one block: the pass holds the block
-        # and one axis's squared gaps, 16 bytes per pair, and numpy's ufunc
-        # buffers (about 130 kB), not a block of 2**18 entries
+        # at 2**18 entries one group may take every row of both grids: the
+        # pass holds a buffer for n x n entries, the squared gaps of the group
+        # it computes (8 bytes per entry each), vectors of the grid's length
+        # and numpy's ufunc buffers, not a block of 2**18 entries
         monkeypatch.setattr(space_module, "BLOCK_ENTRIES", 2**18)
         grid = make()
         grid.pairwise
+        groups = _count_products(monkeypatch)
         tracemalloc.start()
         try:
             grid.diameter
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * grid.n_points**2 + 2**18
+        n = grid.n_points
+        assert peak < 8 * n * n + 8 * max(r * c for r, c in groups) + 2**17
+
+    @pytest.mark.parametrize("m", [2048, 2049])
+    def test_a_circle_visits_every_row_once_in_groups_of_a_block(self, monkeypatch, m):
+        # the worst case: each point's bound reaches the diameter, so every
+        # row is visited, once, against the rows after it (each group also
+        # meets its own rows below its diagonal). Groups of 1, 1, 2, 4, ...
+        # rows hold at most BLOCK_ENTRIES entries, as the blocked pass's
+        # blocks of BLOCK_ENTRIES // m rows did, and make no more calls than
+        # those blocks, the doubling groups and the row to the centre
+        grid = make_circle_grid(m)
+        grid.pairwise
+        calls = _count_products(monkeypatch)
+        grid.diameter, grid.least_eccentricity
+        step = space_module.BLOCK_ENTRIES // m
+        assert len(calls) <= math.ceil(m / step) + math.ceil(math.log2(step)) + 1
+        assert calls[0] == (1, m) and sum(r for r, _ in calls[1:]) == m
+        triangle = m * (m + 1) // 2 + sum(r * (r - 1) // 2 for r, _ in calls[1:])
+        assert sum(r * c for r, c in calls[1:]) == triangle
+        assert max(r * c for r, c in calls) <= space_module.BLOCK_ENTRIES
+
+    def test_a_disc_visits_its_rim_and_centre(self, monkeypatch):
+        # 257 points: the 32 rim rows can hold the diameter; the centre then
+        # has eccentricity 1, which every other point's distance to a rim
+        # point already exceeds
+        grid = make_disc_grid(8, 32)
+        grid.pairwise
+        calls = _count_products(monkeypatch)
+        assert (grid.diameter, grid.least_eccentricity) == (2.0, 1.0)
+        assert sum(r for r, _ in calls) == 1 + 32 + 1  # the distances to the box centre first
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -293,6 +344,56 @@ class TestMetricInvariants:
             tracemalloc.stop()
         assert grid.n_points == 4096
         assert peak < 2**25  # the 4096 x 4096 distance matrix alone takes 128 MiB
+
+
+@st.composite
+def grids(draw):
+    """Factory grids (box grids of 1 to 4 axes, with their many tied
+    distances; circles; discs) and custom grids: clouds and lines (where the
+    triangle inequality through the centre is an equality) of 1 to 4 axes
+    scaled by 10**k for |k| <= 150, points apart by a normal gap on one axis
+    and by subnormal gaps, or gaps with subnormal squares, on another, and
+    points whose squared gaps are all a few subnormals."""
+    kind = draw(st.sampled_from(["box", "circle", "disc", "cloud", "line", "tiny gaps", "tiny"]))
+    if kind == "box":
+        p = draw(st.integers(1, 4))
+        return make_box_grid(p, draw(st.integers(1, {1: 80, 2: 12, 3: 5, 4: 3}[p])))
+    if kind == "circle":
+        return make_circle_grid(draw(st.integers(3, 120)))
+    if kind == "disc":
+        return make_disc_grid(draw(st.integers(1, 5)), draw(st.integers(3, 24)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    if kind in ("cloud", "line"):
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        dim = draw(st.integers(1, 4))
+        if kind == "cloud":
+            return make_custom_space(rng.normal(size=(n, dim)) * scale)
+        return make_custom_space((rng.normal(size=(n, 1)) * rng.normal(size=dim) + rng.normal(size=dim)) * scale)
+    if kind == "tiny":  # every square is a few subnormals
+        steps = rng.choice(200, size=(n, draw(st.integers(1, 2))), replace=False)
+        return make_custom_space(steps * draw(st.sampled_from([3e-162, 1e-161])))
+    unit = draw(st.sampled_from([5e-324, 1e-310, 1e-162]))
+    return make_custom_space(np.column_stack([rng.integers(0, 8, n) * unit, rng.permutation(n) / 4.0]))
+
+
+@settings(max_examples=200)
+@given(grid=grids())
+def test_extremes_are_the_blocked_pass_bit_for_bit(grid):
+    farthest = farthest_blocked(grid.coords, 2**15)
+    assert grid.diameter.hex() == farthest.max().hex()
+    assert grid.least_eccentricity.hex() == farthest.min().hex()
+
+
+@settings(max_examples=200)
+@given(grid=grids())
+def test_each_row_bound_reaches_the_row_maximum(grid):
+    columns = np.ascontiguousarray(grid.coords.T)
+    centre = columns.min(axis=1) / 2 + columns.max(axis=1) / 2
+    e = np.sqrt(space_module._squared_distances(centre[None], columns)[0])
+    order, reach = space_module.rows_by_bound(e, grid.dim, squared=True)
+    row_max = space_module._squared_distances(grid.coords[order], columns).max(axis=1)
+    assert all(reach(m) > at for at, m in enumerate(row_max))
 
 
 class TestGenerators:
