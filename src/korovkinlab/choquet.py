@@ -359,12 +359,14 @@ def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> t
 def _accepted_generators(span: FunctionSpan) -> list[tuple[np.ndarray, np.ndarray]]:
     """The grid's candidate symmetries g that preserve the span, each with
     the k x k map m that moves coefficients along it: the basis composed
-    with g^-1, B[argsort(g)], fits onto the span as B m to MEMBERSHIP_TOL.
+    with g^-1, B[g^-1], fits onto the span as B m to MEMBERSHIP_TOL.
     Distances go unchecked, as every moved certificate is re-verified where
     it lands."""
     out = []
     for g in span.space.generators:
-        m, residual = span.fit(span.value_matrix[np.argsort(g)])
+        inverse = np.empty_like(g)
+        inverse[g] = np.arange(len(g))  # argsort(g) of a permutation, without a sort
+        m, residual = span.fit(span.value_matrix[inverse])
         if residual <= MEMBERSHIP_TOL:
             out.append((g, m))
     return out

@@ -44,7 +44,10 @@ ROW_ALIGN = 4
 def row_blocks(n_rows: int, n_cols: int) -> list[tuple[int, int]]:
     """The [lo, hi) row blocks of a sweep over an n_rows x n_cols kernel:
     the largest multiple of 8 rows within BLOCK_ENTRIES weights, else
-    ROW_ALIGN rows, with the remainder merged into the last block."""
+    ROW_ALIGN rows, with the remainder merged into the last block. The
+    remainder is not a block of its own because a lone trailing row takes
+    another BLAS path, where its image can move by one ulp: on the
+    257-point disc at n = 2 and 4, row 256 does."""
     step = max(ROW_ALIGN, BLOCK_ENTRIES // n_cols // 8 * 8)
     starts = list(range(0, n_rows, step))
     if len(starts) > 1 and n_rows - starts[-1] < step:
@@ -75,7 +78,9 @@ class KernelOperator:
     function takes one value at a point however often it is listed, so the
     weight columns of equal nodes are summed per block, keeping the order
     of first occurrence, from a column map built once from the nodes.
-    Every kernel has distinct nodes.
+    Every kernel has distinct nodes. Nodes that are the source grid's own
+    ``points`` are taken as they are, without a copy or a uniqueness pass:
+    the grid refused equal points and froze them.
     """
 
     source: CompactSpace
@@ -86,7 +91,8 @@ class KernelOperator:
     _images: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        nodes = np.array(self.nodes)
+        grid_points = self.nodes is self.source.points
+        nodes = self.nodes if grid_points else np.array(self.nodes)
         if nodes.shape[1:] != self.source.points.shape[1:]:
             raise ValueError(f"nodes of shape {nodes.shape} do not match the source grid's points")
         rows = self.rows
@@ -101,7 +107,7 @@ class KernelOperator:
             rows = lambda lo, hi, out: np.copyto(out, w[lo:hi])
         # sorted nodes skip np.unique, whose buffers would add to the peak
         # memory of a large tensor build
-        if not _strictly_increasing(nodes):
+        if not grid_points and not _strictly_increasing(nodes):
             _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
             if first.size < len(nodes):
                 rank = np.empty_like(first)

@@ -248,7 +248,7 @@ class CompactSpace:
         for g in self.generators:
             g = np.asarray(g)
             if g.dtype.kind not in "iu" or not np.array_equal(
-                np.sort(g), np.arange(coords.shape[0])
+                np.sort(g, kind="stable"), np.arange(coords.shape[0])
             ):
                 raise ValueError("a generator must be a permutation of the point indices")
             g = g.astype(np.intp)
@@ -310,7 +310,7 @@ class CompactSpace:
         only a grid failing that test asks a k-d tree for nearest
         neighbours. The check builds no n x n array.
         """
-        gaps = np.diff(np.sort(self.coords, axis=0), axis=0)
+        gaps = np.diff(np.sort(self.coords, axis=0, kind="stable"), axis=0)
         if np.all((gaps == 0.0) | (gaps > _GAP_FLOOR)):
             return
         from scipy.spatial import cKDTree

@@ -1054,6 +1054,40 @@ class TestPresets:
         assert codes == [0, 0]
         assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
+    def test_runs_use_stable_sorts_and_no_unique(self, tmp_path):
+        # numpy's default sort kind maps its SIMD quicksort code (about 0.3
+        # MB of peak RSS), and np.unique sorts and copies the nodes: no run
+        # needs either. Grid points are distinct already, a permutation is
+        # inverted by a scatter, and the other sorts are stable.
+        box = {"kind": "box", "p": 2, "m": 8}
+        basis = ["const1", "coord 1", "coord 2", "coord 1^2", "coord 2^2"]
+        tensor = write_config(tmp_path, {
+            "version": 1,
+            "spaces": {"K": box},
+            "spans": {"quadratic2d": {"space": "K", "basis": basis}},
+            "family": {"name": "tensor_bernstein", "space": "K"},
+            "experiment": {"test_span": "quadratic2d", "probes": "default", "indices": [8, 32, 128, 256]},
+        })
+        commands = [
+            ["korovkin", "run", "--preset", "example43_disc"],
+            ["choquet", "--preset", "example43_disc"],
+            ["korovkin", "run", "--config", tensor],
+        ]
+        wrap = (
+            "import sys, numpy\n"
+            "def wrap(name, call):\n"
+            "    def wrapped(*args, **kwargs):\n"
+            "        print('numpy call', name, kwargs.get('kind'), file=sys.stderr)\n"
+            "        return call(*args, **kwargs)\n"
+            "    setattr(numpy, name, wrapped)\n"
+            "for name in ('sort', 'argsort', 'unique'):\n"
+            "    wrap(name, getattr(numpy, name))\n"
+        )
+        codes, _, err = _fresh_run(commands, tmp_path, prelude=wrap)
+        assert codes == [0, 0, 0]
+        calls = Counter(line.split(" ", 2)[2] for line in err.splitlines() if line.startswith("numpy call "))
+        assert calls and set(calls) <= {"sort stable", "argsort stable"}, calls
+
     def test_preset_runs_load_no_jsonschema(self, tmp_path):
         # a configuration that conforms is accepted without jsonschema
         commands = [
@@ -1077,11 +1111,13 @@ class TestPresets:
         )
 
 
-def _fresh_run(commands: list[list[str]], out) -> tuple[list[int], list[str], str]:
+def _fresh_run(
+    commands: list[list[str]], out, prelude: str = ""
+) -> tuple[list[int], list[str], str]:
     """Run CLI commands through `main` in a fresh interpreter (other tests
-    load scipy in this one); returns their exit codes, every module the
-    child then holds, and its stderr."""
-    child = (
+    load scipy in this one), after the code `prelude`; returns their exit
+    codes, every module the child then holds, and its stderr."""
+    child = prelude + (
         "import json, sys\n"
         "from korovkinlab.cli import main\n"
         "commands = json.loads(sys.argv[2])\n"

@@ -602,10 +602,12 @@ class TestNodeOrder:
         assert np.array_equal(merged.nodes, op.nodes)
         assert np.array_equal(merged.weights, op.weights)
 
-    def test_unsorted_grid_points_are_sorted_once(self, unique_calls):
+    def test_grid_points_are_taken_as_they_are(self, unique_calls):
+        # the circle's points are not in sorted order, but the grid refused
+        # equal points and froze its own: no copy and no uniqueness pass
         op = averaging_operator(CIRCLE32)
-        assert unique_calls == [1]
-        assert np.array_equal(op.nodes, CIRCLE32.points)
+        assert unique_calls == []
+        assert op.nodes is CIRCLE32.points
 
     def test_signed_zeros_are_one_node(self):
         g = make_interval_grid(2)
@@ -758,7 +760,7 @@ class TestKernelOperatorValidation:
     def test_a_tensor_run_holds_a_few_row_blocks(self, tmp_path):
         # tensor Bernstein up to n = 256 on the 81-point box: the kernel at
         # n = 256 has 81 x 66 049 weights (40.8 MiB), and a sweep holds one
-        # buffer of its largest row block, 9 rows (4.5 MiB), next to the 8
+        # buffer of its largest row block, 5 rows (2.64 MB), next to the 8
         # functions' node values
         cfg = {
             "version": 1,

@@ -425,7 +425,9 @@ class TestGenerators:
         assert make_custom_space([0.0, 0.5, 1.0]).generators == ()
 
     @pytest.mark.parametrize(
-        "g", [[0, 0, 1], [0, 1], [0, 1, 3], [0.0, 2.0, 1.0]], ids=["repeat", "short", "range", "float"]
+        "g",
+        [[0, 0, 1], [0, 1], [0, 1, 3], [2, 1, -1], [0.0, 2.0, 1.0]],
+        ids=["repeat", "short", "range", "negative", "float"],
     )
     def test_non_permutation_rejected(self, g):
         with pytest.raises(ValueError, match="permutation"):
