@@ -17,13 +17,13 @@ import os
 import sys
 import types
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .functions import ScalarFunction, evaluate, function_from_values
-from .space import BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind
+from .space import BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind, distinct_rows
 
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
@@ -74,13 +74,13 @@ class KernelOperator:
     ``rows(lo, hi, out)`` that writes target rows ``[lo, hi)`` of the
     weights into ``out``, a C-contiguous float array of shape
     ``(hi - lo, N)``, or the weight matrix itself, which is taken without
-    a copy, frozen, and wrapped as the function that copies its rows. A
-    function takes one value at a point however often it is listed, so the
-    weight columns of equal nodes are summed per block, keeping the order
-    of first occurrence, from a column map built once from the nodes.
-    Every kernel has distinct nodes. Nodes that are the source grid's own
-    ``points`` are taken as they are, without a copy or a uniqueness pass:
-    the grid refused equal points and froze them.
+    a copy, frozen, and wrapped as the function that copies its rows.
+    Nodes are kept in the order given and must be distinct: a function
+    takes one value at a point, so each row of weights is the measure
+    sum_i w[j, i] delta_{nodes[i]}, and the indicator of node i is the
+    witness of a negative weight. Equal nodes are refused. Nodes that are
+    the source grid's own ``points`` are taken as they are, without a copy
+    or a distinctness pass: the grid refused equal points and froze them.
     """
 
     source: CompactSpace
@@ -105,22 +105,14 @@ class KernelOperator:
                 )
             w.setflags(write=False)
             rows = lambda lo, hi, out: np.copyto(out, w[lo:hi])
-        # sorted nodes skip np.unique, whose buffers would add to the peak
-        # memory of a large tensor build
-        if not grid_points and not _strictly_increasing(nodes):
-            _, first, inverse = np.unique(nodes, axis=0, return_index=True, return_inverse=True)
-            if first.size < len(nodes):
-                rank = np.empty_like(first)
-                rank[np.argsort(first)] = np.arange(first.size)
-                merge = partial(_merge_columns, rank[inverse.reshape(-1)])
-                rows = _merged(rows, merge, len(nodes))
-                nodes = nodes[np.sort(first)]
+        if not grid_points and not distinct_rows(nodes):
+            raise ValueError("kernel nodes must be distinct: a function takes one value at a point")
         nodes.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nodes", nodes)
 
     def block(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Target rows [lo, hi) of the merged weights, built by ``rows``
+        """Target rows [lo, hi) of the weights, built by ``rows``
         into ``out``, which is allocated when None."""
         if out is None:
             out = np.empty((hi - lo, len(self.nodes)))
@@ -141,7 +133,7 @@ class KernelOperator:
 
     @property
     def weights(self) -> np.ndarray:
-        """All merged weights at once, for small kernels: no sweep reads them."""
+        """All weights at once, for small kernels: no sweep reads them."""
         return self.block(0, self.target.n_points)
 
     def sweep(self, functions=()) -> None:
@@ -194,7 +186,7 @@ class KernelOperator:
 
     @property
     def min_weight(self) -> float:
-        """The smallest merged weight."""
+        """The smallest weight."""
         return self._swept.min_weight
 
     @property
@@ -211,38 +203,6 @@ class KernelOperator:
         if f not in self._images:
             self.sweep((f,))
         return self._images[f]
-
-
-def _merge_columns(columns: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The merged columns of w, in out: column j of w is added into out's columns[j]."""
-    out[...] = 0.0
-    np.add.at(out, (slice(None), columns), w)
-    return out
-
-
-def _merged(rows: Callable, merge, n_nodes: int) -> Callable[[int, int, np.ndarray], None]:
-    """``rows`` over n_nodes unmerged nodes, with ``merge`` applied to each
-    block; it holds no kernel alive."""
-
-    def merged(lo: int, hi: int, out: np.ndarray) -> None:
-        unmerged = np.empty((hi - lo, n_nodes))
-        rows(lo, hi, unmerged)
-        merge(unmerged, out)
-
-    return merged
-
-
-def _strictly_increasing(nodes: np.ndarray) -> bool:
-    """Whether the nodes are distinct and already in the order in which
-    ``np.unique(nodes, axis=0)`` sorts them: rows compared lexicographically,
-    a complex entry by its real part, then its imaginary part."""
-    rows = nodes.reshape(len(nodes), -1)
-    if np.iscomplexobj(rows):
-        rows = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
-    increasing = np.zeros(len(rows) - 1, dtype=bool)
-    for before, after in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):  # last column first
-        increasing = (after > before) | ((after == before) & increasing)
-    return bool(increasing.all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,7 +468,7 @@ def inject_weight(op: KernelOperator, target_index: int, node_index: int, value:
     row block that holds it.
 
     Used to construct positivity counterexamples in tests and demos.
-    ``node_index`` counts the kernel's distinct nodes.
+    ``node_index`` indexes ``op.nodes``, in the order given.
     """
     y, i, value = int(target_index), int(node_index), float(value)
     n_rows, n_nodes = op.target.n_points, len(op.nodes)
@@ -534,11 +494,11 @@ def inject_weight(op: KernelOperator, target_index: int, node_index: int, value:
 class FamilySpec:
     """One built-in family. ``kind`` is the grid kind it runs on (None: any);
     ``parameters`` is its ``operators list`` text; ``weights(space, n)``
-    counts its kernel's weights at index n before equal nodes are merged,
-    or raises ValueError where there is no kernel; ``params`` is the JSON
-    schema of its config ``params`` block (by default it admits no key);
-    ``build(space, params)`` makes the family from a block that passed it
-    and builds no kernel.
+    counts its kernel's weights at index n, or raises ValueError where
+    there is no kernel; ``params`` is the JSON schema of its config
+    ``params`` block (by default it admits no key); ``build(space,
+    params)`` makes the family from a block that passed it and builds no
+    kernel.
     """
 
     name: str

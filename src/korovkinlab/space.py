@@ -178,6 +178,25 @@ def visit_rows(far: np.ndarray, block, lo: int, ext, better, end) -> tuple:
     return lo, ext
 
 
+def distinct_rows(points: np.ndarray) -> bool:
+    """Whether no two points are equal (``==``). A point is a row of
+    ``points``, shape ``(N,)`` or ``(N, ...)``, and a complex entry counts
+    as its real part, then its imaginary part: -0.0 equals 0.0, and a NaN
+    equals nothing. Rows already in strictly increasing lexicographic order
+    are distinct without a sort, which spares a large tensor node array
+    one; any others are sorted, so that equal rows sit next to each other."""
+    rows = points.reshape(len(points), -1)
+    if np.iscomplexobj(rows):
+        rows = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
+    increasing = np.zeros(len(rows) - 1, dtype=bool)
+    for before, after in zip(rows[:-1].T[::-1], rows[1:].T[::-1]):  # last column first
+        increasing = (after > before) | ((after == before) & increasing)
+    if increasing.all():
+        return True
+    ordered = rows[np.lexsort(rows.T)]
+    return not (ordered[1:] == ordered[:-1]).all(axis=1).any()
+
+
 class Field(Enum):
     REAL = "real"
     COMPLEX = "complex"
@@ -228,9 +247,7 @@ class CompactSpace:
             extent = coords.max(axis=0) - coords.min(axis=0)
             if not np.isfinite(np.sqrt(np.sum(extent * extent))):
                 raise ValueError("the grid spreads too far: its distances overflow a double")
-        # equal rows sit next to each other in any lexicographic order
-        ordered = coords[np.lexsort(coords.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        if not distinct_rows(coords):
             raise ValueError("grid points must be pairwise distinct")
         if self.field is Field.COMPLEX and coords.shape[1] != 2:
             raise ValueError("complex-field grids need 2-d coordinates")

@@ -5,9 +5,9 @@ implementation under test: exact rational arithmetic for polynomial
 operator moments, a discrete Fourier multiplier route for the circle
 convolution operator, brute-force coefficient scans for LP
 feasibility questions, the per-point Python formulas of the named
-function catalog, an all-pairs loop for point separation, and blocked
-all-pairs passes for the largest difference of values and the extreme
-distances of a grid.
+function catalog, all-pairs loops for point separation and point
+equality, and blocked all-pairs passes for the largest difference of
+values and the extreme distances of a grid.
 """
 
 from __future__ import annotations
@@ -157,6 +157,18 @@ def separates_points_loop(b: np.ndarray, tol: float) -> tuple[bool, tuple[int, i
         if bad.size:
             return False, (i, i + 1 + int(bad[0]))
     return True, None
+
+
+def distinct_rows_loop(points: np.ndarray) -> bool:
+    """All-pairs point equality with Python's ``==``: each point (a row,
+    a complex entry compared as a complex number) against every later one,
+    entry by entry."""
+    rows = [np.ravel(p).tolist() for p in points]
+    for i, row in enumerate(rows):
+        for other in rows[i + 1 :]:
+            if all(a == b for a, b in zip(row, other)):
+                return False
+    return True
 
 
 def oscillation_blocked(values: np.ndarray, entries: int) -> float:

@@ -1058,7 +1058,10 @@ class TestPresets:
         # numpy's default sort kind maps its SIMD quicksort code (about 0.3
         # MB of peak RSS), and np.unique sorts and copies the nodes: no run
         # needs either. Grid points are distinct already, a permutation is
-        # inverted by a scatter, and the other sorts are stable.
+        # inverted by a scatter, and the other sorts are stable. Points in
+        # strictly increasing order are distinct without a lexsort: the box
+        # grid and its tensor nodes (66049 of them at n = 256) take none,
+        # and the disc takes one, for its grid points.
         box = {"kind": "box", "p": 2, "m": 8}
         basis = ["const1", "coord 1", "coord 2", "coord 1^2", "coord 2^2"]
         tensor = write_config(tmp_path, {
@@ -1080,13 +1083,26 @@ class TestPresets:
             "        print('numpy call', name, kwargs.get('kind'), file=sys.stderr)\n"
             "        return call(*args, **kwargs)\n"
             "    setattr(numpy, name, wrapped)\n"
-            "for name in ('sort', 'argsort', 'unique'):\n"
+            "for name in ('sort', 'argsort', 'unique', 'lexsort'):\n"
             "    wrap(name, getattr(numpy, name))\n"
+            "import korovkinlab.cli\n"
+            "run = korovkinlab.cli.main\n"
+            "def main(argv):\n"
+            "    print('command', file=sys.stderr)\n"
+            "    return run(argv)\n"
+            "korovkinlab.cli.main = main\n"
         )
         codes, _, err = _fresh_run(commands, tmp_path, prelude=wrap)
         assert codes == [0, 0, 0]
-        calls = Counter(line.split(" ", 2)[2] for line in err.splitlines() if line.startswith("numpy call "))
-        assert calls and set(calls) <= {"sort stable", "argsort stable"}, calls
+        calls = []  # per command
+        for line in err.splitlines():
+            if line == "command":
+                calls.append(Counter())
+            elif line.startswith("numpy call "):
+                calls[-1][line.split(" ", 2)[2]] += 1
+        assert [c.pop("lexsort None", 0) for c in calls] == [1, 1, 0], calls
+        total = sum(calls, Counter())
+        assert total and set(total) <= {"sort stable", "argsort stable"}, calls
 
     def test_preset_runs_load_no_jsonschema(self, tmp_path):
         # a configuration that conforms is accepted without jsonschema

@@ -51,6 +51,7 @@ from oracles import bernstein_exact, fejer_fourier, mollifier_loop
 ROOT = Path(__file__).resolve().parent.parent
 INTERVAL = make_interval_grid(100)
 CIRCLE32 = make_circle_grid(32)
+EQUAL_NODES = "^kernel nodes must be distinct: a function takes one value at a point$"
 
 
 def poly(space, coeffs, name="poly"):
@@ -330,14 +331,13 @@ class TestPerturbedComposition:
         phi = rotation_isometry(space, 3)
         mix = averaging_operator(space)
         op = perturbed_composition(phi, mix, "1/n").operator(3)
-        # the composition columns, then the mix's, merged on construction
+        # the composition block and the scaled mix, merged into one N x N
+        # kernel on the grid's points by adding them
         comp = np.zeros((16, 16))
         comp[np.arange(16), list(phi.phi)] = 1.0 - 1.0 / 3
-        nodes = np.concatenate([space.points, space.points])
-        two_block = KernelOperator(space, space, nodes, np.hstack([comp, mix.weights / 3]))
         assert op.weights.shape == (16, 16)
-        assert np.array_equal(op.nodes, space.points)
-        assert np.array_equal(op.weights, two_block.weights)
+        assert op.nodes is space.points
+        assert np.array_equal(op.weights, comp + mix.weights / 3)
 
     def test_mix_is_one_broadcast_double(self):
         # the mix fills one double, 1/N, into every weight, and each kernel
@@ -498,48 +498,42 @@ class TestCheckPositivity:
 
 
 class TestRepeatedNodes:
-    """A kernel sums the weight columns of equal nodes on construction, since
-    a function takes one value at a point however often it is listed."""
+    """A function takes one value at a point, so a kernel refuses equal
+    nodes: each row is then a measure on distinct atoms, and the indicator
+    of a node is an exact positivity witness."""
 
     SPACE = make_circle_grid(16)
 
-    def doubled(self, value):
-        # every grid point listed twice: 0.75 f(y) plus the grid mean of f,
-        # with one weight on the second copy of point 0 overridden
+    def single(self, value):
+        # 0.75 f(y) plus the grid mean of f, with the weight at (0, 0) overridden
+        w = 0.75 * np.eye(16) + np.full((16, 16), 0.25 / 16)
+        w[0, 0] = value
+        return KernelOperator(self.SPACE, self.SPACE, self.SPACE.points.copy(), w)
+
+    def test_doubled_grid_is_refused(self):
         nodes = np.concatenate([self.SPACE.points, self.SPACE.points])
         w = np.hstack([0.75 * np.eye(16), np.full((16, 16), 0.25 / 16)])
-        w[0, 16] = value
-        return KernelOperator(self.SPACE, self.SPACE, nodes, w)
+        with pytest.raises(ValueError, match=EQUAL_NODES):
+            KernelOperator(self.SPACE, self.SPACE, nodes, w)
 
-    def test_positive_after_merging_equal_nodes(self):
-        op = self.doubled(-0.1)  # grid point 0 gets 0.75 - 0.1 at y = 0
-        assert len(op.nodes) == 16
-        assert np.array_equal(op.nodes, self.SPACE.points)
-        assert op.weights[0, 0] == 0.75 - 0.1
-        rep = check_positivity(op)
-        assert rep.passed and rep.witness is None
-        assert rep.min_weight == 0.25 / 16
-        assert estimate_operator_norm(op).estimate == pytest.approx(1.0, abs=1e-15)
+    def test_unsorted_repeated_nodes_are_refused(self):
+        g = make_interval_grid(2)
+        with pytest.raises(ValueError, match=EQUAL_NODES):
+            KernelOperator(g, g, [0.5, 0.0, 0.5, 1.0], np.ones((3, 4)))
 
     def test_witness_names_the_first_node_index(self):
-        op = self.doubled(-0.9)
-        assert len(op.nodes) == 16
+        # two equal most negative weights in row 0: the witness is the first
+        w = self.single(-0.9).weights.copy()
+        w[0, 5] = -0.9
+        op = KernelOperator(self.SPACE, self.SPACE, self.SPACE.points.copy(), w)
         rep = check_positivity(op)
         assert not rep.passed
-        assert rep.witness == (0, 0, pytest.approx(-0.15))
-        assert rep.weight_witness == (0, 0, pytest.approx(-0.15))
+        assert rep.witness == (0, 0, -0.9)
+        assert rep.weight_witness == (0, 0, -0.9)
         indicator = ScalarFunction(
             self.SPACE, lambda z: (z == op.nodes[0]).astype(float), name="e_0"
         )
-        assert op.apply(indicator).values[0] == pytest.approx(-0.15)
-        assert estimate_operator_norm(op).estimate == pytest.approx(1.0, abs=1e-15)
-
-    def test_order_of_first_occurrence(self):
-        g = make_interval_grid(2)
-        w = np.array([[1.0, 2.0, 3.0, 4.0]] * 3)
-        op = KernelOperator(g, g, [0.5, 0.0, 0.5, 1.0], w)
-        assert op.nodes.tolist() == [0.5, 0.0, 1.0]
-        assert op.weights.tolist() == [[4.0, 2.0, 4.0]] * 3
+        assert op.apply(indicator).values[0] == -0.9
 
     def test_distinct_nodes_are_kept_as_given(self):
         op = bernstein(10, INTERVAL)
@@ -547,30 +541,31 @@ class TestRepeatedNodes:
         fam = perturbed_composition(
             identity_isometry(self.SPACE), averaging_operator(self.SPACE), [0.25]
         )
-        merged = fam.operator(1)
-        assert np.array_equal(merged.nodes, self.SPACE.points)
-        np.testing.assert_allclose(merged.weights, self.doubled(0.25 / 16).weights)
+        mixed = fam.operator(1)
+        assert mixed.nodes is self.SPACE.points
+        np.testing.assert_allclose(mixed.weights, self.single(0.75 + 0.25 / 16).weights)
 
     def test_out_of_range_injection_refused(self):
-        with pytest.raises(ValueError, match="outside the kernel"):
-            inject_weight(self.doubled(0.0), 0, 16, -0.1)
+        with pytest.raises(ValueError, match="outside the kernel's 16 target points x 16 nodes"):
+            inject_weight(self.single(0.0), 0, 16, -0.1)
 
     @pytest.mark.parametrize("value", [-0.9, -0.1, 0.0, 2.0])
-    def test_min_weight_is_taken_after_the_merge(self, value):
-        op = self.doubled(value)
-        assert len(op.nodes) == 16
-        assert op.min_weight == op.weights.min()
+    def test_min_weight_is_the_smallest_weight(self, value):
+        op = self.single(value)
+        assert op.min_weight == op.weights.min() == min(value, 0.25 / 16)
 
 
 class TestNodeOrder:
-    """Nodes already in the order np.unique sorts them into are not sorted
-    again; every order gives the same kernel."""
+    """Nodes are kept in the order given. Nodes in strictly increasing
+    lexicographic order are distinct without a sort; others are sorted once
+    to find equal neighbours, and equal nodes are refused."""
 
     @pytest.fixture
-    def unique_calls(self, monkeypatch):
+    def sort_calls(self, monkeypatch):
         calls = []
-        unique = np.unique
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+        for name in ("unique", "lexsort"):
+            call = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, _n=name, _c=call, **k: calls.append(_n) or _c(*a, **k))
         return calls
 
     SORTED = [
@@ -581,39 +576,38 @@ class TestNodeOrder:
     ]
 
     @pytest.mark.parametrize("make", SORTED, ids=["interval", "box2", "box3", "complex"])
-    def test_shuffled_nodes_give_the_same_kernel(self, make, unique_calls):
+    def test_shuffled_nodes_give_the_same_kernel(self, make, sort_calls):
         op = make()
-        assert unique_calls == []
+        sort_calls.clear()  # the custom grid sorts its own points once
         again = KernelOperator(op.source, op.target, op.nodes.copy(), op.weights.copy())
-        assert unique_calls == []
+        assert sort_calls == []
         perm = np.random.default_rng(3).permutation(len(op.nodes))
         shuffled = KernelOperator(op.source, op.target, op.nodes[perm], op.weights[:, perm])
-        assert unique_calls == [1]
+        assert sort_calls == ["lexsort"]
+        assert np.array_equal(shuffled.nodes, op.nodes[perm])  # kept as given
         for k, back in ((again, slice(None)), (shuffled, np.argsort(perm))):
             assert np.array_equal(k.nodes[back], op.nodes)
             assert np.array_equal(k.weights[:, back], op.weights)
             assert k.min_weight == op.min_weight
 
     @pytest.mark.parametrize("make", SORTED, ids=["interval", "box2", "box3", "complex"])
-    def test_sorted_repeated_nodes_are_merged(self, make):
+    def test_sorted_repeated_nodes_are_refused(self, make):
         op = make()
         nodes = np.repeat(op.nodes, 2, axis=0)  # each node twice, still in order
-        merged = KernelOperator(op.source, op.target, nodes, np.repeat(op.weights / 2, 2, axis=1))
-        assert np.array_equal(merged.nodes, op.nodes)
-        assert np.array_equal(merged.weights, op.weights)
+        with pytest.raises(ValueError, match=EQUAL_NODES):
+            KernelOperator(op.source, op.target, nodes, np.repeat(op.weights / 2, 2, axis=1))
 
-    def test_grid_points_are_taken_as_they_are(self, unique_calls):
+    def test_grid_points_are_taken_as_they_are(self, sort_calls):
         # the circle's points are not in sorted order, but the grid refused
-        # equal points and froze its own: no copy and no uniqueness pass
+        # equal points and froze its own: no copy and no distinctness pass
         op = averaging_operator(CIRCLE32)
-        assert unique_calls == []
+        assert sort_calls == []
         assert op.nodes is CIRCLE32.points
 
     def test_signed_zeros_are_one_node(self):
         g = make_interval_grid(2)
-        op = KernelOperator(g, g, [-0.0, 0.0, 1.0], np.ones((3, 3)))
-        assert op.nodes.tolist() == [0.0, 1.0]
-        assert op.weights.tolist() == [[2.0, 1.0]] * 3
+        with pytest.raises(ValueError, match=EQUAL_NODES):
+            KernelOperator(g, g, [-0.0, 0.0, 1.0], np.ones((3, 3)))
 
 
 class TestOperatorNorm:
@@ -1002,14 +996,14 @@ class TestRowBlocks:
             lambda: mollifier_disc(2, make_disc_grid(8, 32)),
             lambda: FAMILIES["perturbed_composition"].build(make_circle_grid(37), {}).operator(3),
             lambda: inject_weight(bernstein(16, make_interval_grid(100)), 90, 3, -0.5),
-            lambda: KernelOperator(  # equal nodes, merged into the buffer
+            lambda: KernelOperator(  # nodes not the grid's points, in no sorted order
                 CIRCLE32,
                 CIRCLE32,
-                np.concatenate([CIRCLE32.points, CIRCLE32.points]),
-                lambda lo, hi, out: out.fill(1.0 / 64),
+                CIRCLE32.points[::-1].copy(),
+                lambda lo, hi, out: out.fill(1.0 / 32),
             ),
         ],
-        ids=["bernstein", "tensor", "fejer", "disc", "perturbed", "inject", "merged"],
+        ids=["bernstein", "tensor", "fejer", "disc", "perturbed", "inject", "hand-built"],
     )
     def test_every_block_of_a_sweep_is_built_into_one_buffer(self, make, monkeypatch):
         monkeypatch.setattr(operators, "BLOCK_ENTRIES", 1)  # 4-row blocks, the last one larger
@@ -1097,7 +1091,7 @@ class TestFamilyTable:
             ("perturbed_composition", CIRCLE32),
         ],
     )
-    def test_weight_count_is_the_unmerged_kernel_size(self, name, grid, monkeypatch):
+    def test_weight_count_is_the_kernel_size(self, name, grid, monkeypatch):
         spec = FAMILIES[name]
         sizes = []
         init = KernelOperator.__post_init__

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import farthest_blocked
+from oracles import distinct_rows_loop, farthest_blocked
 
 from korovkinlab import (
     CompactSpace,
@@ -21,7 +22,7 @@ from korovkinlab import (
     open_ball,
 )
 import korovkinlab.space as space_module
-from korovkinlab.space import DEFAULT_POINT_CAP
+from korovkinlab.space import DEFAULT_POINT_CAP, distinct_rows
 
 
 def _count_products(monkeypatch) -> list:
@@ -394,6 +395,48 @@ def test_each_row_bound_reaches_the_row_maximum(grid):
     order, reach = space_module.rows_by_bound(e, grid.dim, squared=True)
     row_max = space_module._squared_distances(grid.coords[order], columns).max(axis=1)
     assert all(reach(m) > at for at, m in enumerate(row_max))
+
+
+# entries that tie (-1 twice, the two zeros), order nowhere (NaN) or lie at the ends
+_ENTRIES = st.sampled_from([-1.0, -1.0, -0.0, 0.0, 0.5, math.inf, math.nan]) | st.floats()
+
+
+@st.composite
+def point_arrays(draw):
+    """Points in every form `distinct_rows` takes: 1-d real or complex
+    arrays and rows of 1 to 3 columns, sorted with the first column first,
+    shuffled, or with some rows listed again, entries drawn from a pool
+    with signed zeros, infinities and NaN."""
+    form = draw(st.sampled_from(["real", "complex", 1, 2, 3]))
+    width = {"real": 1, "complex": 2}.get(form, form)
+    n = draw(st.integers(1, 12))
+    rows = np.array(draw(st.lists(st.lists(_ENTRIES, min_size=width, max_size=width), min_size=n, max_size=n)))
+    order = draw(st.sampled_from(["sorted", "shuffled", "repeated"]))
+    if order == "repeated":
+        rows = np.concatenate([rows, rows[draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))]])
+    if order == "sorted" or draw(st.booleans()):
+        rows = rows[np.lexsort(rows.T[::-1])]
+    else:
+        rows = rows[draw(st.permutations(range(len(rows))))]
+    if form == "real":
+        return rows[:, 0]
+    if form == "complex":
+        return np.ascontiguousarray(rows).view(np.complex128)[:, 0]
+    return rows
+
+
+@settings(max_examples=400, derandomize=True)
+@given(points=point_arrays())
+def test_distinct_rows_is_the_all_pairs_test(points):
+    rows = points.reshape(len(points), -1)
+    if np.iscomplexobj(rows):
+        rows = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
+    # Python compares tuples entry by entry, so NaN breaks the order
+    rows = [tuple(row) for row in rows.tolist()]
+    increasing = all(a < b for a, b in zip(rows, rows[1:]))
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+        assert distinct_rows(points) is distinct_rows_loop(points)
+    assert lexsort.call_count == (0 if increasing else 1)
 
 
 class TestGenerators:
