@@ -31,7 +31,7 @@ from .config import (
     validate_config,
 )
 from .engine import ConvergenceReport, run_convergence, verify_hypotheses
-from .errors import ConfigError, InvalidFunctionError, SolverError
+from .errors import ConfigError, DependencyError, InvalidFunctionError, SolverError
 from .operators import FAMILIES
 from .presets import get_preset, preset_names
 
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
             return cmd_choquet(args)
         return cmd_korovkin_run(args)
     # a non-finite image (say, of a tampered kernel) fails the run like a bad config
-    except (ConfigError, InvalidFunctionError, SolverError, OSError) as exc:
+    except (ConfigError, DependencyError, InvalidFunctionError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy's "Unable to allocate ..." is one line

@@ -15,3 +15,7 @@ class SolverError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or references unknown objects."""
+
+
+class DependencyError(ImportError):
+    """An installed dependency lacks a private part the package loads."""

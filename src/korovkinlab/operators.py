@@ -12,7 +12,7 @@ source grid; functions are evaluation rules, so node evaluation is exact.
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 import os
 import sys
 import types
@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import DependencyError
 from .functions import ScalarFunction, evaluate, function_from_values
 from .space import BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind, distinct_rows
 
@@ -293,38 +294,61 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
 def _binom_pmf(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows C(n,k) x^k (1-x)^(n-k), k = 0..n, one per entry of x (into out if given)."""
     # the Boost ufunc behind scipy.stats.binom.pmf, from the compiled
-    # extension alone: scipy.special's package init is not run
+    # extension alone: no scipy package init is run
     return _load_ufuncs()._binom_pmf(np.arange(n + 1)[None, :], n, x[:, None], out=out)
 
 
 def _load_ufuncs() -> types.ModuleType:
     """scipy.special's compiled `_ufuncs` extension, loaded without running
-    scipy/special/__init__.py, whose array-API backends, numpy.f2py and
-    docstring parsing no kernel uses.
+    the package inits of scipy (config, version and test helpers, which
+    pull in subprocess and sysconfig), scipy._lib (a pytest helper) and
+    scipy.special (array-API backends, numpy.f2py, docstring parsing), none
+    of which a kernel uses.
 
-    An already loaded extension is returned as it is. Otherwise a bare
-    package with scipy's `special` directory as its path stands in for
-    scipy.special while the extension and its sibling extensions import,
-    and is removed again, so a later `import scipy.special` runs the real
-    init, which reuses the loaded extension. `scipy.__dict__` is popped
-    rather than read: scipy's lazy `__getattr__` would import the full
-    package. Swapping the `sys.modules` entry assumes a single-threaded
-    import, which holds for every caller. This relies on scipy's private
-    extension layout; a release that changes it fails here, loudly.
+    An already loaded extension is returned as it is. Otherwise each of
+    those three packages not yet imported gets a bare stand-in, with the
+    real package's directory as its path, while the extension and its
+    sibling extensions import; then exactly those stand-ins are removed. A
+    later `import scipy` or `import scipy.special` runs the real init and
+    reuses the loaded extensions, though a submodule loaded under a
+    stand-in is not an attribute of the real package (`scipy._lib` has no
+    `_ccallback`; importing it by name still finds it). Swapping
+    `sys.modules` entries assumes a single-threaded import, which holds for
+    every caller. A scipy whose private layout lacks the extension raises
+    DependencyError, naming its version.
     """
     ufuncs = sys.modules.get("scipy.special._ufuncs")
     if ufuncs is not None:
         return ufuncs
-    import scipy
-
-    package = types.ModuleType("scipy.special")
-    package.__path__ = [os.path.join(scipy.__path__[0], "special")]
-    sys.modules["scipy.special"] = package
+    added = []
     try:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'scipy'")
+        root = spec.submodule_search_locations[0]
+        for name in ("scipy", "scipy._lib", "scipy.special"):
+            if name not in sys.modules:
+                package = sys.modules[name] = types.ModuleType(name)
+                package.__path__ = [os.path.join(root, *name.split(".")[1:])]
+                added.append(name)
         return importlib.import_module("scipy.special._ufuncs")
+    except ImportError as exc:
+        raise DependencyError(
+            f"cannot load scipy.special._ufuncs from scipy {_scipy_version()}"
+            f" (korovkinlab needs scipy>=1.17): {exc}"
+        ) from exc
     finally:
-        del sys.modules["scipy.special"]
-        scipy.__dict__.pop("special", None)
+        for name in added:
+            del sys.modules[name]
+
+
+def _scipy_version() -> str:
+    from importlib import metadata
+
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return "(not installed)"
 
 
 def _fejer_kernel(s: np.ndarray, n: int) -> np.ndarray:

@@ -1003,8 +1003,10 @@ class TestPresets:
         assert not {"scipy.stats", "scipy.optimize", "scipy.spatial"} & set(loaded)
 
     def test_bernstein_runs_skip_scipy_special_init(self, tmp_path):
-        # the kernels load the compiled _ufuncs extension alone, not the
-        # array-API backends and numpy.f2py of scipy/special/__init__.py
+        # the kernels load the compiled _ufuncs extension alone: not the
+        # array-API backends and numpy.f2py of scipy/special/__init__.py, nor
+        # the config, version and test helpers of scipy/__init__.py and
+        # scipy/_lib/__init__.py; and no stand-in package is left behind
         commands = [
             ["korovkin", "run", "--preset", "example41_bernstein"],
             ["korovkin", "run", "--preset", "example42_tensor"],
@@ -1012,8 +1014,52 @@ class TestPresets:
         codes, loaded, _ = _fresh_run(commands, tmp_path)
         assert codes == [0, 0]
         assert "scipy.special._ufuncs" in loaded
-        init_only = {"scipy.special._support_alternative_backends", "scipy._lib._array_api", "numpy.f2py"}
+        init_only = {
+            "scipy.special._support_alternative_backends",
+            "scipy._lib._array_api",
+            "numpy.f2py",
+            "scipy.__config__",
+            "scipy.version",
+            "scipy._distributor_init",
+            "scipy._lib._testutils",
+            "scipy._lib._pep440",
+        }
         assert not init_only & set(loaded)
+        assert not {"scipy", "scipy._lib", "scipy.special"} & set(loaded)
+
+    @pytest.mark.parametrize(
+        "prelude, cause, kept",
+        [
+            ("", "No module named 'scipy.special._ufuncs'", set()),
+            ("import scipy\n", "No module named 'scipy.special._ufuncs'", {"scipy", "scipy._lib"}),
+            ("import sys\nsys.modules['scipy'] = None\n", "No module named 'scipy'", {"scipy"}),
+        ],
+        ids=["bare", "scipy_imported", "scipy_blocked"],
+    )
+    def test_a_changed_scipy_layout_exits_1_with_one_error_line(
+        self, tmp_path, prelude, cause, kept
+    ):
+        # a scipy without the private _ufuncs extension, or none at all (a
+        # None entry blocks it and stays), fails the run like a bad config,
+        # and the loader's stand-ins are removed
+        from importlib import metadata
+
+        refuse = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'scipy.special._ufuncs':\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+        )
+        commands = [["korovkin", "run", "--preset", "example41_bernstein"]]
+        codes, loaded, err = _fresh_run(commands, tmp_path, prelude=prelude + refuse)
+        assert codes == [1]
+        assert err == (
+            f"error: cannot load scipy.special._ufuncs from scipy {metadata.version('scipy')}"
+            f" (korovkinlab needs scipy>=1.17): {cause}\n"
+        )
+        assert {"scipy", "scipy._lib", "scipy.special"} & set(loaded) == kept
 
     def test_each_phase_of_the_disc_run_peaks_below_2_mb(self, tmp_path, monkeypatch):
         # on the 257-point disc every blocked pass, distance blocks and

@@ -115,33 +115,72 @@ class TestBernstein:
 
 
 class TestUfuncLoader:
-    # Both run in a fresh interpreter: this one has usually imported the
+    # Each runs in a fresh interpreter: this one has usually imported the
     # full scipy.special already, and then the loader only reuses it.
 
     def test_full_scipy_coexists_after_a_kernel_build(self):
         _fresh_python("""
             import sys
+            from importlib import metadata
             import numpy as np
             from korovkinlab import make_box_grid, tensor_bernstein
 
             box = make_box_grid(2, 8)
             op = tensor_bernstein(256, box)
             used = sys.modules["scipy.special._ufuncs"]
+            # every stand-in package is gone; the extensions stay loaded
+            assert not {"scipy", "scipy._lib", "scipy.special"} & set(sys.modules)
+            ccallback = sys.modules["scipy._lib._ccallback"]
             import scipy
-            assert "scipy.special" not in sys.modules  # the stand-in package is gone
+            assert "scipy.special" not in sys.modules
             assert "special" not in vars(scipy)
+            assert scipy.__version__ == metadata.version("scipy")
+            assert scipy.LowLevelCallable is ccallback.LowLevelCallable
+            # loaded under the stand-in scipy._lib, so the real package does
+            # not bind it as an attribute; imports of it still find it
+            assert not hasattr(scipy._lib, "_ccallback")
+            from scipy._lib import _ccallback
+            import scipy._lib._ccallback as aliased
+            assert _ccallback is aliased is ccallback
 
             import scipy.optimize, scipy.special, scipy.stats
 
             assert scipy.special._ufuncs is used
             assert scipy.special._ufuncs._binom_pmf is used._binom_pmf
             assert scipy.special.gamma(5.0) == 24.0
+            # its _ellip_harm_2 extension, and the LowLevelCallable its
+            # integrand is, were loaded under the stand-ins
+            assert abs(scipy.special.ellip_harm_2(5, 8, 2, 1, 10) - 0.00108056853382) < 1.5e-7
             lp = scipy.optimize.linprog([1, 1], A_ub=[[-1, -2]], b_ub=[-2])
             assert lp.status == 0
             k = np.arange(257)
             pmf = [scipy.stats.binom.pmf(k[None, :], 256, box.coords[:, d, None]) for d in (0, 1)]
             want = np.einsum("ia,ib->iab", *pmf).reshape(81, -1)
             assert np.array_equal(op.weights.view(np.uint64), want.view(np.uint64))
+        """)
+
+    def test_a_loaded_scipy_is_kept_and_only_special_stands_in(self):
+        _fresh_python("""
+            import sys
+            import numpy as np
+            import scipy
+            from korovkinlab import make_interval_grid, bernstein
+
+            real = {name: sys.modules[name] for name in ("scipy", "scipy._lib")}
+            op = bernstein(64, make_interval_grid(10))
+            weights = op.weights  # the first build loads the extension
+            assert {name: sys.modules[name] for name in real} == real
+            assert "scipy.special" not in sys.modules
+            assert "special" not in vars(scipy)
+            used = sys.modules["scipy.special._ufuncs"]
+
+            import scipy.special, scipy.stats
+
+            assert scipy.special._ufuncs is used
+            assert abs(scipy.special.ellip_harm_2(5, 8, 2, 1, 10) - 0.00108056853382) < 1.5e-7
+            x = op.source.coords[:, 0, None]
+            want = scipy.stats.binom.pmf(np.arange(65)[None, :], 64, x)
+            assert np.array_equal(weights.view(np.uint64), want.view(np.uint64))
         """)
 
     def test_a_loaded_scipy_special_is_reused(self):
