@@ -196,10 +196,7 @@ def _write_report_csv(path: Path, report: ConvergenceReport) -> None:
 
 def _hypotheses_payload(report: ConvergenceReport) -> dict:
     hyp = report.hypotheses
-    inclusion = hyp.choquet_inclusion
-    boundary = None
-    if inclusion.target_boundary is not None:
-        boundary = inclusion.target_boundary.counts()
+    boundary = None if hyp.target_boundary is None else hyp.target_boundary.counts()
     return {
         "positivity": {
             str(n): {
@@ -213,11 +210,13 @@ def _hypotheses_payload(report: ConvergenceReport) -> dict:
         },
         "t_n_one_bound": hyp.t_n_one_bound,
         "isometry_deviation": hyp.isometry_deviation,
+        # constants of the format: no run checks that the boundary of the
+        # images' span lies in the target boundary, so inclusion is assumed
         "choquet_inclusion": {
-            "status": inclusion.status,
-            "included": inclusion.included,
+            "status": "assumed",
+            "included": None,
             "target_boundary_counts": boundary,
-            "note": inclusion.note,
+            "note": hyp.boundary_note,
         },
         "passed": hyp.passed,
     }
@@ -239,7 +238,7 @@ def cmd_korovkin_run(args) -> int:
         f"hypotheses: positivity={'pass' if hyp.positivity_passed else 'FAIL'}"
         f" sup||T_n 1||={_fmt(hyp.t_n_one_bound)}"
         f" isometry_dev={_fmt(hyp.isometry_deviation)}"
-        f" boundary={hyp.choquet_inclusion.status}"
+        " boundary=assumed"
     )
     name_w = max(len(t.function) for t in report.trends)
     print(f"{'probe':<{name_w}}  {'first':>12}  {'final':>12}  converged")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choquet import BoundaryEstimate, estimate_choquet_boundary, scan_radius
-from .functions import FunctionSpan, ScalarFunction, oscillation, span_union, sup_norm
+from .functions import FunctionSpan, ScalarFunction, oscillation, sup_norm
 from .operators import OperatorFamily, PositivityReport, check_positivity
 
 ISOMETRY_TOL = 1e-9
@@ -39,7 +39,6 @@ class ExperimentConfig:
     abs_threshold: float = 0.05
     improvement_factor: float = 2.0
     radius: float | None = None  # boundary scan radius; None: a fifth of the diameter
-    n_generators: tuple[ScalarFunction, ...] | None = None
 
     def __post_init__(self) -> None:
         idx = tuple(int(n) for n in self.indices)
@@ -60,22 +59,10 @@ class ExperimentConfig:
         object.__setattr__(self, "probes", probes)
         if self.test_span.space is not self.family.source:
             raise ValueError("test span must live on the family source grid")
-        for what, fs in (("probe", probes), ("generator", self.n_generators or ())):
-            for f in fs:
-                if f.space is not self.family.source:
-                    raise ValueError(f"{what} {f.name!r} lives on a different grid")
+        for f in probes:
+            if f.space is not self.family.source:
+                raise ValueError(f"probe {f.name!r} lives on a different grid")
         scan_radius(self.family.target, self.radius)  # the grid the scans run on
-
-
-@dataclass(frozen=True, eq=False)
-class ChoquetInclusion:
-    """Status of the boundary-inclusion hypothesis for the span of images."""
-
-    status: str  # "checked" | "assumed"
-    target_boundary: BoundaryEstimate | None
-    n_boundary: BoundaryEstimate | None = None
-    included: bool | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +70,12 @@ class HypothesisReport:
     positivity: dict[int, PositivityReport]
     t_n_one_bound: float
     isometry_deviation: float
-    choquet_inclusion: ChoquetInclusion
+    # the boundary scan of the limit's images of the test span; None, with
+    # the reason in boundary_note, when that span cannot be scanned
+    target_boundary: BoundaryEstimate | None
+    boundary_note: str
     # T_n's image (images[n]) and the limit's image of each distinct
-    # test-span member, probe and generator, keyed by identity, not name
+    # test-span member and probe, keyed by identity, not name
     images: dict[int, dict[ScalarFunction, ScalarFunction]]
     limit_images: dict[ScalarFunction, ScalarFunction]
 
@@ -102,7 +92,7 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     """Certify the structural hypotheses of a convergence experiment in a run's one pass
     over its kernels: each is swept once, a row block at a time, to certify and apply it,
     and released before the next is built."""
-    distinct = dict.fromkeys((*config.test_span.basis, *config.probes, *(config.n_generators or ())))
+    distinct = dict.fromkeys((*config.test_span.basis, *config.probes))
     positivity, images, t1_bound = {}, {}, 0.0
     for n in config.indices:
         op = config.family.operator(n)
@@ -122,35 +112,12 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
     except ValueError as exc:
         note = f"pushed span not scannable: {exc}"
 
-    n_boundary = None
-    included = None
-    status = "assumed"
-    if config.n_generators is not None and target_boundary is not None:
-        gens: list[ScalarFunction] = []
-        for g in config.n_generators:
-            gens.extend(images[n][g] for n in config.indices)
-            gens.append(limit_images[g])
-        n_span = span_union(*[FunctionSpan((g,)) for g in gens])
-        try:
-            n_boundary = estimate_choquet_boundary(n_span, config.radius)
-            target_idx = set(target_boundary.boundary_point_set().indices)
-            n_idx = set(n_boundary.boundary_point_set().indices)
-            included = n_idx <= target_idx
-            status = "checked"
-        except ValueError as exc:
-            note = f"image span not scannable: {exc}"
-
     return HypothesisReport(
         positivity=positivity,
         t_n_one_bound=t1_bound,
         isometry_deviation=float(iso_dev),
-        choquet_inclusion=ChoquetInclusion(
-            status=status,
-            target_boundary=target_boundary,
-            n_boundary=n_boundary,
-            included=included,
-            note=note,
-        ),
+        target_boundary=target_boundary,
+        boundary_note=note,
         images=images,
         limit_images=limit_images,
     )
@@ -222,7 +189,7 @@ def run_convergence(
     filled, and carries the report, whether or not the hypotheses passed."""
     hyp = hypotheses if hypotheses is not None else verify_hypotheses(config)
     boundary_idx: tuple[int, ...] | None = None
-    est = hyp.choquet_inclusion.target_boundary
+    est = hyp.target_boundary
     if est is not None:
         bset = est.boundary_point_set()
         if len(bset):

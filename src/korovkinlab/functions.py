@@ -243,17 +243,16 @@ def conjugate_closure(span: FunctionSpan) -> FunctionSpan:
     return span_union(span, FunctionSpan(tuple(conjugate(f) for f in span.basis)))
 
 
-def span_union(first: FunctionSpan, *rest: FunctionSpan) -> FunctionSpan:
-    """Span generated by several spans, skipping redundant basis members."""
+def span_union(first: FunctionSpan, second: FunctionSpan) -> FunctionSpan:
+    """Span generated by two spans, skipping redundant basis members of the second."""
+    if second.space is not first.space:
+        raise ValueError("span union requires spans over the same grid")
     basis = list(first.basis)
     current = first
-    for other in rest:
-        if other.space is not first.space:
-            raise ValueError("span union requires spans over the same grid")
-        for f in other.basis:
-            if not current.contains_values(f.values):
-                basis.append(f)
-                current = FunctionSpan(tuple(basis))
+    for f in second.basis:
+        if not current.contains_values(f.values):
+            basis.append(f)
+            current = FunctionSpan(tuple(basis))
     return current
 
 

@@ -673,11 +673,6 @@ class PositivityReport:
     def weight_certificate(self) -> bool | None:
         return None if self.min_weight is None else self.passed
 
-    @property
-    def weight_witness(self) -> tuple[int, int, float] | None:
-        """The witness as (y, i, weights[y, i])."""
-        return None if self.witness is None else (self.witness[1], self.witness[0], self.witness[2])
-
 
 def check_positivity(op) -> PositivityReport:
     """Certify positivity from the weight signs alone; nothing is sampled.

@@ -302,8 +302,7 @@ def test_criterion_09_positivity_property_suite():
     rep_bad = check_positivity(bad)
     counterexample_ok = (
         not rep_bad.passed
-        and rep_bad.weight_witness == (7, 2, -0.3)
-        and rep_bad.witness is not None
+        and rep_bad.witness == (2, 7, -0.3)
     )
     record(
         9,

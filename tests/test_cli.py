@@ -218,6 +218,30 @@ class TestKorovkinRun:
         failing = [v for v in hyp["positivity"].values() if not v["passed"]]
         assert failing and failing[0]["min_weight"] == -0.25
 
+    def test_unscannable_pushed_span_falls_back_to_the_global_error(self, tmp_path, capsys):
+        # cos takes one value at k and at -k, so {1, cos} separates no such pair
+        cfg = {
+            "version": 1,
+            "spaces": {"T": {"kind": "circle", "m": 16}},
+            "spans": {"S": {"space": "T", "basis": ["const1", "cos"]}},
+            "family": {"name": "fejer", "space": "T"},
+            "experiment": {"test_span": "S", "indices": [1, 2]},
+        }
+        path = write_config(tmp_path, cfg)
+        assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path)) == 2
+        assert " boundary=assumed\n" in capsys.readouterr().out
+        hyp = json.loads((tmp_path / "hypotheses.json").read_text())
+        assert hyp["choquet_inclusion"] == {
+            "status": "assumed",
+            "included": None,
+            "target_boundary_counts": None,
+            "note": "pushed span not scannable: peak search needs a separating span",
+        }
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 8
+        assert all(r["sup_error_choquet"] == r["sup_error_global"] for r in rows)
+
     def test_schema_violation_exit_1(self, tmp_path, capsys):
         cfg = get_preset("example41_bernstein")
         cfg["experiment"]["indices"] = "not-a-list"

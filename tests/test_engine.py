@@ -77,10 +77,10 @@ class TestVerifyHypotheses:
         assert all(rep.passed for rep in hyp.positivity.values())
         assert hyp.t_n_one_bound == pytest.approx(1.0, abs=1e-12)
         assert hyp.isometry_deviation == 0.0
-        est = hyp.choquet_inclusion.target_boundary
+        est = hyp.target_boundary
         assert est is not None
         assert est.counts()["Boundary"] == INTERVAL.n_points
-        assert hyp.choquet_inclusion.status == "assumed"
+        assert hyp.boundary_note == ""
 
     def test_negative_weight_carries_witness(self):
         cfg = ExperimentConfig(
@@ -93,31 +93,14 @@ class TestVerifyHypotheses:
         assert not hyp.passed
         failing = [rep for rep in hyp.positivity.values() if not rep.passed]
         assert failing
-        assert failing[0].weight_witness == (2, 1, -0.2)
+        assert failing[0].witness == (1, 2, -0.2)
 
-    def test_inclusion_checked_with_generators(self):
-        cfg = ExperimentConfig(
-            family=FAMILIES["bernstein"].build(INTERVAL, {}),
-            test_span=QUAD,
-            probes=default_probes(INTERVAL),
-            indices=(4, 8),
-            n_generators=(
-                named_function("const1", INTERVAL),
-                named_function("x", INTERVAL),
-                named_function("x^2", INTERVAL),
-            ),
-        )
-        hyp = verify_hypotheses(cfg)
-        assert hyp.choquet_inclusion.status == "checked"
-        assert hyp.choquet_inclusion.included is True
-
-    @pytest.mark.parametrize("generators", [None, ("const1", "x", "x^2")], ids=["plain", "n_generators"])
-    def test_each_kernel_is_built_once_and_released_before_the_next(self, generators):
-        gens = generators and tuple(named_function(g, INTERVAL) for g in generators)
-        config, built = watched(dataclasses.replace(bernstein_config(), n_generators=gens))
+    @pytest.mark.parametrize("span", [QUAD], ids=["plain"])
+    def test_each_kernel_is_built_once_and_released_before_the_next(self, span):
+        config, built = watched(dataclasses.replace(bernstein_config(), test_span=span))
         report = run_convergence(config, verify_hypotheses(config))
         assert [n for n, _ in built] == [4, 16, 64]
-        assert report.hypotheses.choquet_inclusion.status == ("assumed" if gens is None else "checked")
+        assert report.hypotheses.target_boundary is not None
 
 
 class TestRunConvergence:
@@ -262,7 +245,7 @@ class TestUniformVsPointwise:
     def test_full_subset_matches_global(self):
         # every point of {1, x, x^2} is Boundary
         report = run_convergence(bernstein_config())
-        est = report.hypotheses.choquet_inclusion.target_boundary
+        est = report.hypotheses.target_boundary
         assert len(est.boundary_point_set()) == INTERVAL.n_points
         for r in report.rows:
             assert r.sup_error_choquet == r.sup_error_global
@@ -271,7 +254,7 @@ class TestUniformVsPointwise:
         # {1, x} peaks only at the two ends
         affine = FunctionSpan(QUAD.basis[:2])
         report = run_convergence(dataclasses.replace(bernstein_config(), test_span=affine))
-        est = report.hypotheses.choquet_inclusion.target_boundary
+        est = report.hypotheses.target_boundary
         assert est.boundary_point_set().indices == (0, INTERVAL.n_points - 1)
         hyp = report.hypotheses
         probes = {f.name: f for f in report.config.probes}
@@ -296,12 +279,7 @@ class TestExperimentConfigValidation:
             bernstein_config(probes=(named_function("x", INTERVAL),) * 2)
 
     def test_probes_share_grid(self):
-        other = make_interval_grid(7)
-        with pytest.raises(ValueError):
-            bernstein_config(probes=(named_function("x", other),))
-
-    def test_generators_share_grid(self):
         # refused when the config is made, not after the kernels are built
         other = make_interval_grid(7)
-        with pytest.raises(ValueError, match="generator 'x' lives on a different grid"):
-            dataclasses.replace(bernstein_config(), n_generators=(named_function("x", other),))
+        with pytest.raises(ValueError, match="probe 'x' lives on a different grid"):
+            bernstein_config(probes=(named_function("x", other),))

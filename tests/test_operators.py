@@ -505,8 +505,7 @@ class TestCheckPositivity:
         rep = check_positivity(bad)
         assert not rep.passed
         assert rep.weight_certificate is False
-        assert rep.weight_witness == (5, 3, -0.1)
-        assert rep.witness is not None
+        assert rep.witness == (3, 5, -0.1)
         trial, y, value = rep.witness
         assert value < -1e-12
 
@@ -514,7 +513,7 @@ class TestCheckPositivity:
         rep = check_positivity(identity_isometry(INTERVAL))
         assert rep.passed
         assert rep.worst_violation == 0.0
-        assert rep.weight_certificate is None and rep.weight_witness is None
+        assert rep.weight_certificate is None
         assert rep.min_weight is None and rep.witness is None
 
     def test_report_stores_only_min_weight_and_witness(self):
@@ -522,7 +521,7 @@ class TestCheckPositivity:
         rep = PositivityReport(-0.25, (3, 5, -0.25))
         assert not rep.passed and rep.weight_certificate is False
         assert rep.worst_violation == 0.25
-        assert rep.weight_witness == (5, 3, -0.25)
+        assert rep.witness == (3, 5, -0.25)
         assert PositivityReport(0.0, None).passed
 
     def test_witness_is_a_node_indicator(self):
@@ -568,7 +567,6 @@ class TestRepeatedNodes:
         rep = check_positivity(op)
         assert not rep.passed
         assert rep.witness == (0, 0, -0.9)
-        assert rep.weight_witness == (0, 0, -0.9)
         indicator = ScalarFunction(
             self.SPACE, lambda z: (z == op.nodes[0]).astype(float), name="e_0"
         )
