@@ -2,10 +2,10 @@
 
 An experiment fixes a family T_n with its limit map, a small test span,
 and a battery of probe functions standing in for the ambient space. The
-engine first certifies the structural hypotheses (positivity per index,
-boundedness of T_n 1, the limit being a sup-norm isometry, and a boundary
-estimate for the pushed-forward test span), then measures per-index errors
-both over the whole target grid and restricted to the estimated boundary.
+engine first certifies positivity per index, reports the bound on T_n 1 and
+scans the boundary of the pushed-forward test span (the limit keeps every
+sup norm by construction), then measures per-index errors both over the
+whole target grid and restricted to the certified boundary.
 
 "Converged" at desk scale means: the error at the largest index is below
 an absolute threshold and improved on the smallest index by a fixed
@@ -22,7 +22,6 @@ from .choquet import BoundaryEstimate, estimate_choquet_boundary, scan_radius
 from .functions import FunctionSpan, ScalarFunction, oscillation, sup_norm
 from .operators import OperatorFamily, PositivityReport, check_positivity
 
-ISOMETRY_TOL = 1e-9
 ZERO_ERROR_FLOOR = 1e-12
 
 
@@ -69,9 +68,9 @@ class ExperimentConfig:
 class HypothesisReport:
     positivity: dict[int, PositivityReport]
     t_n_one_bound: float
-    isometry_deviation: float
-    # the boundary scan of the limit's images of the test span; None, with
-    # the reason in boundary_note, when that span cannot be scanned
+    # the boundary scan of the limit's images of the test span, None when
+    # that span cannot be scanned; boundary_note says why no Boundary point
+    # is certified, and is empty when one is
     target_boundary: BoundaryEstimate | None
     boundary_note: str
     # T_n's image (images[n]) and the limit's image of each distinct
@@ -80,12 +79,8 @@ class HypothesisReport:
     limit_images: dict[ScalarFunction, ScalarFunction]
 
     @property
-    def positivity_passed(self) -> bool:
-        return all(rep.passed for rep in self.positivity.values())
-
-    @property
     def passed(self) -> bool:
-        return self.positivity_passed and self.isometry_deviation <= ISOMETRY_TOL
+        return all(rep.passed for rep in self.positivity.values())
 
 
 def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
@@ -102,7 +97,6 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
         images[n] = {f: op.apply(f) for f in distinct}
         del op  # the next build must not find this kernel alive
     limit_images = {f: config.family.limit.apply(f) for f in distinct}
-    iso_dev = max(abs(sup_norm(limit_images[f]) - sup_norm(f)) for f in config.probes)
 
     pushed = FunctionSpan(tuple(limit_images[s] for s in config.test_span.basis))
     target_boundary: BoundaryEstimate | None = None
@@ -111,11 +105,13 @@ def verify_hypotheses(config: ExperimentConfig) -> HypothesisReport:
         target_boundary = estimate_choquet_boundary(pushed, config.radius)
     except ValueError as exc:
         note = f"pushed span not scannable: {exc}"
+    else:
+        if not len(target_boundary.boundary_point_set()):
+            note = "pushed span scan certified no Boundary point"
 
     return HypothesisReport(
         positivity=positivity,
         t_n_one_bound=t1_bound,
-        isometry_deviation=float(iso_dev),
         target_boundary=target_boundary,
         boundary_note=note,
         images=images,
@@ -128,7 +124,7 @@ class ConvergenceRow:
     n: int
     function: str
     sup_error_global: float
-    sup_error_choquet: float
+    sup_error_choquet: float | None  # None when no Boundary point is certified
     bound_constant: float
 
 
@@ -188,12 +184,9 @@ def run_convergence(
     here when None); no kernel is built or applied here. The table is
     filled, and carries the report, whether or not the hypotheses passed."""
     hyp = hypotheses if hypotheses is not None else verify_hypotheses(config)
-    boundary_idx: tuple[int, ...] | None = None
-    est = hyp.target_boundary
-    if est is not None:
-        bset = est.boundary_point_set()
-        if len(bset):
-            boundary_idx = bset.indices
+    boundary_idx = None
+    if not hyp.boundary_note:
+        boundary_idx = list(hyp.target_boundary.boundary_point_set().indices)
 
     constants = {f.name: error_bound_constant(f) for f in config.probes}
 
@@ -210,10 +203,7 @@ def run_convergence(
         for f in config.probes:
             diff = np.abs(images[f].values - hyp.limit_images[f].values)
             sup_global = float(diff.max())
-            if boundary_idx is not None:
-                sup_choquet = float(diff[list(boundary_idx)].max())
-            else:
-                sup_choquet = sup_global
+            sup_choquet = None if boundary_idx is None else float(diff[boundary_idx].max())
             per_probe[f.name].append(sup_global)
             rows.append(
                 ConvergenceRow(

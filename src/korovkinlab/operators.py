@@ -208,7 +208,8 @@ class KernelOperator:
 
 @dataclass(frozen=True, eq=False)
 class CompositionIsometry:
-    """(Tf)(y) = f(phi(y)) for a grid-surjective index map phi."""
+    """(Tf)(y) = f(phi(y)) for a grid-surjective index map phi: Tf takes
+    exactly f's values, so T keeps every sup norm."""
 
     source: CompactSpace
     target: CompactSpace
@@ -575,10 +576,12 @@ _PERTURBED_PARAMS = {
                 },
                 {
                     "additionalProperties": False,
-                    "properties": {
-                        "type": {"enum": ["identity", "rotation"]},
-                        "steps": {"type": "integer"},
-                    },
+                    "properties": {"type": {"enum": ["identity", "rotation"]}},
+                },
+                {
+                    "required": ["type", "steps"],
+                    "additionalProperties": False,
+                    "properties": {"type": {"const": "rotation"}, "steps": {"type": "integer"}},
                 },
             ],
         },
@@ -639,8 +642,8 @@ FAMILIES: dict[str, FamilySpec] = {
         FamilySpec(
             "perturbed_composition",
             None,
-            "space: any grid; params.phi: {type: identity|rotation, steps} or {map: [...]};"
-            " params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]",
+            "space: any grid; params.phi: {type: identity|rotation}, {type: rotation, steps}"
+            " or {map: [...]}; params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]",
             lambda space, n: space.n_points**2,
             _perturbed_from_params,
             _PERTURBED_PARAMS,

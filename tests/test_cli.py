@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import korovkinlab.choquet as choquet
+import korovkinlab.engine as engine
 import korovkinlab.operators as operators
 from korovkinlab import CompactSpace, CompositionIsometry, ConfigError, KernelOperator, OperatorFamily
 from korovkinlab.cli import build_parser, main
@@ -43,8 +45,8 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 
 _PERTURBED_PARAMETERS = (
-    "space: any grid; params.phi: {type: identity|rotation, steps} or {map: [...]};"
-    " params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]"
+    "space: any grid; params.phi: {type: identity|rotation}, {type: rotation, steps}"
+    " or {map: [...]}; params.mix: 'mean'; params.eps: '1/n' | '1/n^2' | [values]"
 )
 _FAMILY_PARAMETERS = [
     ("bernstein", "space: interval grid"),
@@ -218,7 +220,7 @@ class TestKorovkinRun:
         failing = [v for v in hyp["positivity"].values() if not v["passed"]]
         assert failing and failing[0]["min_weight"] == -0.25
 
-    def test_unscannable_pushed_span_falls_back_to_the_global_error(self, tmp_path, capsys):
+    def test_unscannable_pushed_span_leaves_the_boundary_error_empty(self, tmp_path, capsys):
         # cos takes one value at k and at -k, so {1, cos} separates no such pair
         cfg = {
             "version": 1,
@@ -229,7 +231,8 @@ class TestKorovkinRun:
         }
         path = write_config(tmp_path, cfg)
         assert run_cli("korovkin", "run", "--config", path, "--out", str(tmp_path)) == 2
-        assert " boundary=assumed\n" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert " boundary=assumed\nsup_error_choquet left empty: pushed span not scannable:" in out
         hyp = json.loads((tmp_path / "hypotheses.json").read_text())
         assert hyp["choquet_inclusion"] == {
             "status": "assumed",
@@ -240,7 +243,24 @@ class TestKorovkinRun:
         with open(tmp_path / "report.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 8
-        assert all(r["sup_error_choquet"] == r["sup_error_global"] for r in rows)
+        assert all(r["sup_error_choquet"] == "" and float(r["sup_error_global"]) >= 0 for r in rows)
+
+    def test_a_scan_without_boundary_points_leaves_the_boundary_error_empty(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def nothing_certified(span, radius):
+            est = choquet.estimate_choquet_boundary(span, radius)
+            not_detected = choquet.Classification.NOT_DETECTED
+            points = [dataclasses.replace(p, label=not_detected) for p in est.points]
+            return dataclasses.replace(est, points=tuple(points))
+
+        monkeypatch.setattr(engine, "estimate_choquet_boundary", nothing_certified)
+        assert run_cli("korovkin", "run", "--preset", "example41_bernstein", "--out", str(tmp_path)) == 0
+        note = "pushed span scan certified no Boundary point"
+        assert f" boundary=assumed\nsup_error_choquet left empty: {note}\n" in capsys.readouterr().out
+        assert json.loads((tmp_path / "hypotheses.json").read_text())["choquet_inclusion"]["note"] == note
+        with open(tmp_path / "report.csv", newline="") as fh:
+            assert {r["sup_error_choquet"] for r in csv.DictReader(fh)} == {""}
 
     def test_schema_violation_exit_1(self, tmp_path, capsys):
         cfg = get_preset("example41_bernstein")
@@ -516,6 +536,8 @@ class TestKorovkinRun:
             {"eps": 5},
             {"eps": [0.5, None]},
             {"phi": {"type": "rotation", "steps": 1.5}},
+            {"phi": {"steps": 3}},
+            {"phi": {"type": "identity", "steps": 3}},
         ],
     )
     def test_malformed_params_exit_1(self, tmp_path, capsys, params):
@@ -529,7 +551,16 @@ class TestKorovkinRun:
         path = write_config(tmp_path, cfg)
         assert run_cli("korovkin", "run", "--config", path) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config field family.params") and err.count("\n") == 1
+        [key] = params
+        assert err.startswith(f"error: config field family.params.{key}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "phi", [{}, {"type": "identity"}, {"type": "rotation"}, {"type": "rotation", "steps": 3}]
+    )
+    def test_phi_forms_without_a_map_validate(self, phi):
+        cfg = get_preset("example43_fejer")
+        cfg["family"] = {"name": "perturbed_composition", "space": "T", "params": {"phi": phi}}
+        validate_config(cfg)
 
     def test_params_on_a_family_without_params_exit_1(self, tmp_path, capsys):
         cfg = get_preset("example41_bernstein")
@@ -889,6 +920,19 @@ _PRESET_DIGESTS = {
 }
 
 
+# per preset, the `hypotheses:` line of `korovkin run`'s stdout
+_PRESET_SUMMARIES = {
+    name: f"hypotheses: positivity=pass sup||T_n 1||={t1} isometry_dev=0.0 boundary=assumed"
+    for name, t1 in (
+        ("example41_bernstein", "1.000000000000001"),
+        ("example42_tensor", "1.0000000000000016"),
+        ("example43_disc", "1.0000000000000002"),
+        ("example43_fejer", "1.000000000000009"),
+        ("remark44_fejer", "1.000000000000009"),
+    )
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -901,8 +945,9 @@ class TestPresets:
             validate_config(get_preset(name))
 
     @pytest.mark.parametrize("name", sorted(preset_names()))
-    def test_every_preset_exits_zero(self, name, tmp_path):
+    def test_every_preset_exits_zero(self, name, tmp_path, capsys):
         assert run_cli("korovkin", "run", "--preset", name, "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.splitlines()[1] == _PRESET_SUMMARIES[name]
         assert run_cli("choquet", "--preset", name, "--out", str(tmp_path)) == 0
         with open(tmp_path / "choquet.csv", newline="") as fh:
             labels = "".join(f"{r['point_index']},{r['classification']}\n" for r in csv.DictReader(fh))

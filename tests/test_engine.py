@@ -72,11 +72,12 @@ def watched(config):
 
 class TestVerifyHypotheses:
     def test_bernstein_hypotheses_pass(self):
-        hyp = verify_hypotheses(bernstein_config())
+        config = bernstein_config()
+        hyp = verify_hypotheses(config)
         assert hyp.passed
         assert all(rep.passed for rep in hyp.positivity.values())
         assert hyp.t_n_one_bound == pytest.approx(1.0, abs=1e-12)
-        assert hyp.isometry_deviation == 0.0
+        assert all(sup_norm(hyp.limit_images[f]) == sup_norm(f) for f in config.probes)
         est = hyp.target_boundary
         assert est is not None
         assert est.counts()["Boundary"] == INTERVAL.n_points
@@ -132,7 +133,6 @@ class TestRunConvergence:
         # the table is filled all the same, and carries the failed checks
         report = run_convergence(cfg)
         assert not report.hypotheses.passed
-        assert not report.hypotheses.positivity_passed
         assert [n for n, rep in report.hypotheses.positivity.items() if not rep.passed] == [4, 8]
         assert report.trends
 

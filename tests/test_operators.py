@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from korovkinlab import (
     FAMILIES,
@@ -734,7 +736,34 @@ class TestConjugationIdentity:
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
+REAL = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def surjective_maps(draw):
+    """A grid-surjective map from a circle or interval grid onto a grid of
+    the same kind with as many points or more, and a function on its source
+    with some values -0.0."""
+    circle = draw(st.booleans())
+    m = draw(st.integers(3, 12))
+    k = m + draw(st.integers(0, 8))
+    make = make_circle_grid if circle else lambda n: make_interval_grid(n - 1)
+    extra = draw(st.lists(st.integers(0, m - 1), min_size=k - m, max_size=k - m))
+    phi = draw(st.permutations(list(range(m)) + extra))
+    value = st.builds(complex, REAL, REAL) if circle else REAL
+    values = draw(st.lists(value, min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        values[i] = complex(-0.0, -0.0) if circle else -0.0
+    source = make(m)
+    return CompositionIsometry(source, make(k), phi), function_from_values(source, values, "f")
+
+
 class TestCompositionIsometry:
+    @given(surjective_maps())
+    def test_a_grid_surjective_map_keeps_every_sup_norm_bit_for_bit(self, case):
+        limit, f = case
+        assert sup_norm(limit.apply(f)).hex() == sup_norm(f).hex()
+
     def test_preserves_sup_norm(self):
         space = make_circle_grid(16)
         phi = rotation_isometry(space, 5)
