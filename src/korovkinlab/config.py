@@ -5,13 +5,12 @@ parameters; cross-references are by name. ``load_config`` validates against
 the published schema and ``build_*`` functions turn validated blocks into
 package objects, raising ConfigError with the offending field path.
 
-A configuration that conforms is accepted by a small evaluator of the
-schema's own keywords; jsonschema is imported only to word a rejection.
+One small evaluator of the schema's own keywords both accepts a
+configuration and words its first failure as jsonschema does.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import numbers
 from dataclasses import dataclass
@@ -82,7 +81,7 @@ CONFIG_SCHEMA = {
     "required": ["version", "spaces"],
     "additionalProperties": False,
     "properties": {
-        "version": {"type": "integer"},
+        "version": {"type": "integer", "const": SCHEMA_VERSION},
         "name": {"type": "string"},
         "spaces": {
             "type": "object",
@@ -187,23 +186,15 @@ CONFIG_SCHEMA = {
 }
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, numbers.Number) and not isinstance(x, bool)
-
-
-def _is_integer(x) -> bool:
-    """JSON Schema's ``integer``, read as an integer literal: 2.0 is not one,
-    since the grid and kernel builders need a Python int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
+# JSON Schema's types: a bool is no number, and an integer is an integer
+# literal (2.0 is not one, since the grid and kernel builders need an int)
 _TYPES = {
     "object": lambda x: isinstance(x, dict),
     "array": lambda x: isinstance(x, list),
     "string": lambda x: isinstance(x, str),
     "boolean": lambda x: isinstance(x, bool),
-    "number": _is_number,
-    "integer": _is_integer,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
 }
 
 
@@ -222,74 +213,83 @@ def _equal(a, b) -> bool:
     return a == b
 
 
-# keyword -> whether (instance, keyword value, enclosing schema) passes it; a
-# keyword that constrains one JSON type passes every instance of another
+def _first(failures):
+    return next(filter(None, failures), None)
+
+
+def _additional(x, v, s, p):
+    extras = [k for k in x if k not in s.get("properties", {})] if isinstance(x, dict) else []
+    if v is not False:
+        return _first(_failure(x[k], v, (*p, k)) for k in extras)
+    names = ", ".join(map(repr, sorted(extras, key=str))) + (" was", " were")[len(extras) > 1]
+    return extras and f"Additional properties are not allowed ({names} unexpected)"
+
+
+def _any_of(x, branches, s, p):
+    """jsonschema's refusal, then each branch's first failure, so that no
+    ranking rule picks one branch to blame."""
+    why = []
+    for i, branch in enumerate(branches, 1):
+        failure = _failure(x, branch, p)
+        if not failure:
+            return None
+        below = ".".join(map(str, failure[0][len(p) :]))
+        why.append(f"branch {i}{below and ', field ' + below}: {failure[1]}")
+    return f"{x!r} is not valid under any of the given schemas ({'; '.join(why)})"
+
+
+# keyword -> the first failure of an instance x at path p under it, given the
+# keyword's value v and the enclosing schema s: a message about x, a (path,
+# message) pair below it, or a false value; a keyword that constrains one
+# JSON type passes every instance of another
 _KEYWORDS = {
-    "$schema": lambda x, v, s: True,
-    "type": lambda x, v, s: _TYPES[v](x),
-    "const": lambda x, v, s: _equal(x, v),
-    "enum": lambda x, v, s: any(_equal(e, x) for e in v),
-    "anyOf": lambda x, v, s: any(_conforms(x, t) for t in v),
-    "allOf": lambda x, v, s: all(_conforms(x, t) for t in v),
-    "if": lambda x, v, s: not _conforms(x, v) or _conforms(x, s.get("then", True)),
-    "then": lambda x, v, s: True,  # read by "if"
-    "required": lambda x, v, s: not isinstance(x, dict) or all(k in x for k in v),
-    "properties": lambda x, v, s: not isinstance(x, dict)
-    or all(_conforms(x[k], t) for k, t in v.items() if k in x),
-    "additionalProperties": lambda x, v, s: not isinstance(x, dict)
-    or all(_conforms(x[k], v) for k in x if k not in s.get("properties", {})),
-    "minProperties": lambda x, v, s: not isinstance(x, dict) or len(x) >= v,
-    "items": lambda x, v, s: not isinstance(x, list) or all(_conforms(y, v) for y in x),
-    "minItems": lambda x, v, s: not isinstance(x, list) or len(x) >= v,
-    "minimum": lambda x, v, s: not _is_number(x) or not x < v,
-    "exclusiveMinimum": lambda x, v, s: not _is_number(x) or not x <= v,
+    "$schema": lambda x, v, s, p: None,
+    "type": lambda x, v, s, p: not _TYPES[v](x) and f"{x!r} is not of type {v!r}",
+    "const": lambda x, v, s, p: not _equal(x, v) and f"{v!r} was expected",
+    "enum": lambda x, v, s, p: all(not _equal(e, x) for e in v) and f"{x!r} is not one of {v!r}",
+    "anyOf": _any_of,
+    "allOf": lambda x, v, s, p: _first(_failure(x, t, p) for t in v),
+    "if": lambda x, v, s, p: not _failure(x, v, p) and _failure(x, s.get("then", True), p),
+    "then": lambda x, v, s, p: None,  # read by "if"
+    "required": lambda x, v, s, p: isinstance(x, dict)
+    and next((f"{k!r} is a required property" for k in v if k not in x), None),
+    "properties": lambda x, v, s, p: isinstance(x, dict)
+    and _first(_failure(x[k], t, (*p, k)) for k, t in v.items() if k in x),
+    "additionalProperties": _additional,
+    "minProperties": lambda x, v, s, p: isinstance(x, dict) and len(x) < v
+    and f"{x!r} {'should be non-empty' if v == 1 else 'does not have enough properties'}",
+    "items": lambda x, v, s, p: isinstance(x, list)
+    and _first(_failure(y, v, (*p, i)) for i, y in enumerate(x)),
+    "minItems": lambda x, v, s, p: isinstance(x, list) and len(x) < v
+    and f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}",
+    "minimum": lambda x, v, s, p: _TYPES["number"](x) and x < v
+    and f"{x!r} is less than the minimum of {v!r}",
+    "exclusiveMinimum": lambda x, v, s, p: _TYPES["number"](x) and x <= v
+    and f"{x!r} is less than or equal to the minimum of {v!r}",
 }
 
 
-def _conforms(instance, schema) -> bool:
-    """Whether ``instance`` is valid under ``schema``, a JSON Schema that
-    uses only the keywords in ``_KEYWORDS``; any other keyword raises
-    ValueError, so that a schema edit cannot be skipped silently."""
+def _failure(instance, schema, path=()) -> tuple[tuple, str] | None:
+    """None if ``instance`` at ``path`` is valid under ``schema``; else its
+    first failure, in jsonschema's order and words, as (path, message). A
+    keyword not in ``_KEYWORDS`` raises ValueError, so none is skipped."""
     if isinstance(schema, bool):
-        return schema
+        return None if schema else (path, f"False schema does not allow {instance!r}")
     for key, value in schema.items():
         if key not in _KEYWORDS:
             raise ValueError(f"schema keyword {key!r} has no evaluator")
-        if not _KEYWORDS[key](instance, value, schema):
-            return False
-    return True
-
-
-@functools.cache
-def _validators():
-    """jsonschema's validators of ``CONFIG_SCHEMA``: its own reading, then
-    the strict one, which reads ``integer`` as ``_is_integer`` does."""
-    import jsonschema
-
-    base = jsonschema.Draft202012Validator
-    checker = base.TYPE_CHECKER.redefine("integer", lambda _, x: _is_integer(x))
-    strict = jsonschema.validators.extend(base, type_checker=checker)
-    return base(CONFIG_SCHEMA), strict(CONFIG_SCHEMA)
+        failure = _KEYWORDS[key](instance, value, schema, path)
+        if failure:
+            return (path, failure) if isinstance(failure, str) else failure
+    return None
 
 
 def validate_config(cfg: dict) -> dict:
     """Schema-validate a configuration dict; returns it on success."""
-    if not _conforms(cfg, CONFIG_SCHEMA):
-        from jsonschema.exceptions import best_match
-
-        # jsonschema's own reading first, so that a configuration it refuses
-        # is worded as it always was; the strict one words the integral
-        # floats that only it refuses
-        for validator in _validators():
-            exc = best_match(validator.iter_errors(cfg))
-            if exc is not None:
-                path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-                raise ConfigError(f"config field {path}: {exc.message}")
-    version = cfg["version"]
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config field version: expected {SCHEMA_VERSION}, got {version}"
-        )
+    failure = _failure(cfg, CONFIG_SCHEMA)
+    if failure:
+        path = ".".join(map(str, failure[0])) or "<root>"
+        raise ConfigError(f"config field {path}: {failure[1]}")
     return cfg
 
 

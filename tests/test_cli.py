@@ -529,18 +529,19 @@ class TestKorovkinRun:
         assert "point_cap" in err
 
     @pytest.mark.parametrize(
-        "params",
+        "params, named",
         [
-            {"phi": 3},
-            {"phi": {"map": 5}},
-            {"eps": 5},
-            {"eps": [0.5, None]},
-            {"phi": {"type": "rotation", "steps": 1.5}},
-            {"phi": {"steps": 3}},
-            {"phi": {"type": "identity", "steps": 3}},
+            ({"phi": 3}, None),
+            ({"phi": {"map": 5}}, None),
+            ({"eps": 5}, None),
+            ({"eps": [0.5, None]}, None),
+            ({"phi": {"type": "rotation", "steps": 1.5}}, None),
+            ({"phi": {"steps": 3}}, None),
+            ({"phi": {"type": "identity", "steps": 3}}, "'steps'"),
         ],
+        ids=[f"params{i}" for i in range(7)],
     )
-    def test_malformed_params_exit_1(self, tmp_path, capsys, params):
+    def test_malformed_params_exit_1(self, tmp_path, capsys, params, named):
         cfg = {
             "version": 1,
             "spaces": {"T": {"kind": "circle", "m": 16}},
@@ -553,6 +554,7 @@ class TestKorovkinRun:
         err = capsys.readouterr().err
         [key] = params
         assert err.startswith(f"error: config field family.params.{key}") and err.count("\n") == 1
+        assert named is None or named in err
 
     @pytest.mark.parametrize(
         "phi", [{}, {"type": "identity"}, {"type": "rotation"}, {"type": "rotation", "steps": 3}]
@@ -1230,13 +1232,17 @@ class TestPresets:
         assert codes == [0] * len(commands)
         assert not {"jsonschema", "referencing"} & set(loaded)
 
-    def test_rejection_imports_jsonschema_to_word_it(self, tmp_path):
-        cfg = get_preset("example41_bernstein")
-        cfg["surprise"] = 1
-        path = write_config(tmp_path, cfg)
-        codes, loaded, err = _fresh_run([["korovkin", "run", "--config", path]], tmp_path)
-        assert codes == [1] and "jsonschema" in loaded
-        assert err == (
+    def test_rejection_loads_no_jsonschema(self, tmp_path):
+        # the evaluator that accepts a configuration also words its refusal
+        commands = []
+        for name in sorted(preset_names()):
+            cfg = get_preset(name)
+            cfg["surprise"] = 1
+            path = write_config(tmp_path, cfg, f"{name}.json")
+            commands += [["korovkin", "run", "--config", path], ["choquet", "--config", path]]
+        codes, loaded, err = _fresh_run(commands, tmp_path)
+        assert codes == [1] * len(commands) and not {"jsonschema", "referencing"} & set(loaded)
+        assert err == len(commands) * (
             "error: config field <root>: Additional properties are not allowed"
             " ('surprise' was unexpected)\n"
         )

@@ -12,7 +12,7 @@ from korovkinlab import ConfigError, Field
 from korovkinlab.config import (
     _KEYWORDS,
     CONFIG_SCHEMA,
-    _conforms,
+    _failure,
     build_experiment,
     build_space,
     build_spans,
@@ -76,6 +76,18 @@ class TestSchemaValidation:
         with pytest.raises(ConfigError) as got:
             validate_config(cfg)
         assert str(got.value) == f"config field {path}: {ref.value.message}"
+
+    def test_any_of_refusal_lists_every_branch(self):
+        cfg = copy.deepcopy(PERTURBED_CONFIG)
+        cfg["family"]["params"]["phi"] = {"type": "identity", "steps": 3}
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == (
+            "config field family.params.phi: {'type': 'identity', 'steps': 3} is not valid"
+            " under any of the given schemas (branch 1: 'map' is a required property;"
+            " branch 2: Additional properties are not allowed ('steps' was unexpected);"
+            " branch 3, field type: 'rotation' was expected)"
+        )
 
     def test_version_pinned(self):
         cfg = get_preset("example41_bernstein")
@@ -213,7 +225,9 @@ _SEED_CONFIGS = [
 ]
 _WALK = list(_schema_walk(CONFIG_SCHEMA))
 # the values the schema names (kinds, families, ...), and edge values of each JSON type
-_NAMES = sorted({e for k, v in _WALK if k == "enum" for e in v} | {v for k, v in _WALK if k == "const"})
+_NAMES = sorted(
+    {e for k, v in _WALK if k == "enum" for e in v} | {v for k, v in _WALK if k == "const"}, key=repr
+)
 _EDGES = [None, True, False, 0, 1, -1, 2.0, 0.5, math.nan, "", "x", [], {}, [1]]
 _KEYS = sorted({name for k, v in _WALK if k == "properties" for name in v}) + ["surprise"]
 
@@ -273,8 +287,28 @@ def _mutants(draw):
     return cfg
 
 
+def _assert_agrees(cfg, where=None):
+    """The evaluator accepts ``cfg`` exactly when _STRICT does, and words a
+    refusal as one of _STRICT's errors at the same path; an anyOf error's
+    message is jsonschema's followed by the list of its branches."""
+    failure = _failure(cfg, CONFIG_SCHEMA)
+    assert (failure is None) == _STRICT.is_valid(cfg), where
+    if failure:
+        path, message = failure
+        assert any(
+            tuple(e.absolute_path) == path
+            and (
+                message == e.message
+                or e.validator == "anyOf"
+                and message.startswith(f"{e.message} (branch 1")
+                and message.endswith(")")
+            )
+            for e in _STRICT.iter_errors(cfg)
+        ), (where, failure)
+
+
 class TestKeywordEvaluator:
-    """The evaluator that accepts configurations agrees with jsonschema."""
+    """The evaluator that accepts and words configurations agrees with jsonschema."""
 
     def test_schemas_use_only_evaluated_keywords(self):
         for schema in [CONFIG_SCHEMA, *(f.params for f in FAMILIES.values())]:
@@ -290,24 +324,23 @@ class TestKeywordEvaluator:
     )
     def test_unknown_keyword_raises(self, schema, instance):
         with pytest.raises(ValueError, match="has no evaluator"):
-            _conforms(instance, schema)
+            _failure(instance, schema)
 
     def test_seed_configs_conform(self):
         for cfg in _SEED_CONFIGS:
-            assert _conforms(cfg, CONFIG_SCHEMA)
+            assert _failure(cfg, CONFIG_SCHEMA) is None
 
     @settings(max_examples=500)
     @given(_mutants())
     def test_agrees_with_jsonschema(self, cfg):
-        assert _conforms(cfg, CONFIG_SCHEMA) == _STRICT.is_valid(cfg)
+        _assert_agrees(cfg)
 
     @pytest.mark.parametrize("seed", [_FULL_CONFIG, PERTURBED_CONFIG], ids=["full", "perturbed"])
     def test_agrees_on_every_single_edit(self, seed):
         # each node replaced by each edge value and schema name, or removed
         for path in list(_paths(seed)):
             for value in [*_EDGES, *_NAMES, _DROP]:
-                cfg = _edit(copy.deepcopy(seed), path, value)
-                assert _conforms(cfg, CONFIG_SCHEMA) == _STRICT.is_valid(cfg), (path, value)
+                _assert_agrees(_edit(copy.deepcopy(seed), path, value), (path, value))
 
     @pytest.mark.parametrize(
         "a, b, equal",
@@ -315,5 +348,5 @@ class TestKeywordEvaluator:
          ({"a": [1, "x"]}, {"a": [1, "x"]}, True), ({"a": 1}, {"b": 1}, False)],
     )
     def test_const_follows_json_equality(self, a, b, equal):
-        assert _conforms(a, {"const": b}) is equal
+        assert (_failure(a, {"const": b}) is None) is equal
         assert _STRICT.evolve(schema={"const": b}).is_valid(a) is equal
