@@ -226,13 +226,14 @@ def _additional(x, v, s, p):
 
 
 def _any_of(x, branches, s, p):
-    """jsonschema's refusal, then each branch's first failure, so that no
-    ranking rule picks one branch to blame."""
+    """None if a branch holds; else jsonschema's refusal, then each branch's
+    first failure, so that no ranking rule picks one branch to blame. A
+    branch whose type refuses x is passed over unworded until all fail."""
+    if any(("type" not in b or _TYPES[b["type"]](x)) and not _failure(x, b, p) for b in branches):
+        return None
     why = []
     for i, branch in enumerate(branches, 1):
         failure = _failure(x, branch, p)
-        if not failure:
-            return None
         below = ".".join(map(str, failure[0][len(p) :]))
         why.append(f"branch {i}{below and ', field ' + below}: {failure[1]}")
     return f"{x!r} is not valid under any of the given schemas ({'; '.join(why)})"

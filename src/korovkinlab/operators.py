@@ -2,7 +2,9 @@
 
 Every built-in family is kernel-backed: the map at index n is its nodes
 plus a function that writes any block of target rows of its weights into
-a buffer it is given, so no kernel holds its whole weight matrix. A sweep
+a buffer it is given, so no kernel holds its whole weight matrix (a
+Bernstein kernel holds one row per distinct coordinate of each axis: on
+an interval grid, as many weights as its matrix). A sweep
 allocates one buffer for its largest row block, builds each block into it
 once and, in the same step, checks it, certifies positivity from the
 weight signs, sums its rows and multiplies it into every image, after one
@@ -24,7 +26,9 @@ import numpy as np
 
 from .errors import DependencyError
 from .functions import ScalarFunction, evaluate, function_from_values
-from .space import BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind, distinct_rows
+from .space import (
+    BLOCK_ENTRIES, DEFAULT_POINT_CAP, CompactSpace, SpaceKind, distinct_rows, product_points
+)
 
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
@@ -286,10 +290,37 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
     if n < 1:
         raise ValueError("bernstein index must be >= 1")
     FAMILIES["bernstein"].check_kind(space)
-    x = space.coords[:, 0]
-    return KernelOperator(
-        space, space, np.arange(n + 1) / n, lambda lo, hi, out: _binom_pmf(n, x[lo:hi], out=out)
-    )
+    return _bernstein_product(n, space)
+
+
+def _bernstein_product(n: int, space: CompactSpace) -> KernelOperator:
+    """Coordinatewise product of 1-d Bernstein weights: each row is the
+    outer product of the grid point's per-axis rows, the last one taken
+    straight into the sweep's buffer, and the nodes are {k/n}^dim in C
+    order, matching the weight columns. Each axis's rows are computed
+    once per distinct coordinate and gathered a row block at a time."""
+    *inner, (last, last_pick) = [_distinct_pmf(n, x) for x in space.coords.T]
+
+    def rows(lo: int, hi: int, out: np.ndarray) -> None:
+        w = np.ones((hi - lo, 1))  # times 1.0 is exact
+        for table, pick in inner:
+            w = (w[:, :, None] * table[pick[lo:hi], None, :]).reshape(hi - lo, -1)
+        np.multiply(w[:, :, None], last[last_pick[lo:hi], None, :], out=out.reshape(hi - lo, w.shape[1], -1))
+
+    nodes = product_points(np.arange(n + 1) / n, space.dim).reshape((-1,) + space.points.shape[1:])
+    return KernelOperator(space, space, nodes, rows)
+
+
+def _distinct_pmf(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_binom_pmf's rows for the distinct values of x, each once, and the
+    row of each entry of x. A stable argsort brings equal bits together
+    (np.unique would map numpy's SIMD quicksort), so -0.0 has its own row."""
+    bits = x.view(np.uint64)
+    order = np.argsort(bits, kind="stable")
+    new = np.r_[True, np.diff(bits[order]) != 0]
+    pick = np.empty_like(order)
+    pick[order] = np.cumsum(new) - 1
+    return _binom_pmf(n, x[order][new]), pick
 
 
 def _binom_pmf(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -390,27 +421,11 @@ def fejer(n: int, space: CompactSpace) -> KernelOperator:
 
 def tensor_bernstein(n: int, space: CompactSpace) -> KernelOperator:
     """Coordinatewise tensor product of 1-d Bernstein weights on a box grid:
-    each row is the outer product of the grid point's per-axis rows, the
-    last one taken straight into the sweep's buffer."""
+    each row is the outer product of the grid point's per-axis rows."""
     if n < 1:
         raise ValueError("tensor_bernstein index must be >= 1")
     FAMILIES["tensor_bernstein"].check_kind(space)
-    p = space.dim
-    pmf = [_binom_pmf(n, space.coords[:, d]) for d in range(p)]
-
-    def rows(lo: int, hi: int, out: np.ndarray) -> None:
-        w = pmf[0][lo:hi]
-        for wd in pmf[1:-1]:
-            w = (w[:, :, None] * wd[lo:hi, None, :]).reshape(hi - lo, -1)
-        if p == 1:
-            out[...] = w
-        else:
-            np.multiply(w[:, :, None], pmf[-1][lo:hi, None, :], out=out.reshape(hi - lo, w.shape[1], -1))
-
-    # nodes in itertools.product order, matching the weight columns
-    axes = np.meshgrid(*[np.arange(n + 1) / n] * p, indexing="ij")
-    nodes = np.stack(axes, axis=-1).reshape((-1,) + space.points.shape[1:])
-    return KernelOperator(space, space, nodes, rows)
+    return _bernstein_product(n, space)
 
 
 def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
@@ -555,6 +570,10 @@ def _to_identity(name: str, kernel: Callable[[int, CompactSpace], KernelOperator
     )
 
 
+def _bernstein_weights(space: CompactSpace, n: int) -> int:
+    return space.n_points * (n + 1) ** space.dim
+
+
 def _fejer_weights(space: CompactSpace, n: int) -> int:
     check_fejer_grid(n, space.n_points)
     return space.n_points**2
@@ -615,7 +634,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "bernstein",
             SpaceKind.INTERVAL,
             "space: interval grid",
-            lambda space, n: space.n_points * (n + 1),
+            _bernstein_weights,
             _to_identity("bernstein", bernstein),
         ),
         FamilySpec(
@@ -629,7 +648,7 @@ FAMILIES: dict[str, FamilySpec] = {
             "tensor_bernstein",
             SpaceKind.BOX,
             "space: box grid",
-            lambda space, n: space.n_points * (n + 1) ** space.dim,
+            _bernstein_weights,
             _to_identity("tensor_bernstein", tensor_bernstein),
         ),
         FamilySpec(

@@ -10,7 +10,6 @@ tasks.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -368,52 +367,69 @@ class PointSet:
         return int(i) in set(self.indices)
 
 
-def _ring_generators(center: int, rings: int, per_ring: int) -> tuple[np.ndarray, ...]:
-    """Rotation by one step on every ring, and conjugation (t -> -t).
+def product_points(axis: np.ndarray, p: int) -> np.ndarray:
+    """The points of axis^p, one per row of a C-contiguous array, in C
+    (itertools.product) order: the last coordinate varies fastest."""
+    return np.stack(np.meshgrid(*[axis] * p, indexing="ij", copy=False), axis=-1).reshape(-1, p)
 
-    Points ``0..center-1`` stay fixed; ring j holds the next ``per_ring``
-    indices, point k at angle 2 pi k / per_ring.
-    """
+
+def _product_grid(kind: SpaceKind, space_id: str, p: int, m: int) -> CompactSpace:
+    """Tensor grid {k/m : k = 0..m}^p in C order. The candidate symmetries
+    reflect one axis (k_a -> m - k_a) or swap two adjacent axes."""
+    if m < 1:
+        raise ValueError(f"{kind.value} grid needs m >= 1")
+    _check_point_count(kind.value, (m + 1) ** p)
+    index = np.arange((m + 1) ** p).reshape((m + 1,) * p)
+    moves = [np.flip(index, a) for a in range(p)] + [np.swapaxes(index, a, a + 1) for a in range(p - 1)]
+    return CompactSpace(
+        id=space_id,
+        field=Field.REAL,
+        kind=kind,
+        coords=product_points(np.arange(m + 1) / m, p),
+        generators=tuple(move.ravel() for move in moves),
+    )
+
+
+def _ring_grid(kind: SpaceKind, space_id: str, center: int, rings: int, per_ring: int) -> CompactSpace:
+    """``center`` points at 0 (none or one), then ``rings`` rings of
+    ``per_ring`` points at radii j/rings, point k of a ring at angle
+    2 pi k / per_ring; the outermost ring, at radius exactly 1, is flagged
+    as boundary points. Rotation by one step on every ring and conjugation
+    (t -> -t) are the candidate symmetries; the centre stays fixed."""
+    n_pts = center + rings * per_ring
+    _check_point_count(kind.value, n_pts)
     k = np.arange(per_ring)
+    theta = 2.0 * np.pi * k / per_ring
+    radii = np.arange(1, rings + 1)[:, None] / rings
+    coords = np.zeros((n_pts, 2))
+    coords[center:, 0] = (radii * np.cos(theta)).ravel()
+    coords[center:, 1] = (radii * np.sin(theta)).ravel()
     base = center + per_ring * np.arange(rings)[:, None]
-    fixed = np.arange(center)
-    return tuple(
-        np.r_[fixed, (base + step % per_ring).ravel()] for step in (k + 1, -k)
+    return CompactSpace(
+        id=space_id,
+        field=Field.COMPLEX,
+        kind=kind,
+        coords=coords,
+        boundary_mask=np.arange(n_pts) >= n_pts - per_ring,
+        generators=tuple(
+            np.r_[np.arange(center), (base + step % per_ring).ravel()] for step in (k + 1, -k)
+        ),
     )
 
 
 def make_interval_grid(m: int) -> CompactSpace:
     """Equispaced grid {k/m : k = 0..m} on the unit interval, with the
-    reflection k -> m - k as its candidate symmetry."""
-    if m < 1:
-        raise ValueError("interval grid needs m >= 1")
-    _check_point_count("interval", m + 1)
-    coords = np.arange(m + 1, dtype=float)[:, None] / m
-    return CompactSpace(
-        id=f"interval_m{m}",
-        field=Field.REAL,
-        kind=SpaceKind.INTERVAL,
-        coords=coords,
-        generators=(np.arange(m, -1, -1),),
-    )
+    reflection k -> m - k as its candidate symmetry: the one-axis box."""
+    return _product_grid(SpaceKind.INTERVAL, f"interval_m{m}", 1, m)
 
 
 def make_circle_grid(m: int) -> CompactSpace:
-    """m-th roots of unity with the chordal (ambient Euclidean) metric;
-    rotation by one step and conjugation are its candidate symmetries."""
+    """m-th roots of unity with the chordal (ambient Euclidean) metric: one
+    ring at radius 1 and no centre. Rotation by one step and conjugation
+    are its candidate symmetries."""
     if m < 3:
         raise ValueError("circle grid needs m >= 3")
-    _check_point_count("circle", m)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    coords = np.column_stack([np.cos(theta), np.sin(theta)])
-    return CompactSpace(
-        id=f"circle_m{m}",
-        field=Field.COMPLEX,
-        kind=SpaceKind.CIRCLE,
-        coords=coords,
-        boundary_mask=np.ones(m, dtype=bool),
-        generators=_ring_generators(0, 1, m),
-    )
+    return _ring_grid(SpaceKind.CIRCLE, f"circle_m{m}", 0, 1, m)
 
 
 def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
@@ -427,26 +443,7 @@ def make_disc_grid(rings: int, per_ring: int) -> CompactSpace:
         raise ValueError("disc grid needs rings >= 1")
     if per_ring < 3:
         raise ValueError("disc grid needs per_ring >= 3")
-    _check_point_count("disc", 1 + rings * per_ring)
-    xs = [0.0]
-    ys = [0.0]
-    boundary = [False]
-    theta = 2.0 * np.pi * np.arange(per_ring) / per_ring
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    for j in range(1, rings + 1):
-        r = j / rings
-        xs.extend(r * cos_t)
-        ys.extend(r * sin_t)
-        boundary.extend([j == rings] * per_ring)
-    coords = np.column_stack([xs, ys])
-    return CompactSpace(
-        id=f"disc_r{rings}x{per_ring}",
-        field=Field.COMPLEX,
-        kind=SpaceKind.DISC,
-        coords=coords,
-        boundary_mask=np.array(boundary),
-        generators=_ring_generators(1, rings, per_ring),
-    )
+    return _ring_grid(SpaceKind.DISC, f"disc_r{rings}x{per_ring}", 1, rings, per_ring)
 
 
 def make_box_grid(p: int, m: int) -> CompactSpace:
@@ -457,30 +454,7 @@ def make_box_grid(p: int, m: int) -> CompactSpace:
     """
     if p < 1:
         raise ValueError("box grid needs p >= 1")
-    if m < 1:
-        raise ValueError("box grid needs m >= 1")
-    _check_point_count("box", (m + 1) ** p)
-    axis = np.arange(m + 1, dtype=float) / m
-    coords = np.array(list(itertools.product(axis, repeat=p)))
-    # digits of each point in itertools.product (C) order
-    shape = (m + 1,) * p
-    digits = np.indices(shape).reshape(p, -1)
-    moves = []
-    for a in range(p):
-        reflected = digits.copy()
-        reflected[a] = m - digits[a]
-        moves.append(reflected)
-    for a in range(p - 1):
-        swapped = digits.copy()
-        swapped[[a, a + 1]] = digits[[a + 1, a]]
-        moves.append(swapped)
-    return CompactSpace(
-        id=f"box_p{p}_m{m}",
-        field=Field.REAL,
-        kind=SpaceKind.BOX,
-        coords=coords,
-        generators=tuple(np.ravel_multi_index(d, shape) for d in moves),
-    )
+    return _product_grid(SpaceKind.BOX, f"box_p{p}_m{m}", p, m)
 
 
 def make_custom_space(

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -958,6 +959,21 @@ class TestPresets:
             _sha256((tmp_path / "hypotheses.json").read_bytes()),
             _sha256(labels.encode()),
         ) == _PRESET_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["disc_preset", "tensor_convergence"])
+    def test_gated_workloads_match_the_benchmark_reference(self, name, tmp_path):
+        # the benchmark's gated runs at seed 1, held to its recorded report
+        # digest and label counts; tensor_convergence's indices reach 256,
+        # where a sweep multiplies 4-row blocks
+        generate = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["generate"]
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())[name]
+        wl = generate(name, 1)
+        out = tmp_path / "out"
+        assert run_cli(*wl.argv, "--config", write_config(tmp_path, wl.config), "--out", str(out)) == 0
+        hypotheses = json.loads((out / "hypotheses.json").read_text())
+        counts = hypotheses["choquet_inclusion"]["target_boundary_counts"]
+        assert _sha256((out / "report.csv").read_bytes()) == reference["report_sha256"]
+        assert counts == {**reference["labels"], "Indeterminate": 0}
 
     @pytest.mark.parametrize("name", sorted(preset_names()))
     def test_every_scan_fits_by_one_svd_per_span(self, name, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 import textwrap
@@ -278,6 +279,36 @@ class TestTensorBernstein:
         got = tensor_bernstein(n, box).weights
         assert got.shape == want.shape == (box.n_points, (n + 1) ** p)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_boost_rows_once_per_distinct_coordinate(self, tmp_path, monkeypatch):
+        # the benchmark's tensor_convergence run: 81 points, 9 distinct
+        # coordinates per axis, n = 8, 32, 128 and 256, so 9 * 2 * 428 pmf
+        # values where one row per point and axis would take 81 * 2 * 428
+        generate = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["generate"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(generate("tensor_convergence", 1).config))
+        calls = []
+        real = operators._binom_pmf
+
+        def counted(n, x, out=None):
+            calls.append((n, x.size))
+            return real(n, x, out=out)
+
+        monkeypatch.setattr(operators, "_binom_pmf", counted)
+        assert main(["korovkin", "run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert sorted(calls) == [(n, 9) for n in (8, 8, 32, 32, 128, 128, 256, 256)]
+        assert sum(size * (n + 1) for n, size in calls) == 7704
+
+    @pytest.mark.parametrize(
+        "coords",
+        [[0.0, 0.5, -0.0, 0.5, 1.0, 0.0], [0.25, 0.25, 0.25]],
+        ids=["signed-zeros", "one-value"],
+    )
+    def test_distinct_coordinates_are_told_apart_by_their_bits(self, coords):
+        x = np.array(coords)
+        table, pick = operators._distinct_pmf(5, x)
+        assert len(table) == len({v.tobytes() for v in x})
+        assert np.array_equal(table[pick].view(np.uint64), _binom_pmf(5, x).view(np.uint64))
 
 
 class TestMollifierDisc:

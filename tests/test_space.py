@@ -87,6 +87,18 @@ class TestDiscGrid:
         g = make_disc_grid(5, 12)
         assert g.n_points == 1 + 5 * 12
 
+    @pytest.mark.parametrize("m", [3, 4, 9, 144])
+    def test_outer_ring_is_the_circle(self, m):
+        # the circle grid is the disc's one ring without its centre
+        circle, disc = make_circle_grid(m), make_disc_grid(1, m)
+        assert disc.coords[1:].tobytes() == circle.coords.tobytes()
+        assert disc.boundary_mask[1:].all() and not disc.boundary_mask[0]
+        assert circle.boundary_mask.all()
+        assert [g[0] for g in disc.generators] == [0, 0]
+        assert [(g[1:] - 1).tobytes() for g in disc.generators] == [
+            g.tobytes() for g in circle.generators
+        ]
+
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             make_disc_grid(0, 8)
@@ -101,9 +113,12 @@ class TestBoxGrid:
         assert {tuple(row) for row in g.coords} == expected
 
     def test_matches_interval_points(self):
-        box = make_box_grid(1, 4)
-        interval = make_interval_grid(4)
-        np.testing.assert_allclose(np.sort(box.coords[:, 0]), interval.coords[:, 0])
+        # the interval grid is the one-axis box: same coordinates and generators
+        for m in (1, 2, 4, 7, 100):
+            box = make_box_grid(1, m)
+            interval = make_interval_grid(m)
+            assert box.coords.tobytes() == interval.coords.tobytes(), m
+            assert [g.tobytes() for g in box.generators] == [g.tobytes() for g in interval.generators], m
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError, match="box grid would have 1030301 points"):
