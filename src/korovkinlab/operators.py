@@ -3,8 +3,8 @@
 Every built-in family is kernel-backed: the map at index n is its nodes
 plus a function that writes any block of target rows of its weights into
 a buffer it is given, so no kernel holds its whole weight matrix (a
-Bernstein kernel holds one row per distinct coordinate of each axis: on
-an interval grid, as many weights as its matrix). A sweep
+Bernstein kernel holds one row per distinct coordinate of an axis only
+where those rows fit in one row block). A sweep
 allocates one buffer for its largest row block, builds each block into it
 once and, in the same step, checks it, certifies positivity from the
 weight signs, sums its rows and multiplies it into every image, after one
@@ -35,7 +35,8 @@ WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
 # most weights a sweep may compute for one kernel: the point cap squared (2
 # GiB as float64), though a sweep holds only its node values and one buffer
-# of its largest row block (and its complex copy when a function is complex)
+# of its largest row block (and its complex copy when a function is complex,
+# and a Bernstein kernel's per-axis rows, each at most one block of weights)
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
 # under one BLAS thread, OpenBLAS's gemv (np.matmul of a block and a vector)
 # takes a block's rows in groups of this many. A sweep's row blocks start at
@@ -295,32 +296,42 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
 
 def _bernstein_product(n: int, space: CompactSpace) -> KernelOperator:
     """Coordinatewise product of 1-d Bernstein weights: each row is the
-    outer product of the grid point's per-axis rows, the last one taken
-    straight into the sweep's buffer, and the nodes are {k/n}^dim in C
-    order, matching the weight columns. Each axis's rows are computed
-    once per distinct coordinate and gathered a row block at a time."""
-    *inner, (last, last_pick) = [_distinct_pmf(n, x) for x in space.coords.T]
+    outer product of the grid point's per-axis rows, taken straight into
+    the sweep's buffer (on an interval, the one axis's rows are written
+    there), and the nodes are {k/n}^dim in C order, matching the columns."""
+    *inner, last = [_axis_rows(n, x) for x in space.coords.T]
 
     def rows(lo: int, hi: int, out: np.ndarray) -> None:
-        w = np.ones((hi - lo, 1))  # times 1.0 is exact
-        for table, pick in inner:
-            w = (w[:, :, None] * table[pick[lo:hi], None, :]).reshape(hi - lo, -1)
-        np.multiply(w[:, :, None], last[last_pick[lo:hi], None, :], out=out.reshape(hi - lo, w.shape[1], -1))
+        if not inner:
+            last(lo, hi, out)
+            return
+        w = inner[0](lo, hi)
+        for axis in inner[1:]:
+            w = (w[:, :, None] * axis(lo, hi)[:, None, :]).reshape(hi - lo, -1)
+        np.multiply(w[:, :, None], last(lo, hi)[:, None, :], out=out.reshape(hi - lo, w.shape[1], -1))
 
     nodes = product_points(np.arange(n + 1) / n, space.dim).reshape((-1,) + space.points.shape[1:])
     return KernelOperator(space, space, nodes, rows)
 
 
-def _distinct_pmf(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_binom_pmf's rows for the distinct values of x, each once, and the
-    row of each entry of x. A stable argsort brings equal bits together
-    (np.unique would map numpy's SIMD quicksort), so -0.0 has its own row."""
+def _axis_rows(n: int, x: np.ndarray) -> Callable[..., np.ndarray]:
+    """A function (lo, hi, out=None) giving _binom_pmf's rows for x[lo:hi],
+    into out if given. Where the distinct values of x have rows of at most
+    BLOCK_ENTRIES weights (a box's few coordinates per axis), each of those
+    rows is computed once and gathered; past that (an interval's
+    coordinates are all distinct), each block's rows are computed as it is
+    built, so no axis holds more than one row block. A stable argsort
+    brings equal bits together (np.unique would map numpy's SIMD
+    quicksort), so -0.0 is apart from 0.0."""
     bits = x.view(np.uint64)
     order = np.argsort(bits, kind="stable")
     new = np.r_[True, np.diff(bits[order]) != 0]
+    if np.count_nonzero(new) * (n + 1) > BLOCK_ENTRIES:
+        return lambda lo, hi, out=None: _binom_pmf(n, x[lo:hi], out=out)
     pick = np.empty_like(order)
     pick[order] = np.cumsum(new) - 1
-    return _binom_pmf(n, x[order][new]), pick
+    table = _binom_pmf(n, x[order][new])
+    return lambda lo, hi, out=None: np.take(table, pick[lo:hi], axis=0, out=out)
 
 
 def _binom_pmf(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -117,6 +117,34 @@ class TestBernstein:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"n={n}"
 
 
+    @pytest.mark.parametrize("m, n", [(100, 8), (100, 1024), (4095, 7), (4095, 8)])
+    def test_weights_match_one_pmf_call_bit_for_bit(self, m, n):
+        # held rows where (m + 1) * (n + 1) <= BLOCK_ENTRIES, rows per block past it
+        x = make_interval_grid(m).coords[:, 0]
+        want = _binom_pmf(n, x)
+        assert np.array_equal(bernstein(n, make_interval_grid(m)).weights.view(np.uint64), want.view(np.uint64))
+
+    def test_a_sweep_holds_one_row_block_on_a_large_interval(self):
+        # 4096 points at n = 1024: the weights would take 33.6 MB. A sweep
+        # holds one buffer of its largest row block (about BLOCK_ENTRIES
+        # weights, 8 bytes each) and computes each block's rows into it.
+        # The Boost extension is loaded before the trace starts
+        interval = make_interval_grid(4095)
+        f = named_function("x^2", interval)
+        f.values
+        _binom_pmf(1, interval.coords[:1, 0])
+        tracemalloc.start()
+        try:
+            op = bernstein(1024, interval)
+            op.sweep([f])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * BLOCK_ENTRIES
+        x = interval.coords[:, 0]
+        assert np.max(np.abs(op.apply(f).values - (x**2 + x * (1 - x) / 1024))) <= 1e-12
+
+
 class TestUfuncLoader:
     # Each runs in a fresh interpreter: this one has usually imported the
     # full scipy.special already, and then the loader only reuses it.
@@ -304,11 +332,32 @@ class TestTensorBernstein:
         [[0.0, 0.5, -0.0, 0.5, 1.0, 0.0], [0.25, 0.25, 0.25]],
         ids=["signed-zeros", "one-value"],
     )
-    def test_distinct_coordinates_are_told_apart_by_their_bits(self, coords):
+    def test_distinct_coordinates_are_told_apart_by_their_bits(self, coords, monkeypatch):
         x = np.array(coords)
-        table, pick = operators._distinct_pmf(5, x)
-        assert len(table) == len({v.tobytes() for v in x})
-        assert np.array_equal(table[pick].view(np.uint64), _binom_pmf(5, x).view(np.uint64))
+        sizes = []
+
+        def counted(n, v, out=None):
+            sizes.append(v.size)
+            return _binom_pmf(n, v, out=out)
+
+        monkeypatch.setattr(operators, "_binom_pmf", counted)
+        got = operators._axis_rows(5, x)(0, len(x))
+        assert sizes == [len({v.tobytes() for v in x})]
+        assert np.array_equal(got.view(np.uint64), _binom_pmf(5, x).view(np.uint64))
+
+    @pytest.mark.parametrize("p, m, n", [(2, 127, 256), (2, 100, 400)])
+    def test_axes_past_one_block_are_built_per_block_bit_for_bit(self, p, m, n):
+        # (m + 1) * (n + 1) > BLOCK_ENTRIES: each axis's rows are computed
+        # per block, not held; the first and last row blocks are checked
+        box = make_box_grid(p, m)
+        assert (m + 1) * (n + 1) > BLOCK_ENTRIES
+        op = tensor_bernstein(n, box)
+        for lo, hi in (row_blocks(box.n_points, (n + 1) ** p)[i] for i in (0, -1)):
+            want = _binom_pmf(n, box.coords[lo:hi, 0])
+            for d in range(1, p):
+                wd = _binom_pmf(n, box.coords[lo:hi, d])
+                want = np.einsum("ia,ib->iab", want, wd).reshape(hi - lo, -1)
+            assert np.array_equal(op.block(lo, hi).view(np.uint64), want.view(np.uint64))
 
 
 class TestMollifierDisc:
