@@ -116,7 +116,6 @@ class TestBernstein:
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"n={n}"
 
-
     @pytest.mark.parametrize("m, n", [(100, 8), (100, 1024), (4095, 7), (4095, 8)])
     def test_weights_match_one_pmf_call_bit_for_bit(self, m, n):
         # held rows where (m + 1) * (n + 1) <= BLOCK_ENTRIES, rows per block past it
