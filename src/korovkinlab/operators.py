@@ -3,8 +3,8 @@
 Every built-in family is kernel-backed: the map at index n is its nodes
 plus a function that writes any block of target rows of its weights into
 a buffer it is given, so no kernel holds its whole weight matrix (a
-Bernstein kernel holds one row per distinct coordinate of an axis only
-where those rows fit in one row block). A sweep
+Bernstein kernel on a box holds one row per distinct coordinate of an
+axis). A sweep
 allocates one buffer for its largest row block, builds each block into it
 once and, in the same step, checks it, certifies positivity from the
 weight signs, sums its rows and multiplies it into every image, after one
@@ -33,10 +33,11 @@ from .space import (
 # a kernel operator with all weights above this is certified positive
 WEIGHT_SIGN_TOL = -1e-14
 UNITAL_TOL = 1e-10
-# most weights a sweep may compute for one kernel: the point cap squared (2
-# GiB as float64), though a sweep holds only its node values and one buffer
-# of its largest row block (and its complex copy when a function is complex,
-# and a Bernstein kernel's per-axis rows, each at most one block of weights)
+# most weights of a kernel, checked at every kernel build: the point cap
+# squared (2 GiB as float64). A sweep holds only its node values and one
+# buffer of its largest row block (and its complex copy when a function is
+# complex); a Bernstein kernel on a box of p >= 2 axes also holds each
+# axis's rows, (m+1)(n+1) <= 2**14 values, as its ((m+1)(n+1))**p weights fit
 KERNEL_BUDGET = DEFAULT_POINT_CAP**2
 # under one BLAS thread, OpenBLAS's gemv (np.matmul of a block and a vector)
 # takes a block's rows in groups of this many. A sweep's row blocks start at
@@ -288,50 +289,44 @@ def bernstein(n: int, space: CompactSpace) -> KernelOperator:
     Weights at a grid point x are the binomial probabilities
     C(n,k) x^k (1-x)^(n-k); nodes are k/n for k = 0..n.
     """
-    if n < 1:
-        raise ValueError("bernstein index must be >= 1")
-    FAMILIES["bernstein"].check_kind(space)
+    FAMILIES["bernstein"].check_index(space, n)
     return _bernstein_product(n, space)
 
 
 def _bernstein_product(n: int, space: CompactSpace) -> KernelOperator:
     """Coordinatewise product of 1-d Bernstein weights: each row is the
     outer product of the grid point's per-axis rows, taken straight into
-    the sweep's buffer (on an interval, the one axis's rows are written
-    there), and the nodes are {k/n}^dim in C order, matching the columns."""
-    *inner, last = [_axis_rows(n, x) for x in space.coords.T]
+    the sweep's buffer, and the nodes are {k/n}^dim in C order, matching
+    the columns. One axis, whose coordinates are all distinct, computes
+    each block's rows into the buffer; a box gathers them per axis."""
+    if space.dim == 1:
+        x = space.coords[:, 0]
+        rows = lambda lo, hi, out: _binom_pmf(n, x[lo:hi], out=out)
+    else:
+        first, *middle, last = [_axis_rows(n, x) for x in space.coords.T]
 
-    def rows(lo: int, hi: int, out: np.ndarray) -> None:
-        if not inner:
-            last(lo, hi, out)
-            return
-        w = inner[0](lo, hi)
-        for axis in inner[1:]:
-            w = (w[:, :, None] * axis(lo, hi)[:, None, :]).reshape(hi - lo, -1)
-        np.multiply(w[:, :, None], last(lo, hi)[:, None, :], out=out.reshape(hi - lo, w.shape[1], -1))
+        def rows(lo: int, hi: int, out: np.ndarray) -> None:
+            w = first(lo, hi)
+            for axis in middle:
+                w = (w[:, :, None] * axis(lo, hi)[:, None, :]).reshape(hi - lo, -1)
+            np.multiply(w[:, :, None], last(lo, hi)[:, None, :], out=out.reshape(hi - lo, w.shape[1], -1))
 
     nodes = product_points(np.arange(n + 1) / n, space.dim).reshape((-1,) + space.points.shape[1:])
     return KernelOperator(space, space, nodes, rows)
 
 
-def _axis_rows(n: int, x: np.ndarray) -> Callable[..., np.ndarray]:
-    """A function (lo, hi, out=None) giving _binom_pmf's rows for x[lo:hi],
-    into out if given. Where the distinct values of x have rows of at most
-    BLOCK_ENTRIES weights (a box's few coordinates per axis), each of those
-    rows is computed once and gathered; past that (an interval's
-    coordinates are all distinct), each block's rows are computed as it is
-    built, so no axis holds more than one row block. A stable argsort
-    brings equal bits together (np.unique would map numpy's SIMD
+def _axis_rows(n: int, x: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """A function (lo, hi) giving _binom_pmf's rows for x[lo:hi], gathered
+    from one row per distinct value of x, each computed once. A stable
+    argsort brings equal bits together (np.unique would map numpy's SIMD
     quicksort), so -0.0 is apart from 0.0."""
     bits = x.view(np.uint64)
     order = np.argsort(bits, kind="stable")
     new = np.r_[True, np.diff(bits[order]) != 0]
-    if np.count_nonzero(new) * (n + 1) > BLOCK_ENTRIES:
-        return lambda lo, hi, out=None: _binom_pmf(n, x[lo:hi], out=out)
     pick = np.empty_like(order)
     pick[order] = np.cumsum(new) - 1
     table = _binom_pmf(n, x[order][new])
-    return lambda lo, hi, out=None: np.take(table, pick[lo:hi], axis=0, out=out)
+    return lambda lo, hi: np.take(table, pick[lo:hi], axis=0)
 
 
 def _binom_pmf(n: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -404,23 +399,14 @@ def _fejer_kernel(s: np.ndarray, n: int) -> np.ndarray:
     return ratio * ratio / (n + 1)
 
 
-def check_fejer_grid(n: int, m: int) -> None:
-    """Raise ValueError unless an m-point circle grid can carry fejer(n)."""
-    if m <= 2 * n + 2:
-        raise ValueError(f"circle grid with m={m} points is too coarse for n={n}; need m > 2n+2")
-
-
 def fejer(n: int, space: CompactSpace) -> KernelOperator:
     """Fejér (Cesàro-mean) convolution operator on a uniform circle grid.
 
     Requires m > 2n+2 grid points so that the trapezoidal quadrature behind
     the weights is exact for trigonometric polynomials of degree <= n+1.
     """
-    if n < 1:
-        raise ValueError("fejer index must be >= 1")
-    FAMILIES["fejer"].check_kind(space)
+    FAMILIES["fejer"].check_index(space, n)
     m = space.n_points
-    check_fejer_grid(n, m)
     theta = 2.0 * np.pi * np.arange(m) / m
     return KernelOperator(
         space,
@@ -433,17 +419,13 @@ def fejer(n: int, space: CompactSpace) -> KernelOperator:
 def tensor_bernstein(n: int, space: CompactSpace) -> KernelOperator:
     """Coordinatewise tensor product of 1-d Bernstein weights on a box grid:
     each row is the outer product of the grid point's per-axis rows."""
-    if n < 1:
-        raise ValueError("tensor_bernstein index must be >= 1")
-    FAMILIES["tensor_bernstein"].check_kind(space)
+    FAMILIES["tensor_bernstein"].check_index(space, n)
     return _bernstein_product(n, space)
 
 
 def mollifier_disc(n: int, space: CompactSpace) -> KernelOperator:
     """Equal-weight average over grid points within distance 1/n on a disc grid."""
-    if n < 1:
-        raise ValueError("mollifier index must be >= 1")
-    FAMILIES["mollifier_disc"].check_kind(space)
+    FAMILIES["mollifier_disc"].check_index(space, n)
 
     def rows(lo: int, hi: int, out: np.ndarray) -> None:
         inside = space.pairwise.within(lo, hi, 1.0 / n, out)
@@ -500,6 +482,7 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
     phi_idx = np.array(phi.phi, dtype=np.intp)
 
     def build(n: int) -> KernelOperator:
+        FAMILIES["perturbed_composition"].check_index(phi.source, n)
         e = float(eps_fn(n))
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"epsilon at index {n} is {e}, outside [0, 1]")
@@ -565,7 +548,11 @@ class FamilySpec:
             raise ValueError(f"{self.name} runs on {need} grids, not on {got} grids")
 
     def check_index(self, space: CompactSpace, n: int) -> None:
-        """Raise ValueError unless the kernel at index n exists and fits the budget."""
+        """Raise ValueError unless the kernel at index n exists: n >= 1, the
+        grid kind, the family's own rule (in ``weights``), then the budget."""
+        if n < 1:
+            raise ValueError(f"{self.name} index must be >= 1")
+        self.check_kind(space)
         count = self.weights(space, n)
         if count > KERNEL_BUDGET:
             raise ValueError(
@@ -586,8 +573,10 @@ def _bernstein_weights(space: CompactSpace, n: int) -> int:
 
 
 def _fejer_weights(space: CompactSpace, n: int) -> int:
-    check_fejer_grid(n, space.n_points)
-    return space.n_points**2
+    m = space.n_points
+    if m <= 2 * n + 2:
+        raise ValueError(f"circle grid with m={m} points is too coarse for n={n}; need m > 2n+2")
+    return m**2
 
 
 # perturbed_composition's params: phi is an index map or a named map

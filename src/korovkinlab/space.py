@@ -234,7 +234,7 @@ class CompactSpace:
         coords = np.ascontiguousarray(self.coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        if coords.ndim != 2:
+        if coords.ndim != 2 or coords.shape[1] == 0:
             raise ValueError("coords must have shape (n_points, dim)")
         if coords.shape[0] < 2:
             raise ValueError("a grid needs at least 2 points")
@@ -322,18 +322,27 @@ class CompactSpace:
         Distinct coordinates can still be at distance 0.0 when the squared
         difference underflows. When the distinct coordinates on every axis
         are more than _GAP_FLOOR apart, each pair of distinct points has a
-        gap whose square is a normal double, so every distance is positive;
-        only a grid failing that test asks a k-d tree for nearest
-        neighbours. The check builds no n x n array.
+        gap whose square is a normal double, so every distance is positive.
+        Otherwise two points at distance 0.0 differ on some axis by at most
+        _GAP_FLOOR, so there they lie in one run of sorted gaps at most
+        _GAP_FLOOR that holds a nonzero gap: every point in such a run, on
+        any axis, has its distance row checked. No n x n array is built.
         """
         gaps = np.diff(np.sort(self.coords, axis=0, kind="stable"), axis=0)
         if np.all((gaps == 0.0) | (gaps > _GAP_FLOOR)):
             return
-        from scipy.spatial import cKDTree
-
-        nearest, _ = cKDTree(self.coords).query(self.coords, k=2)
-        if nearest[:, 1].min() <= 0.0:
-            raise ValueError("distinct grid points must have positive distance")
+        suspect = np.zeros(self.n_points, dtype=bool)
+        for g, at in zip(gaps.T, np.argsort(self.coords, axis=0, kind="stable").T):
+            run = np.cumsum(g > _GAP_FLOOR)  # consecutive small gaps share a run
+            hot = np.zeros(run[-1] + 1, dtype=bool)
+            hot[run[(g > 0.0) & (g <= _GAP_FLOOR)]] = True
+            live = hot[run] & (g <= _GAP_FLOOR)
+            suspect[at[:-1][live]] = suspect[at[1:][live]] = True
+        for i in np.flatnonzero(suspect):
+            row = self.pairwise[i]
+            row[i] = np.inf
+            if row.min() <= 0.0:
+                raise ValueError("distinct grid points must have positive distance")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

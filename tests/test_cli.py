@@ -1089,6 +1089,20 @@ class TestPresets:
         assert codes == [0, 0]
         assert not {"scipy.stats", "scipy.optimize", "scipy.spatial"} & set(loaded)
 
+    def test_tiny_gap_grid_loads_no_scipy_spatial(self, tmp_path):
+        # x differs by 1e-200 between points 0 and 1, too little for the
+        # per-axis gap test: their distance rows decide, not a k-d tree
+        points = [[0.0, 0.0], [1e-200, 5.0], [1.0, 0.0], [1.0, 5.0]]
+        cfg = {
+            "version": 1,
+            "spaces": {"C": {"kind": "custom", "points": points}},
+            "spans": {"A": {"space": "C", "basis": ["const1", "coord 1", "coord 2"]}},
+        }
+        path = write_config(tmp_path, cfg)
+        codes, loaded, _ = _fresh_run([["choquet", "--config", path]], tmp_path)
+        assert codes == [0]
+        assert "scipy.spatial" not in loaded
+
     def test_bernstein_runs_skip_scipy_special_init(self, tmp_path):
         # the kernels load the compiled _ufuncs extension alone: not the
         # array-API backends and numpy.f2py of scipy/special/__init__.py, nor

@@ -118,7 +118,7 @@ class TestBernstein:
 
     @pytest.mark.parametrize("m, n", [(100, 8), (100, 1024), (4095, 7), (4095, 8)])
     def test_weights_match_one_pmf_call_bit_for_bit(self, m, n):
-        # held rows where (m + 1) * (n + 1) <= BLOCK_ENTRIES, rows per block past it
+        # each row block's rows are computed into the sweep's buffer, whatever its size
         x = make_interval_grid(m).coords[:, 0]
         want = _binom_pmf(n, x)
         assert np.array_equal(bernstein(n, make_interval_grid(m)).weights.view(np.uint64), want.view(np.uint64))
@@ -345,18 +345,29 @@ class TestTensorBernstein:
         assert np.array_equal(got.view(np.uint64), _binom_pmf(5, x).view(np.uint64))
 
     @pytest.mark.parametrize("p, m, n", [(2, 127, 256), (2, 100, 400)])
-    def test_axes_past_one_block_are_built_per_block_bit_for_bit(self, p, m, n):
-        # (m + 1) * (n + 1) > BLOCK_ENTRIES: each axis's rows are computed
-        # per block, not held; the first and last row blocks are checked
+    def test_axes_past_one_block_are_refused(self, p, m, n):
+        # an axis's rows of (m + 1) * (n + 1) > BLOCK_ENTRIES values come
+        # only with a kernel of ((m + 1) * (n + 1))**p > KERNEL_BUDGET weights
         box = make_box_grid(p, m)
         assert (m + 1) * (n + 1) > BLOCK_ENTRIES
-        op = tensor_bernstein(n, box)
-        for lo, hi in (row_blocks(box.n_points, (n + 1) ** p)[i] for i in (0, -1)):
-            want = _binom_pmf(n, box.coords[lo:hi, 0])
-            for d in range(1, p):
-                wd = _binom_pmf(n, box.coords[lo:hi, d])
-                want = np.einsum("ia,ib->iab", want, wd).reshape(hi - lo, -1)
-            assert np.array_equal(op.block(lo, hi).view(np.uint64), want.view(np.uint64))
+        with pytest.raises(ValueError, match="above the budget"):
+            tensor_bernstein(n, box)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_axis_rows_within_the_budget_fit_half_a_block(self, p):
+        spec = FAMILIES["tensor_bernstein"]
+        top = next(m for m in range(1, 200) if (m + 2) ** p > DEFAULT_POINT_CAP)
+        for m in sorted({1, 2, 3, top}):
+            box = make_box_grid(p, m)
+            n = round((KERNEL_BUDGET / box.n_points) ** (1 / p))
+            while spec.weights(box, n) > KERNEL_BUDGET:
+                n -= 1
+            while spec.weights(box, n + 1) <= KERNEL_BUDGET:
+                n += 1
+            spec.check_index(box, n)
+            with pytest.raises(ValueError, match="above the budget"):
+                spec.check_index(box, n + 1)
+            assert (m + 1) * (n + 1) <= 2**14 == BLOCK_ENTRIES // 2, (m, n)
 
 
 class TestMollifierDisc:
@@ -1209,6 +1220,41 @@ class TestRowBlocks:
 
 
 class TestFamilyTable:
+    GRIDS = {
+        "bernstein": INTERVAL,
+        "fejer": CIRCLE32,
+        "tensor_bernstein": make_box_grid(2, 3),
+        "mollifier_disc": make_disc_grid(2, 8),
+        "perturbed_composition": CIRCLE32,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_every_family_refuses_index_zero(self, name):
+        with pytest.raises(ValueError, match=f"^{name} index must be >= 1$"):
+            FAMILIES[name].build(self.GRIDS[name], {}).operator(0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_perturbed_list_schedule_refuses_indices_below_one(self, n):
+        # a list is read 1-based: index 0 would take its last value, -3 none
+        fam = FAMILIES["perturbed_composition"].build(CIRCLE32, {"eps": [0.5, 0.25]})
+        with pytest.raises(ValueError, match="^perturbed_composition index must be >= 1$"):
+            fam.operator(n)
+
+    def test_builders_refuse_a_kernel_over_the_budget(self):
+        # 9261 points at n = 40: 68 921 nodes and 6.4e8 weights, refused
+        # before the nodes are listed
+        box = make_box_grid(3, 20)
+        family = FAMILIES["tensor_bernstein"].build(box, {})
+        for build in (lambda n: tensor_bernstein(n, box), family.operator):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="^the kernel at index 40 would hold 638277381 weights, above"):
+                    build(40)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < BLOCK_ENTRIES
+
     def test_kernel_builders_refuse_the_wrong_grid_kind(self):
         for name, grid in (
             ("bernstein", CIRCLE32),

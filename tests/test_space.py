@@ -319,7 +319,7 @@ class TestMetricInvariants:
             make_custom_space([[0.0], [1e-200]])
 
     def test_tiny_gap_on_one_axis_is_accepted(self):
-        # x differs by an underflowing amount, y by 5: the k-d tree decides
+        # x differs by an underflowing amount, y by 5: the two points' distance rows decide
         grid = make_custom_space([[0.0, 0.0], [1e-200, 5.0]])
         assert grid.pairwise[0][1] == 5.0
 
@@ -345,6 +345,10 @@ class TestMetricInvariants:
         pts = [[0.0, 0.0], [1e-200, 1e-200], [5e-201, 5.0], [5.0, 5e-201]]
         with pytest.raises(ValueError, match="positive distance"):
             make_custom_space(pts)
+
+    def test_zero_axis_coordinates_are_refused(self):
+        with pytest.raises(ValueError, match=r"^coords must have shape \(n_points, dim\)$"):
+            make_custom_space([[], []])
 
     def test_underflowing_distance_rejected_above_pairwise_limit(self):
         # 4097 points: the nearest-neighbour check still sees the pair
