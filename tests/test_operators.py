@@ -345,6 +345,22 @@ class TestTensorBernstein:
         assert np.array_equal(got.view(np.uint64), _binom_pmf(5, x).view(np.uint64))
 
     @pytest.mark.parametrize("p, m, n", [(2, 127, 256), (2, 100, 400)])
+    def test_axes_past_one_block_are_built_per_block_bit_for_bit(self, p, m, n):
+        # (m + 1) * (n + 1) > BLOCK_ENTRIES: tensor_bernstein refuses these
+        # kernels (below), but the product builder behind it still gathers
+        # each row block from per-axis tables past one block; the first and
+        # last row blocks are checked
+        box = make_box_grid(p, m)
+        assert (m + 1) * (n + 1) > BLOCK_ENTRIES
+        op = operators._bernstein_product(n, box)
+        for lo, hi in (row_blocks(box.n_points, (n + 1) ** p)[i] for i in (0, -1)):
+            want = _binom_pmf(n, box.coords[lo:hi, 0])
+            for d in range(1, p):
+                wd = _binom_pmf(n, box.coords[lo:hi, d])
+                want = np.einsum("ia,ib->iab", want, wd).reshape(hi - lo, -1)
+            assert np.array_equal(op.block(lo, hi).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("p, m, n", [(2, 127, 256), (2, 100, 400)])
     def test_axes_past_one_block_are_refused(self, p, m, n):
         # an axis's rows of (m + 1) * (n + 1) > BLOCK_ENTRIES values come
         # only with a kernel of ((m + 1) * (n + 1))**p > KERNEL_BUDGET weights
