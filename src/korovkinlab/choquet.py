@@ -21,10 +21,10 @@ cutting planes at violators (Kelley's method), so acceptances are verified
 and rejections are certified by a relaxation's optimum. The candidate never
 rejects.
 
-A boundary scan solves one point per orbit of the grid symmetries that
-preserve the span, and moves each Boundary verdict along the orbit as a
-certificate re-verified where it lands (Bödi, Herr & Joswig, Math.
-Program. 137, 2013). A rejection is never moved. The factory grids'
+A boundary scan walks each orbit of the grid symmetries that preserve the
+span once, solving its first point and moving each Boundary verdict along
+the walk as a certificate re-verified where it lands (Bödi, Herr & Joswig,
+Math. Program. 137, 2013). A rejection is never moved. The factory grids'
 symmetries are isometries, so there a margin is constant on an orbit.
 """
 
@@ -372,34 +372,6 @@ def _accepted_generators(span: FunctionSpan) -> list[tuple[np.ndarray, np.ndarra
     return out
 
 
-def _orbit_tree(n: int, gens: list[np.ndarray]) -> tuple[list[int], list[int], list[int]]:
-    """Breadth-first trees of the orbits under the generators.
-
-    Returns (parent, via, order): point i = gens[via[i]][parent[i]], parent
-    -1 marks an orbit's representative (its smallest index), and `order`
-    lists each orbit from its representative, parents first.
-    """
-    parent = [-1] * n
-    via = [-1] * n
-    seen = [False] * n
-    order: list[int] = []
-    maps = [g.tolist() for g in gens]
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        orbit = [root]
-        for u in orbit:  # grows while it is walked
-            for j, g in enumerate(maps):
-                v = g[u]
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v], via[v] = u, j
-                    orbit.append(v)
-        order.extend(orbit)
-    return parent, via, order
-
-
 def _recheck(span: FunctionSpan, i: int, d: np.ndarray, coeffs, r: float) -> PeakCertificate | None:
     """The certificate of `coeffs` peaking at point i outside radius r, with
     its exact margin on i's distance row d, when that clears DELTA_MIN and re-verifies."""
@@ -452,27 +424,34 @@ def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -
     (so no smaller radius admits a peak either), and
     Indeterminate when the solver failed.
 
-    Points are scanned one orbit at a time under the grid symmetries that
-    preserve the span. Each orbit's representative is solved directly; a
-    Boundary verdict moves along the orbit as a certificate re-verified
-    at its new point. A point whose moved certificate fails, or whose
-    parent in the orbit's walk is not Boundary, is solved directly, so
-    every rejection rests on the point's own relaxation optimum. On the
-    factory grids, whose symmetries are isometries, margins are constant
-    on an orbit.
+    Points are taken in index order. A point with no result yet is solved
+    directly, and its orbit under the grid symmetries that preserve the
+    span is walked breadth first, each point classified when first
+    reached: a Boundary verdict moves from the point that reached it as a
+    certificate re-verified at its new point. A point whose moved
+    certificate fails, or whose reaching point is not Boundary, is solved
+    directly, so every rejection rests on the point's own relaxation
+    optimum. On the factory grids, whose symmetries are isometries,
+    margins are constant on an orbit.
     """
     if not span.unital:
         raise ValueError("peak search needs a unital span")
     if not span.separating:
         raise ValueError("peak search needs a separating span")
     r = scan_radius(span.space, radius)
-    moves = _accepted_generators(span)
-    parent, via, order = _orbit_tree(span.space.n_points, [g for g, _ in moves])
+    moves = [(g.tolist(), g, m) for g, m in _accepted_generators(span)]
     results: list[PointClassification | None] = [None] * span.space.n_points
-    for i in order:
-        p = parent[i]
-        moved = None
-        if p >= 0 and results[p].label is Classification.BOUNDARY:
-            moved = _move_verdict(span, results[p], *moves[via[i]])
-        results[i] = moved or _scan_point(span, i, r)
+    for root in range(len(results)):
+        if results[root] is not None:
+            continue
+        results[root] = _scan_point(span, root, r)
+        orbit = [root]
+        for u in orbit:  # grows while it is walked
+            for image, g, m in moves:
+                i = image[u]
+                if results[i] is None:
+                    known = results[u]
+                    moved = known.label is Classification.BOUNDARY and _move_verdict(span, known, g, m)
+                    results[i] = moved or _scan_point(span, i, r)
+                    orbit.append(i)
     return BoundaryEstimate(span=span, points=tuple(results), radius=r)

@@ -12,6 +12,7 @@ configuration and words its first failure as jsonschema does.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -303,8 +304,15 @@ def load_config(path) -> dict:
     def refuse(name):  # JSON has no NaN or Infinity, although json.loads reads them
         raise ConfigError(f"config file {p} is not valid JSON: {name} is not a JSON value")
 
+    def fits(text, kind=float):  # every number must fit a double; float() has no digit limit
+        if math.isinf(float(text)):
+            shown = text if len(text) <= 24 else f"{text[:16]}... ({len(text)} characters)"
+            raise ConfigError(f"config file {p}: number {shown} does not fit a double")
+        return kind(text)
+
+    hooks = {"parse_constant": refuse, "parse_float": fits, "parse_int": lambda t: fits(t, int)}
     try:
-        return validate_config(json.loads(p.read_text(encoding="utf-8"), parse_constant=refuse))
+        return validate_config(json.loads(p.read_text(encoding="utf-8"), **hooks))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from None
     except RecursionError:  # parsing, or checking a value nested just under the parser's limit

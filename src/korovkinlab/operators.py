@@ -443,7 +443,8 @@ def averaging_operator(space: CompactSpace) -> KernelOperator:
 
 def eps_schedule(spec) -> Callable[[int], float]:
     """Normalize an epsilon schedule, "1/n", "1/n^2" or a list (1-based by
-    index, clamped at the end), to a function of the index."""
+    index, clamped at the end, each entry in [0, 1]), to a function of the
+    index."""
     if isinstance(spec, str):
         if spec == "1/n":
             return lambda n: 1.0 / n
@@ -455,6 +456,9 @@ def eps_schedule(spec) -> Callable[[int], float]:
     seq = [float(v) for v in spec]
     if not seq:
         raise ValueError("epsilon schedule list must be nonempty")
+    for k, e in enumerate(seq, 1):
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"epsilon at index {k} is {e}, outside [0, 1]")
 
     def from_list(n: int) -> float:
         return seq[min(n, len(seq)) - 1]
@@ -470,6 +474,7 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
     Its nodes must be the grid's points, so T_n's kernel is N x N: the mix
     weights scaled by eps_n, plus 1 - eps_n at each (y, phi(y)).
     """
+    eps_fn = eps_schedule(eps)
     if mix.source is not phi.source or mix.target is not phi.target:
         raise ValueError("mix operator must share the composition map's spaces")
     if not np.array_equal(mix.nodes, phi.source.points):
@@ -478,14 +483,11 @@ def perturbed_composition(phi: CompositionIsometry, mix: KernelOperator, eps) ->
         raise ValueError("mix operator must have nonnegative weights")
     if np.max(np.abs(mix.t_one_values - 1.0)) > UNITAL_TOL:
         raise ValueError("mix operator must be unital")
-    eps_fn = eps_schedule(eps)
     phi_idx = np.array(phi.phi, dtype=np.intp)
 
     def build(n: int) -> KernelOperator:
         FAMILIES["perturbed_composition"].check_index(phi.source, n)
-        e = float(eps_fn(n))
-        if not 0.0 <= e <= 1.0:
-            raise ValueError(f"epsilon at index {n} is {e}, outside [0, 1]")
+        e = eps_fn(n)
 
         def rows(lo: int, hi: int, out: np.ndarray) -> None:
             mix.block(lo, hi, out)

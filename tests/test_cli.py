@@ -328,6 +328,46 @@ class TestKorovkinRun:
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
+        "where, literal, command",
+        [
+            ("family.tamper.value", "1e309", "korovkin"),
+            ("family.tamper.value", "-1" + "0" * 400, "korovkin"),
+            ("experiment.choquet.radius", "1" + "0" * 400, "korovkin"),
+            ("experiment.choquet.radius", "1" + "0" * 400, "choquet"),
+            ("spaces.I.points.2.0", "1" + "0" * 400, "korovkin"),
+            ("spaces.I.points.2.0", "1" + "0" * 400, "choquet"),
+            ("family.params.eps.1", "1" + "0" * 400, "korovkin"),
+            ("spaces.I.m", "1" * 5000, "korovkin"),
+            ("spaces.I.m", "1" * 5000, "choquet"),
+            ("experiment.seed", "1" + "0" * 400, "korovkin"),
+            ("experiment.tolerances.abs_threshold", "1" + "0" * 400, "korovkin"),
+        ],
+        ids=lambda v: v if len(v) < 40 else f"{len(v)}_characters",
+    )
+    def test_number_beyond_a_double_exit_1(self, tmp_path, capsys, where, literal, command):
+        # json.loads reads 1e309 as inf and an integer of any size, and
+        # Python refuses to read an integer of more than 4300 digits
+        cfg = get_preset("example41_bernstein")
+        cfg["family"]["tamper"] = {"target_index": 0, "node_index": 0, "value": 0.5}
+        cfg["experiment"].update(choquet={"radius": 0.5}, seed=1, tolerances={"abs_threshold": 0.05})
+        if ".points." in where or ".eps." in where:
+            cfg["spaces"]["I"] = {"kind": "custom", "field": "real", "points": [[0.0], [0.5], [1.0]]}
+            cfg["family"] = {"name": "perturbed_composition", "space": "I", "params": {"eps": [0.5, 0.5]}}
+            cfg["experiment"]["indices"] = [1, 2]
+        *keys, last = where.split(".")
+        holder = cfg
+        for key in keys:
+            holder = holder[int(key) if isinstance(holder, list) else key]
+        holder[int(last) if isinstance(holder, list) else last] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@"', literal))
+        argv = ("korovkin", "run") if command == "korovkin" else ("choquet",)
+        assert run_cli(*argv, "--config", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path}: number {literal[:16]}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "exc, message",
         [
             (

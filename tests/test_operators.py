@@ -467,10 +467,10 @@ class TestPerturbedComposition:
 
     def test_epsilon_out_of_range(self):
         space = make_circle_grid(16)
-        fam = perturbed_composition(
-            rotation_isometry(space, 1), averaging_operator(space), [1.5]
-        )
         with pytest.raises(ValueError):
+            fam = perturbed_composition(
+                rotation_isometry(space, 1), averaging_operator(space), [1.5]
+            )
             fam.operator(2)
 
     def test_kernel_is_the_merged_two_block_kernel_bit_for_bit(self):

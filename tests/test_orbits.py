@@ -75,6 +75,9 @@ def test_orbit_scan_matches_full_scan(span):
     full = estimate_choquet_boundary(same_points_without_symmetry(span))
     assert [p.label for p in est.points] == [p.label for p in full.points]
     assert all(p.source == p.index for p in full.points)
+    # a moved verdict traces back to its orbit's representative
+    assert all(p.source <= p.index for p in est.points)
+    assert all(est.points[p.source].source == p.source for p in est.points)
 
     moves = choquet._accepted_generators(span)
     boundary = set(est.boundary_point_set().indices)
@@ -202,6 +205,7 @@ class TestMovedVerdicts:
         est = estimate_choquet_boundary(span)
         assert len(moved) == 5 and all(m is None for m in moved)
         assert set(range(11)) <= set(searches)
+        assert len(searches) == len(set(searches))  # no point is searched twice
         assert [p.source for p in est.points] == list(range(11))
         assert est.counts()["Boundary"] == 11
 
