@@ -49,8 +49,8 @@ _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
-# box on every LP coefficient variable; certificates are re-verified, but an
-# infeasibility verdict is relative to this box
+# box on the separation LP's coefficient variables (see `lemma_b_feasible`);
+# an infeasibility verdict there is relative to it
 COEFF_BOUND = 1e6
 # rows in the peak LP's starting working set, and the cap on its rounds
 _ROW_BUDGET = 256
@@ -191,9 +191,12 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     is its exact margin: a certified lower bound on the best margin, found
     once the loop clears DELTA_MIN, not the best margin itself. For a
     rejection it is the LP optimum over the working set; that LP is a
-    relaxation, so a value below DELTA_MIN certifies infeasibility.
+    relaxation whose box holds every peak function (`_coefficient_box`),
+    so a value below DELTA_MIN certifies infeasibility.
 
-    A constraint at point y and phase phi reads Re(e^{-i phi} h(y)) <= 1,
+    The LP solves for the coefficients of the basis scaled to unit
+    columns, read back into the user's basis before any check. A
+    constraint at point y and phase phi reads Re(e^{-i phi} h(y)) <= 1,
     minus the margin where y is farther than r from x0; a real span only
     needs the phases {0, pi}. The working set starts as a polygon of
     _START_PHASES phases (or {0, pi}) at grid points spread by distance
@@ -213,6 +216,8 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
 
     k = b_mat.shape[1]
     field = span.space.field
+    norms = span.factors[2]
+    a_mat = b_mat / norms  # h = a_mat @ x for coefficients c = x / norms
     far = d >= r
     others = np.argsort(d, kind="stable")
     others = others[others != x0]
@@ -227,18 +232,19 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     cut_phase = np.tile(phases, start.size)
 
     def rows(y, phase):
-        g = np.exp(-1j * phase)[:, None] * b_mat[y]
+        g = np.exp(-1j * phase)[:, None] * a_mat[y]
         return np.column_stack([_lp_rows(g, field), far[y]])
 
     # Re h(x0) = 1, and Im h(x0) = Re(-i h(x0)) = 0 on a complex grid
-    b0 = b_mat[x0]
-    pins = np.array([b0, -1j * b0] if field is Field.COMPLEX else [b0])
+    a0 = a_mat[x0]
+    pins = np.array([a0, -1j * a0] if field is Field.COMPLEX else [a0])
     a_eq = np.column_stack([_lp_rows(pins, field), np.zeros(len(pins))])
     b_eq = [1.0, 0.0][: len(pins)]
     n_var = a_eq.shape[1]
     obj = np.zeros(n_var)
     obj[-1] = -1.0
-    bounds = [(-COEFF_BOUND, COEFF_BOUND)] * (n_var - 1) + [(-4.0, 1.0)]
+    box = np.tile(_coefficient_box(span), n_var // k)  # Re x and Im x on a complex grid
+    bounds = [*zip(-box, box), (-4.0, 1.0)]
 
     for _ in range(_MAX_ROUNDS):
         a_ub = rows(cut_y, cut_phase)
@@ -248,12 +254,12 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
         delta_lp = float(res.x[-1])
         if delta_lp < DELTA_MIN:
             return None, delta_lp
-        coeffs = _lp_coeffs(res.x, k, field)
+        coeffs = _lp_coeffs(res.x, k, field) / norms
         h = b_mat @ coeffs
         pin = h[x0]
         if abs(pin - 1.0) > PEAK_TOL:
             if abs(pin) < 0.5:
-                raise SolverError(f"peak pin drifted to {pin!r} at point {x0}")
+                raise SolverError(f"peak pin drifted to {pin} at point {x0}")
             coeffs = coeffs / pin
             h = b_mat @ coeffs
         cert = _recheck(span, x0, d, coeffs, r)
@@ -272,6 +278,14 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     raise SolverError(
         f"peak search at point {x0} (radius {r}) did not settle in {_MAX_ROUNDS} rounds"
     )
+
+
+def _coefficient_box(span: FunctionSpan) -> np.ndarray:
+    """Bounds on the peak LP's variables x, h = (B / norms) x, that cut off
+    no peak function: with q = (B / norms) t orthonormal (`gram_schmidt`),
+    x = t q^H h, and ||q^H h||_2 = ||h||_2 <= sqrt(N) when |h| <= 1 on the
+    grid. So |x_i| <= sqrt(N) ||t[i, :]||_2, times 1 + 1e-6 for rounding."""
+    return np.sqrt(span.space.n_points * np.sum(np.abs(span.factors[1]) ** 2, axis=1)) * (1.0 + 1e-6)
 
 
 def verify_peak_certificate(span: FunctionSpan, cert: PeakCertificate) -> tuple[bool, str]:
@@ -308,7 +322,9 @@ def lemma_b_feasible(
 
     Searches the span for f with Re f <= 0 on the grid, Re f <= -beta off
     the neighborhood u_set, and Re f(x0) >= -alpha. Returns a re-verified
-    certificate, or None when the LP proves the system infeasible.
+    certificate, or None when the LP proves the system infeasible within
+    COEFF_BOUND: unlike a peak function, such an f is not bounded on the
+    grid, so no theorem bounds its coefficients.
     """
     if not 0 < alpha < beta:
         raise ValueError("need 0 < alpha < beta")

@@ -10,10 +10,11 @@ accept a single point. The sampled value vector over the grid is computed
 lazily and cached on the function.
 
 Every least-squares question about a span, `FunctionSpan.fit`, is answered
-from one cached SVD of its value matrix. Span membership (and the unital /
-self-conjugate flags derived from it) is a fit's residual within a fixed
-tolerance; point separation uses a tolerance well below any grid spacing
-used here.
+from one cached Gram–Schmidt basis of its value matrix's columns, each
+scaled to unit length first, so the rank test does not depend on the
+basis' units. Span membership (and the unital / self-conjugate flags
+derived from it) is a fit's residual within a fixed tolerance; point
+separation uses a tolerance well below any grid spacing used here.
 """
 
 from __future__ import annotations
@@ -179,16 +180,15 @@ class FunctionSpan:
         return m
 
     @cached_property
-    def _solver(self) -> np.ndarray:
-        """The k x N least-squares solver of value_matrix from one SVD; as in
-        numpy's default, singular values up to eps * max(N, k) * s_max count as 0."""
-        u, s, vh = np.linalg.svd(self.value_matrix, full_matrices=False)
-        keep = s > np.finfo(float).eps * max(self.value_matrix.shape) * s[0]
-        return (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`gram_schmidt(value_matrix)`, computed once per span."""
+        return gram_schmidt(self.value_matrix)
 
     def fit(self, values) -> tuple[np.ndarray, float]:
-        """Least-squares coefficients of values, (N,) or (N, m), and the max-abs residual."""
-        coeffs = self._solver @ values
+        """Least-squares coefficients of values, (N,) or (N, m), and the
+        max-abs residual; a dependent basis member gets coefficient 0."""
+        q, t, norms = self.factors
+        coeffs = (t / norms[:, None]) @ (q.conj().T @ values)
         return coeffs, float(np.max(np.abs(self.value_matrix @ coeffs - values)))
 
     def contains_values(self, target_values) -> bool:
@@ -205,6 +205,33 @@ class FunctionSpan:
     @cached_property
     def separating(self) -> bool:
         return separates_points(self)[0]
+
+
+def gram_schmidt(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, t, norms) with (b / norms) @ t = q, by classical Gram–Schmidt run
+    twice per column on b's columns scaled to unit 2-norm (Giraud, Langou,
+    Rozložník & van den Eshof, Numer. Math. 101, 2005). q's columns are
+    orthonormal to working precision, except at a dependent column, one
+    whose remainder is at most eps * max(N, k): there q's column and t's
+    row and column are zero.
+    """
+    n, k = b.shape
+    norms = np.hypot.reduce(np.abs(b), axis=0)  # no overflow in the squares
+    norms[norms == 0.0] = 1.0  # a zero column is dependent
+    a = b / norms
+    q = np.zeros_like(a)
+    t = np.zeros((k, k), dtype=a.dtype)
+    for j in range(k):
+        v, c = a[:, j], np.zeros(k, dtype=a.dtype)
+        for _ in range(2):
+            proj = q.conj().T @ v
+            v = v - q @ proj
+            c += proj
+        rho = float(np.sqrt(np.vdot(v, v).real))
+        if rho > np.finfo(float).eps * max(n, k):
+            q[:, j] = v / rho
+            t[:, j] = ((np.arange(k) == j) - t @ c) / rho  # v = a @ (e_j - t @ c)
+    return q, t, norms
 
 
 def separates_points(span: FunctionSpan) -> tuple[bool, tuple[int, int] | None]:

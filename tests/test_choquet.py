@@ -1,4 +1,5 @@
 import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,69 @@ def _count_lps(monkeypatch) -> list:
 
     monkeypatch.setattr(choquet_mod, "linprog", counting_linprog)
     return calls
+
+
+def _stub_scaled_lp(monkeypatch, factor) -> list:
+    """Stub `choquet.linprog` to return HiGHS's solution with its span
+    coefficients times `factor`, so that the pin h(x0) reads `factor`;
+    record each pin the stub hands back."""
+    import korovkinlab.choquet as choquet_mod
+
+    pins = []
+    real_linprog = choquet_mod.linprog
+
+    def scaled(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kw):
+        res = real_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kw)
+        if res.status == 0:
+            res.x = np.r_[res.x[:-1] * factor, res.x[-1]]
+            pins.append(float(A_eq[0] @ res.x))
+        return res
+
+    monkeypatch.setattr(choquet_mod, "linprog", scaled)
+    return pins
+
+
+# {1, x} holds no d(., x0)^2: the candidate is refused and the LP decides,
+# at the endpoints (Boundary) and inside (NotDetected)
+INTERVAL_11 = make_interval_grid(10)
+AFFINE_11 = FunctionSpan(tuple(named_function(n, INTERVAL_11) for n in ("const1", "x")))
+
+
+class TestPeakPinRecovery:
+    def test_a_drifted_pin_is_renormalized_and_certifies(self, monkeypatch):
+        pins = _stub_scaled_lp(monkeypatch, 0.8)
+        cert, delta = _peak_search(AFFINE_11, 0, 0.2)
+        assert pins and all(abs(p - 0.8) < 1e-12 for p in pins)  # off by far more than PEAK_TOL
+        assert cert is not None and delta == cert.margin >= 1e-6
+        ok, why = verify_peak_certificate(AFFINE_11, cert)
+        assert ok, why
+
+    def test_a_pin_below_one_half_is_indeterminate(self, monkeypatch, tmp_path, capsys):
+        import json
+
+        from korovkinlab.cli import main
+
+        pins = _stub_scaled_lp(monkeypatch, 0.25)
+        est = estimate_choquet_boundary(AFFINE_11, 0.2)
+        assert pins
+        ends = [est.points[0], est.points[-1]]
+        assert all(p.label is Classification.INDETERMINATE for p in ends)
+        for p in ends:
+            assert re.fullmatch(rf"peak pin drifted to 0\.2[0-9]* at point {p.index}", p.note)
+        assert {p.label for p in est.points[1:-1]} == {Classification.NOT_DETECTED}
+        # the command still exits 0 and writes every label, with no error line
+        cfg = {
+            "version": 1,
+            "spaces": {"I": {"kind": "interval", "m": 10}},
+            "spans": {"A": {"space": "I", "basis": ["const1", "x"]}},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["choquet", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "choquet.csv") as fh:
+            labels = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
+        assert labels == ["Indeterminate"] + ["NotDetected"] * 9 + ["Indeterminate"]
 
 
 class TestWorkingSetLoop:

@@ -739,11 +739,6 @@ def test_custom_grid_with_overflowing_distances_exit_1(tmp_path, capsys):
 
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the peak LP's coefficient box and lstsq's relative rank cut-off depend on the "
-    "basis' scale: at spacing 5e-11 every point is labelled NotDetected, with exit 0",
-)
 def test_quadratic_span_on_a_tiny_grid_is_all_boundary(tmp_path, capsys):
     # at spacing 0.05 the same span labels all 21 points Boundary
     cfg = {
@@ -758,11 +753,6 @@ def test_quadratic_span_on_a_tiny_grid_is_all_boundary(tmp_path, capsys):
     assert labels == ["Boundary"] * 21
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the least-squares fit's rank cut-off is relative to the largest singular value: "
-    "on points of size 1e20 it drops the constant, and {1, x} is called non-unital",
-)
 def test_affine_span_on_a_huge_grid_is_scanned(tmp_path, capsys):
     # the points [0, 1e7, -1e7] give these labels
     cfg = {
@@ -775,6 +765,35 @@ def test_affine_span_on_a_huge_grid_is_scanned(tmp_path, capsys):
     with open(tmp_path / "choquet.csv", newline="") as fh:
         labels = [row["classification"] for row in csv.DictReader(fh)]
     assert labels == ["NotDetected", "Boundary", "Boundary"]
+
+
+def _spaced_grid_labels(tmp_path, spacing, basis):
+    cfg = {
+        "version": 1,
+        "spaces": {"C": {"kind": "custom", "points": [k * spacing for k in range(21)]}},
+        "spans": {"S": {"space": "C", "basis": ["const1", "x", basis]}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert run_cli("choquet", "--config", path, "--out", str(tmp_path)) == 0
+    with open(tmp_path / "choquet.csv", newline="") as fh:
+        return [row["classification"] for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("basis", ["x^2", "x^3"])
+def test_spans_on_a_widely_spaced_grid_are_all_boundary(tmp_path, basis):
+    # spacing 1 gives these labels; x^3 holds no d(., x0)^2, so its points
+    # go to the peak LP, whose box follows the scaled basis
+    assert _spaced_grid_labels(tmp_path, 1.0, basis) == ["Boundary"] * 21
+    assert _spaced_grid_labels(tmp_path, 1e9, basis) == ["Boundary"] * 21
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="SEPARATION_TOL is absolute: values 1e-12 apart count as equal, so the span "
+    "is refused as not separating",
+)
+def test_quadratic_span_on_a_finely_spaced_grid_is_all_boundary(tmp_path):
+    assert _spaced_grid_labels(tmp_path, 1e-12, "x^2") == ["Boundary"] * 21
 
 
 @pytest.mark.parametrize(
@@ -1015,17 +1034,23 @@ class TestPresets:
         assert _sha256((out / "report.csv").read_bytes()) == reference["report_sha256"]
         assert counts == {**reference["labels"], "Indeterminate": 0}
 
-    @pytest.mark.parametrize("name", sorted(preset_names()))
-    def test_every_scan_fits_by_one_svd_per_span(self, name, tmp_path, monkeypatch):
-        calls = Counter()
-        for fn in ("lstsq", "svd"):
+    @pytest.mark.parametrize("name", [*sorted(preset_names()), "disc_preset", "tensor_convergence"])
+    def test_scans_call_no_lapack_and_factor_each_span_once(self, name, tmp_path, monkeypatch):
+        # each preset under both commands, and the benchmark's gated runs
+        import korovkinlab.functions as functions
+
+        lapack = Counter()
+        for fn in ("svd", "lstsq", "qr", "solve", "pinv", "inv", "eig"):
             real = getattr(np.linalg, fn)
 
             def counted(*args, _real=real, _fn=fn, **kwargs):
-                calls[_fn] += 1
+                lapack[_fn] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, fn, counted)
+        factored = []
+        real_factor = functions.gram_schmidt
+        monkeypatch.setattr(functions, "gram_schmidt", lambda b: factored.append(b) or real_factor(b))
         scanned = []
         real_generators = choquet._accepted_generators  # called once per scan
 
@@ -1034,12 +1059,17 @@ class TestPresets:
             return real_generators(span)
 
         monkeypatch.setattr(choquet, "_accepted_generators", recording)
-        for command in (("korovkin", "run"), ("choquet",)):
-            calls.clear()
+        if name in preset_names():
+            runs = [(*command, "--preset", name) for command in (("korovkin", "run"), ("choquet",))]
+        else:
+            wl = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["generate"](name, 1)
+            runs = [(*wl.argv, "--config", write_config(tmp_path, wl.config))]
+        for argv in runs:
+            factored.clear()
             scanned.clear()
-            assert run_cli(*command, "--preset", name, "--out", str(tmp_path)) == 0
-            assert scanned and calls["lstsq"] == 0
-            assert calls["svd"] == len({id(span) for span in scanned})
+            assert run_cli(*argv, "--out", str(tmp_path)) == 0
+            assert scanned and not lapack
+            assert len(factored) == len({id(span) for span in scanned})
 
     def test_expected_preset_names(self):
         assert set(preset_names()) == {

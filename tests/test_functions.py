@@ -25,7 +25,10 @@ from korovkinlab import (
     span_union,
     sup_norm,
 )
-from korovkinlab.functions import SEPARATION_TOL, default_probe_names
+from korovkinlab.choquet import _coefficient_box, estimate_choquet_boundary
+from korovkinlab.config import build_spaces, build_spans
+from korovkinlab.functions import MEMBERSHIP_TOL, SEPARATION_TOL, default_probe_names
+from korovkinlab.presets import get_preset, preset_names
 from korovkinlab.space import rows_by_bound
 
 GRID5 = make_interval_grid(4)
@@ -307,3 +310,74 @@ class TestSpanUnion:
         b = FunctionSpan((named_function("const1", other),))
         with pytest.raises(ValueError):
             span_union(a, b)
+
+
+def _random_matrix(rng, n, k, cplx):
+    b = rng.normal(size=(n, k))
+    return b + 1j * rng.normal(size=(n, k)) if cplx else b
+
+
+def _span_of_columns(b):
+    # complex points make a complex-field grid
+    g = make_custom_space(np.arange(len(b)) * (1j if np.iscomplexobj(b) else 1.0))
+    return FunctionSpan(tuple(function_from_values(g, col, name=f"b{j}") for j, col in enumerate(b.T)))
+
+
+class TestGramSchmidt:
+    """`FunctionSpan.fit` from `gram_schmidt`, with LAPACK as the oracle."""
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n, k", [(3, 3), (20, 4), (257, 4), (1000, 9)])
+    def test_full_rank_fits_agree_with_lstsq(self, n, k, cplx):
+        rng = np.random.default_rng(n * k + cplx)
+        b = _random_matrix(rng, n, k, cplx)
+        y = _random_matrix(rng, n, 3, cplx)
+        coeffs, residual = _span_of_columns(b).fit(y)
+        expected, *_ = np.linalg.lstsq(b, y, rcond=None)
+        np.testing.assert_allclose(coeffs, expected, rtol=1e-12, atol=0)
+        assert residual == pytest.approx(np.max(np.abs(b @ expected - y)), rel=1e-9)
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    def test_a_planted_dependent_column_gets_coefficient_zero(self, cplx):
+        b = _random_matrix(np.random.default_rng(3), 40, 3, cplx)
+        b = np.column_stack([b[:, 0], b[:, 0] - 2.5 * b[:, 1], b[:, 1], b[:, 2]])
+        span = _span_of_columns(b)
+        q, t, _ = span.factors
+        assert not q[:, 2].any() and not t[2].any() and not t[:, 2].any()
+        coeffs, residual = span.fit(b)
+        assert not coeffs[2].any()
+        assert residual <= MEMBERSHIP_TOL
+        assert all(span.contains_values(col) for col in b.T)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_scaled_columns_keep_rank_and_residual(self, scale):
+        rng = np.random.default_rng(7)
+        b = _random_matrix(rng, 30, 3, False)
+        b = np.column_stack([b, b[:, 0] + b[:, 1]])
+        y = b @ [1.0, -2.0, 0.5, 0.0] + 1e-3 * rng.normal(size=30)
+        scaled = b * [1.0, scale, 1.0 / scale, scale]
+        plain, tiny = _span_of_columns(b), _span_of_columns(scaled)
+        rank = [np.count_nonzero(np.diag(s.factors[1])) for s in (plain, tiny)]
+        assert rank == [3, 3]
+        (c0, r0), (c1, r1) = plain.fit(y), tiny.fit(y)
+        assert r1 == pytest.approx(r0, rel=1e-9)
+        assert r0 > MEMBERSHIP_TOL  # y is off the span
+
+    @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n, k", [(257, 4), (4097, 8)])
+    def test_columns_are_orthonormal(self, n, k, cplx):
+        q, _, _ = _span_of_columns(_random_matrix(np.random.default_rng(k), n, k, cplx)).factors
+        assert np.max(np.abs(q.conj().T @ q - np.eye(k))) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(preset_names()))
+    def test_preset_certificates_lie_inside_the_lp_box(self, name):
+        # in the peak LP's coordinates x = c * norms, with its box
+        cfg = get_preset(name)
+        (span,) = build_spans(cfg, build_spaces(cfg)).values()
+        est = estimate_choquet_boundary(span)
+        norms, box = span.factors[2], _coefficient_box(span)
+        certs = [p.certificate for p in est.points if p.certificate is not None]
+        assert certs
+        for cert in certs:
+            x = np.asarray(cert.coeffs) * norms
+            assert np.all(np.maximum(np.abs(x.real), np.abs(x.imag)) <= box)
