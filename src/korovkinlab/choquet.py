@@ -192,7 +192,10 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     once the loop clears DELTA_MIN, not the best margin itself. For a
     rejection it is the LP optimum over the working set; that LP is a
     relaxation whose box holds every peak function (`_coefficient_box`),
-    so a value below DELTA_MIN certifies infeasibility.
+    so a value below DELTA_MIN certifies infeasibility. The LP itself is
+    feasible by construction: on a unital span h = 1 with margin 0 meets
+    every row inside the box. So any answer but an optimum is a backend
+    fault and raises SolverError, as does a run past _MAX_ROUNDS.
 
     The LP solves for the coefficients of the basis scaled to unit
     columns, read back into the user's basis before any check. A
@@ -250,7 +253,7 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
         a_ub = rows(cut_y, cut_phase)
         res = _solve(obj, a_ub, np.ones(a_ub.shape[0]), a_eq, b_eq, bounds)
         if res.status != 0:
-            return None, -np.inf
+            raise SolverError(f"peak LP at point {x0} returned status {res.status}: {res.message}")
         delta_lp = float(res.x[-1])
         if delta_lp < DELTA_MIN:
             return None, delta_lp
@@ -409,53 +412,31 @@ def _scan_point(span: FunctionSpan, i: int, r: float) -> PointClassification:
     return PointClassification(i, label, cert, float(delta), i)
 
 
-def _move_verdict(
-    span: FunctionSpan, known: PointClassification, g: np.ndarray, m: np.ndarray
-) -> PointClassification | None:
-    """Carry a Boundary verdict from point p to g[p] along the symmetry g:
-    h'(g[y]) = h(y) has coefficients m c (see `_accepted_generators`). The
-    margin is recomputed on the new point's own far set at the certificate's
-    radius, and the certificate is re-verified; None when it does not pass.
-    """
-    i = int(g[known.index])
-    coeffs = m @ np.asarray(known.certificate.coeffs)
-    cert = _recheck(span, i, span.space.pairwise[i], coeffs, known.certificate.radius)
-    if cert is None:
-        return None
-    return PointClassification(
-        index=i,
-        label=Classification.BOUNDARY,
-        certificate=cert,
-        best_delta=cert.margin,
-        source=known.source,
-    )
-
-
 def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -> BoundaryEstimate:
     """Classify every grid point by one peak search at the scan radius
     (see `scan_radius`; None means a fifth of the grid diameter).
 
-    A point is Boundary when the search returns a peak certificate,
-    NotDetected when the LP relaxation's optimum falls below DELTA_MIN
-    (so no smaller radius admits a peak either), and
-    Indeterminate when the solver failed.
+    Each label has one source. A point is Boundary on a re-verified peak
+    certificate, NotDetected on a finite LP relaxation optimum below
+    DELTA_MIN (so no smaller radius admits a peak either), and
+    Indeterminate on a SolverError, with its message as the note.
 
     Points are taken in index order. A point with no result yet is solved
     directly, and its orbit under the grid symmetries that preserve the
     span is walked breadth first, each point classified when first
     reached: a Boundary verdict moves from the point that reached it as a
-    certificate re-verified at its new point. A point whose moved
-    certificate fails, or whose reaching point is not Boundary, is solved
-    directly, so every rejection rests on the point's own relaxation
-    optimum. On the factory grids, whose symmetries are isometries,
-    margins are constant on an orbit.
+    certificate re-checked on the new point's own distance row at the
+    scan radius. A point whose moved certificate fails, or whose reaching
+    point is not Boundary, is solved directly, so every rejection rests
+    on the point's own relaxation optimum. On the factory grids, whose
+    symmetries are isometries, margins are constant on an orbit.
     """
     if not span.unital:
         raise ValueError("peak search needs a unital span")
     if not span.separating:
         raise ValueError("peak search needs a separating span")
     r = scan_radius(span.space, radius)
-    moves = [(g.tolist(), g, m) for g, m in _accepted_generators(span)]
+    moves = [(g.tolist(), m) for g, m in _accepted_generators(span)]
     results: list[PointClassification | None] = [None] * span.space.n_points
     for root in range(len(results)):
         if results[root] is not None:
@@ -463,11 +444,18 @@ def estimate_choquet_boundary(span: FunctionSpan, radius: float | None = None) -
         results[root] = _scan_point(span, root, r)
         orbit = [root]
         for u in orbit:  # grows while it is walked
-            for image, g, m in moves:
+            for image, m in moves:
                 i = image[u]
                 if results[i] is None:
                     known = results[u]
-                    moved = known.label is Classification.BOUNDARY and _move_verdict(span, known, g, m)
-                    results[i] = moved or _scan_point(span, i, r)
+                    # h'(g[y]) = h(y) has coefficients m c (see `_accepted_generators`)
+                    cert = known.label is Classification.BOUNDARY and _recheck(
+                        span, i, span.space.pairwise[i], m @ np.asarray(known.certificate.coeffs), r
+                    )
+                    results[i] = (
+                        PointClassification(i, Classification.BOUNDARY, cert, cert.margin, known.source)
+                        if cert
+                        else _scan_point(span, i, r)
+                    )
                     orbit.append(i)
     return BoundaryEstimate(span=span, points=tuple(results), radius=r)

@@ -441,7 +441,6 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
             f.values  # a non-finite value is a configuration error
     except ValueError as exc:
         raise ConfigError(f"experiment.probes: {exc}") from None
-    tol = exp.get("tolerances", {})
     radius = build_choquet_params(exp.get("choquet"), family.target)
     try:
         experiment = ExperimentConfig(
@@ -449,9 +448,8 @@ def build_experiment(cfg: dict) -> BuiltExperiment:
             test_span=test_span,
             probes=probes,
             indices=tuple(exp["indices"]),
-            abs_threshold=tol.get("abs_threshold", 0.05),
-            improvement_factor=tol.get("improvement_factor", 2.0),
             radius=radius,
+            **exp.get("tolerances", {}),
         )
     except ValueError as exc:
         raise ConfigError(f"experiment: {exc}") from None

@@ -1,6 +1,8 @@
+import dataclasses
 import inspect
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -85,6 +87,21 @@ class TestFindPeakFunction:
         not_unital = FunctionSpan((named_function("x", INTERVAL),))
         with pytest.raises(ValueError, match="unital"):
             estimate_choquet_boundary(not_unital, 0.1)
+
+
+class TestVerifyRefusals:
+    CERT = _peak_search(QUAD_SPAN, 50, 0.1)[0]
+
+    def test_a_margin_of_zero_is_refused(self):
+        ok, why = verify_peak_certificate(QUAD_SPAN, dataclasses.replace(self.CERT, margin=0.0))
+        assert not ok and why == "margin 0.0 is not positive"
+
+    def test_an_overstated_margin_is_refused(self):
+        # the certificate's margin is exact, so raising it by more than
+        # PEAK_TOL leaves the far modulus above 1 - margin
+        raised = dataclasses.replace(self.CERT, margin=self.CERT.margin + 1e-6)
+        ok, why = verify_peak_certificate(QUAD_SPAN, raised)
+        assert not ok and why.startswith("far modulus")
 
 
 class TestLemmaBFeasible:
@@ -255,18 +272,25 @@ STALL_CLOUD = make_custom_space(
 )
 
 
-def _count_lps(monkeypatch) -> list:
-    """Record one entry per `choquet.linprog` call from here on."""
+def _lie(monkeypatch, answer) -> None:
+    """Stub `choquet.linprog` to return `answer(highs, lp)`, where `lp` holds
+    the call's keyword arguments and `highs()` solves the same LP with
+    scipy's HiGHS."""
     import korovkinlab.choquet as choquet_mod
 
-    calls = []
     real_linprog = choquet_mod.linprog
+    monkeypatch.setattr(choquet_mod, "linprog", lambda c, **lp: answer(lambda: real_linprog(c, **lp), lp))
 
-    def counting_linprog(*args, **kwargs):
+
+def _count_lps(monkeypatch) -> list:
+    """Record one entry per `choquet.linprog` call from here on."""
+    calls = []
+
+    def counting(highs, lp):
         calls.append(1)
-        return real_linprog(*args, **kwargs)
+        return highs()
 
-    monkeypatch.setattr(choquet_mod, "linprog", counting_linprog)
+    _lie(monkeypatch, counting)
     return calls
 
 
@@ -274,19 +298,16 @@ def _stub_scaled_lp(monkeypatch, factor) -> list:
     """Stub `choquet.linprog` to return HiGHS's solution with its span
     coefficients times `factor`, so that the pin h(x0) reads `factor`;
     record each pin the stub hands back."""
-    import korovkinlab.choquet as choquet_mod
-
     pins = []
-    real_linprog = choquet_mod.linprog
 
-    def scaled(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, **kw):
-        res = real_linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, **kw)
+    def scaled(highs, lp):
+        res = highs()
         if res.status == 0:
             res.x = np.r_[res.x[:-1] * factor, res.x[-1]]
-            pins.append(float(A_eq[0] @ res.x))
+            pins.append(float(lp["A_eq"][0] @ res.x))
         return res
 
-    monkeypatch.setattr(choquet_mod, "linprog", scaled)
+    _lie(monkeypatch, scaled)
     return pins
 
 
@@ -294,6 +315,74 @@ def _stub_scaled_lp(monkeypatch, factor) -> list:
 # at the endpoints (Boundary) and inside (NotDetected)
 INTERVAL_11 = make_interval_grid(10)
 AFFINE_11 = FunctionSpan(tuple(named_function(n, INTERVAL_11) for n in ("const1", "x")))
+
+
+def _affine_11_cli_labels(tmp_path, capsys) -> list[str]:
+    """Run `korovkinlab choquet` on AFFINE_11 in process; check that it
+    exits 0 with no error line, and return its labels."""
+    import json
+
+    from korovkinlab.cli import main
+
+    cfg = {
+        "version": 1,
+        "spaces": {"I": {"kind": "interval", "m": 10}},
+        "spans": {"A": {"space": "I", "basis": ["const1", "x"]}},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["choquet", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "choquet.csv") as fh:
+        return [line.split(",")[2] for line in fh.read().splitlines()[1:]]
+
+
+class TestLyingBackend:
+    """The LP backend is untrusted: an answer it cannot back with an
+    optimum leaves the point Indeterminate, never NotDetected."""
+
+    def test_an_infeasible_answer_is_indeterminate(self, monkeypatch, tmp_path, capsys):
+        infeasible = SimpleNamespace(status=2, x=None, message="The problem is infeasible.")
+        _lie(monkeypatch, lambda highs, lp: infeasible)
+        est = estimate_choquet_boundary(AFFINE_11, 0.2)
+        for p in est.points:
+            assert p.label is Classification.INDETERMINATE
+            assert p.note == f"peak LP at point {p.index} returned status 2: The problem is infeasible."
+        assert _affine_11_cli_labels(tmp_path, capsys) == ["Indeterminate"] * 11
+
+    def test_a_repeated_answer_ends_in_the_round_cap(self, monkeypatch):
+        # h = 1 with margin 0.5 every round: the far points violate it, and
+        # the cuts they add never change the answer
+        x = np.r_[AFFINE_11.fit(np.ones(11))[0] * AFFINE_11.factors[2], 0.5]
+        _lie(monkeypatch, lambda highs, lp: SimpleNamespace(status=0, x=x.copy(), message=""))
+        est = estimate_choquet_boundary(AFFINE_11, 0.2)
+        for p in est.points:
+            assert p.label is Classification.INDETERMINATE
+            assert p.note == f"peak search at point {p.index} (radius 0.2) did not settle in 64 rounds"
+
+    def test_a_raising_backend_is_indeterminate(self, monkeypatch):
+        def raising(highs, lp):
+            raise ValueError("synthetic fault")
+
+        _lie(monkeypatch, raising)
+        est = estimate_choquet_boundary(AFFINE_11, 0.2)
+        assert {p.label for p in est.points} == {Classification.INDETERMINATE}
+        assert {p.note for p in est.points} == {"LP backend error: synthetic fault"}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: a rejection trusts the LP optimum, which nothing re-checks, "
+        "so an optimum overwritten to 0 turns the endpoints NotDetected",
+    )
+    def test_a_lowered_optimum_does_not_reject_the_endpoints(self, monkeypatch):
+        def lowered(highs, lp):
+            res = highs()
+            res.x[-1] = 0.0
+            return res
+
+        _lie(monkeypatch, lowered)
+        est = estimate_choquet_boundary(AFFINE_11, 0.2)
+        assert Classification.NOT_DETECTED not in {est.points[0].label, est.points[-1].label}
 
 
 class TestPeakPinRecovery:
@@ -306,10 +395,6 @@ class TestPeakPinRecovery:
         assert ok, why
 
     def test_a_pin_below_one_half_is_indeterminate(self, monkeypatch, tmp_path, capsys):
-        import json
-
-        from korovkinlab.cli import main
-
         pins = _stub_scaled_lp(monkeypatch, 0.25)
         est = estimate_choquet_boundary(AFFINE_11, 0.2)
         assert pins
@@ -318,18 +403,7 @@ class TestPeakPinRecovery:
         for p in ends:
             assert re.fullmatch(rf"peak pin drifted to 0\.2[0-9]* at point {p.index}", p.note)
         assert {p.label for p in est.points[1:-1]} == {Classification.NOT_DETECTED}
-        # the command still exits 0 and writes every label, with no error line
-        cfg = {
-            "version": 1,
-            "spaces": {"I": {"kind": "interval", "m": 10}},
-            "spans": {"A": {"space": "I", "basis": ["const1", "x"]}},
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        assert main(["choquet", "--config", str(path), "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().err == ""
-        with open(tmp_path / "choquet.csv") as fh:
-            labels = [line.split(",")[2] for line in fh.read().splitlines()[1:]]
+        labels = _affine_11_cli_labels(tmp_path, capsys)
         assert labels == ["Indeterminate"] + ["NotDetected"] * 9 + ["Indeterminate"]
 
 
@@ -358,6 +432,35 @@ class TestWorkingSetLoop:
         for p in est.points:
             ok, why = verify_peak_certificate(span, p.certificate)
             assert ok, why
+
+    def test_a_refused_solution_with_no_violator_cuts_the_worst_far_point(self, monkeypatch):
+        import korovkinlab.choquet as choquet_mod
+
+        rows = []
+        real_recheck = choquet_mod._recheck
+
+        def counting_rows(highs, lp):
+            rows.append(lp["A_ub"].shape[0])
+            return highs()
+
+        def refuse_first_solution(span_, i, d, coeffs, r):
+            # the Korovkin candidate comes before any LP; refuse the first
+            # LP solution only
+            if len(rows) == 1 and not refused:
+                refused.append(coeffs)
+                return None
+            return real_recheck(span_, i, d, coeffs, r)
+
+        refused = []
+        _lie(monkeypatch, counting_rows)
+        monkeypatch.setattr(choquet_mod, "_recheck", refuse_first_solution)
+        cert, delta = _peak_search(AFFINE_11, 0, 0.2)
+        # all ten other points start in the working set at both phases, so
+        # nothing violates the refused solution and one far point is cut
+        assert refused and rows == [20, 21]
+        assert cert is not None and delta == cert.margin >= 1e-6
+        ok, why = verify_peak_certificate(AFFINE_11, cert)
+        assert ok, why
 
     @pytest.mark.parametrize("basis", [("const1", "z"), ("const1", "z", "zbar")])
     def test_labels_do_not_depend_on_directions(self, basis, monkeypatch):
