@@ -16,10 +16,10 @@ solve) is untrusted: every certificate is re-verified by direct evaluation
 of its inequalities before it is returned. Modulus constraints are
 linearised as Re(e^{-i phi} h(y)) <= cap at finitely many phases phi (0 and
 pi suffice for a real span). One working-set loop serves both fields: it
-starts from a polygon at a budget of grid points and adds exact-phase
-cutting planes at violators (Kelley's method), so acceptances are verified
-and rejections are certified by a relaxation's optimum. The candidate never
-rejects.
+starts from the phases 0 and pi at a fixed number of grid points and adds
+exact-phase cutting planes at violators (Kelley's method), so acceptances
+are verified and rejections are certified by a relaxation's optimum. The
+candidate never rejects.
 
 A boundary scan walks each orbit of the grid symmetries that preserve the
 span once, solving its first point and moving each Boundary verdict along
@@ -39,26 +39,24 @@ from .errors import SolverError
 from .functions import MEMBERSHIP_TOL, FunctionSpan
 from .space import CompactSpace, Field, PointSet
 
-# slack of every direct-evaluation check in this module
+# slack of every direct-evaluation check in this module; each check passes
+# only when its inequality holds, so a NaN fails it
 PEAK_TOL = 1e-9
 # the least margin a peak certificate must have; an LP relaxation optimum
 # below it certifies that no peak at the scan radius has that margin
 DELTA_MIN = 1e-6
+# without presolve: with it, HiGHS answered "infeasible" on feasible peak LPs
 _LP_OPTIONS = {
-    "presolve": True,
+    "presolve": False,
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
 # box on the separation LP's coefficient variables (see `lemma_b_feasible`);
 # an infeasibility verdict there is relative to it
 COEFF_BOUND = 1e6
-# rows in the peak LP's starting working set, and the cap on its rounds
-_ROW_BUDGET = 256
+# grid points in the peak LP's starting working set, and the cap on its rounds
+_START_POINTS = 128
 _MAX_ROUNDS = 64
-# phases of the starting polygon on a complex grid; cuts at exact phases
-# refine it, so it changes the work done, not which constraints a
-# certificate satisfies
-_START_PHASES = 16
 
 
 def scan_radius(space: CompactSpace, radius: float | None = None) -> float:
@@ -201,13 +199,14 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     columns, read back into the user's basis before any check. A
     constraint at point y and phase phi reads Re(e^{-i phi} h(y)) <= 1,
     minus the margin where y is farther than r from x0; a real span only
-    needs the phases {0, pi}. The working set starts as a polygon of
-    _START_PHASES phases (or {0, pi}) at grid points spread by distance
-    from x0, as many as fit _ROW_BUDGET rows. Each round evaluates |h|
-    exactly on the whole grid and adds one cut at the exact phase arg h(y)
-    per violating point, until _recheck accepts the solution (its exact
-    margin clears DELTA_MIN and it re-verifies), or the LP optimum falls
-    below DELTA_MIN.
+    needs the phases {0, pi}. Every field starts from those two phases at
+    _START_POINTS grid points spread by distance from x0. Each round
+    evaluates |h| exactly on the whole grid and adds one cut at the exact
+    phase arg h(y) per violating point, until _recheck accepts the solution
+    (its exact margin clears DELTA_MIN and it re-verifies), or the LP
+    optimum falls below DELTA_MIN. These cuts bound |h| on a complex grid
+    too, so the start sets the work done, not what a certificate or a
+    rejection means.
     """
     b_mat = span.value_matrix
     d = span.space.pairwise[x0]
@@ -225,14 +224,10 @@ def _peak_search(span: FunctionSpan, x0: int, r: float) -> tuple[PeakCertificate
     others = np.argsort(d, kind="stable")
     others = others[others != x0]
 
-    if field is Field.COMPLEX:
-        phases = 2.0 * np.pi * np.arange(_START_PHASES) / _START_PHASES
-    else:
-        phases = np.array([0.0, np.pi])
-    n_start = min(others.size, max(1, _ROW_BUDGET // phases.size))
+    n_start = min(others.size, _START_POINTS)
     start = others[np.linspace(0, others.size - 1, n_start).round().astype(int)]
-    cut_y = np.repeat(start, phases.size)
-    cut_phase = np.tile(phases, start.size)
+    cut_y = np.repeat(start, 2)
+    cut_phase = np.tile([0.0, np.pi], start.size)
 
     def rows(y, phase):
         g = np.exp(-1j * phase)[:, None] * a_mat[y]
@@ -291,25 +286,36 @@ def _coefficient_box(span: FunctionSpan) -> np.ndarray:
     return np.sqrt(span.space.n_points * np.sum(np.abs(span.factors[1]) ** 2, axis=1)) * (1.0 + 1e-6)
 
 
+def _misfit(span: FunctionSpan, x0: int, coeffs: tuple) -> str:
+    """Why a certificate's x0 or coefficients do not fit the span ("" when
+    they do); a negative x0 would otherwise index from the end of the grid."""
+    k = span.value_matrix.shape[1]
+    if not 0 <= x0 < span.space.n_points:
+        return f"x0 = {x0} is not a grid index"
+    return "" if len(coeffs) == k else f"{len(coeffs)} coefficients for a span of dimension {k}"
+
+
 def verify_peak_certificate(span: FunctionSpan, cert: PeakCertificate) -> tuple[bool, str]:
     """Re-check a peak certificate by direct evaluation (solver-independent)."""
+    if why := _misfit(span, cert.x0, cert.coeffs):
+        return False, why
     h = span.value_matrix @ np.asarray(cert.coeffs)
     d = span.space.pairwise[cert.x0]
-    if abs(h[cert.x0] - 1.0) > PEAK_TOL:
+    if not abs(h[cert.x0] - 1.0) <= PEAK_TOL:
         return False, f"|h(x0) - 1| = {abs(h[cert.x0] - 1.0):.3e}"
-    if cert.margin <= 0:
+    if not cert.margin > 0:
         return False, f"margin {cert.margin} is not positive"
     far = d >= cert.radius
     if not far.any():
         return False, f"no grid point lies at distance >= {cert.radius} from x0"
     worst = float(np.max(np.abs(h[far])))
-    if worst > 1.0 - cert.margin + PEAK_TOL:
+    if not worst <= 1.0 - cert.margin + PEAK_TOL:
         return False, f"far modulus {worst:.12f} exceeds 1 - margin"
     near = d < cert.radius
     near[cert.x0] = False
     if near.any():
         worst = float(np.max(np.abs(h[near])))
-        if worst > 1.0 + PEAK_TOL:
+        if not worst <= 1.0 + PEAK_TOL:
             return False, f"near modulus {worst:.12f} exceeds the unit cap"
     return True, "ok"
 
@@ -363,14 +369,16 @@ def lemma_b_feasible(
 
 def verify_lemma_b_certificate(span: FunctionSpan, cert: LemmaBCertificate) -> tuple[bool, str]:
     """Re-check a separation certificate by direct evaluation."""
+    if why := _misfit(span, cert.x0, cert.coeffs):
+        return False, why
     re_f = np.real(span.value_matrix @ np.asarray(cert.coeffs))
-    if float(re_f.max()) > PEAK_TOL:
+    if not float(re_f.max()) <= PEAK_TOL:
         return False, f"Re f reaches {re_f.max():.3e} > 0"
     inside = set(cert.u_indices)
     outside = [i for i in range(span.space.n_points) if i not in inside]
-    if outside and float(np.max(re_f[outside])) > -cert.beta + PEAK_TOL:
+    if outside and not float(np.max(re_f[outside])) <= -cert.beta + PEAK_TOL:
         return False, "Re f does not drop below -beta off U"
-    if float(re_f[cert.x0]) < -cert.alpha - PEAK_TOL:
+    if not float(re_f[cert.x0]) >= -cert.alpha - PEAK_TOL:
         return False, f"Re f(x0) = {re_f[cert.x0]:.3e} below -alpha"
     return True, "ok"
 

@@ -13,6 +13,7 @@ from korovkinlab import (
     Classification,
     FunctionSpan,
     KernelOperator,
+    LemmaBCertificate,
     PeakCertificate,
     PointSet,
     estimate_choquet_boundary,
@@ -29,10 +30,12 @@ from korovkinlab import (
     verify_peak_certificate,
 )
 from korovkinlab.choquet import PEAK_TOL, _lp_coeffs, _lp_rows, _peak_search
+from korovkinlab.errors import SolverError
 from korovkinlab.functions import ScalarFunction
 from korovkinlab.space import BLOCK_ENTRIES, Field
 
 from oracles import affine_lemma_scan, affine_peak_scan
+from test_acceptance import _direct_peak_check
 
 INTERVAL = make_interval_grid(100)
 QUAD_SPAN = FunctionSpan(tuple(named_function(n, INTERVAL) for n in ("const1", "x", "x^2")))
@@ -103,6 +106,24 @@ class TestVerifyRefusals:
         ok, why = verify_peak_certificate(QUAD_SPAN, raised)
         assert not ok and why.startswith("far modulus")
 
+    # each edit of a valid certificate at the last grid point: NaN fields,
+    # an index outside the grid and coefficients that do not fit the span
+    @pytest.mark.parametrize(
+        "edit, why",
+        [
+            ({"coeffs": (np.nan,) * 3}, "|h(x0) - 1| = nan"),
+            ({"coeffs": (1.0, 0.0, 0.0), "margin": np.nan}, "margin nan is not positive"),
+            ({"x0": -1}, "x0 = -1 is not a grid index"),
+            ({"x0": 101}, "x0 = 101 is not a grid index"),
+            ({"coeffs": (1.0, 0.0)}, "2 coefficients for a span of dimension 3"),
+        ],
+        ids=["nan_coeffs", "nan_margin", "negative_x0", "x0_past_the_grid", "short_coeffs"],
+    )
+    def test_a_malformed_certificate_is_refused(self, edit, why):
+        last = _peak_search(QUAD_SPAN, 100, 0.1)[0]
+        assert verify_peak_certificate(QUAD_SPAN, last) == (True, "ok")
+        assert verify_peak_certificate(QUAD_SPAN, dataclasses.replace(last, **edit)) == (False, why)
+
 
 class TestLemmaBFeasible:
     def test_left_endpoint_separated(self):
@@ -169,6 +190,13 @@ class TestLemmaBFeasible:
         assert lemma_b_feasible(span, 0, 0.1, 1.0, open_ball(INTERVAL, 0, 0.25)) is not None
         assert shapes == [(INTERVAL.n_points + 1, 2)]
 
+    def test_a_certificate_that_fails_its_check_raises(self, monkeypatch):
+        # f = 1 breaks Re f <= 0; the LP's answer is re-checked before it is returned
+        _lie(monkeypatch, lambda highs, lp: SimpleNamespace(status=0, x=np.array([1.0, 0.0]), message=""))
+        span = FunctionSpan((named_function("const1", INTERVAL), named_function("x", INTERVAL)))
+        with pytest.raises(SolverError, match=r"^separation certificate failed re-verification: Re f reaches"):
+            lemma_b_feasible(span, 0, 0.1, 1.0, open_ball(INTERVAL, 0, 0.25))
+
     def test_sampled_scan_detects_endpoint_not_interior(self):
         # a few (alpha, beta) pairs on the ball of the default scan radius
         span = FunctionSpan((named_function("const1", INTERVAL), named_function("x", INTERVAL)))
@@ -180,6 +208,33 @@ class TestLemmaBFeasible:
         ball = open_ball(INTERVAL, 50, r)
         # affine span has no interior witnesses
         assert all(lemma_b_feasible(span, 50, a, b, ball) is None for a, b in pairs)
+
+
+class TestVerifyLemmaBRefusals:
+    SPAN = FunctionSpan((named_function("const1", INTERVAL), named_function("x", INTERVAL)))
+    # f(x) = 4x - 4 separates the right endpoint (x0 = 100) from x <= 3/4
+    CERT = LemmaBCertificate(100, (-4.0, 4.0), 0.1, 1.0, open_ball(INTERVAL, 100, 0.25).indices)
+
+    def test_the_reference_certificate_passes(self):
+        assert verify_lemma_b_certificate(self.SPAN, self.CERT) == (True, "ok")
+
+    @pytest.mark.parametrize(
+        "edit, why",
+        [
+            # the three inequalities, each broken
+            ({"coeffs": (-3.0, 4.0)}, "Re f reaches 1.000e+00 > 0"),
+            ({"beta": 2.0}, "Re f does not drop below -beta off U"),
+            ({"x0": 95}, "Re f(x0) = -2.000e-01 below -alpha"),
+            # NaN fields and an index outside the grid
+            ({"coeffs": (np.nan, np.nan)}, "Re f reaches nan > 0"),
+            ({"beta": np.nan}, "Re f does not drop below -beta off U"),
+            ({"x0": -1}, "x0 = -1 is not a grid index"),
+        ],
+        ids=["positive", "not_below_beta", "below_alpha", "nan_coeffs", "nan_beta", "negative_x0"],
+    )
+    def test_a_broken_certificate_is_refused(self, edit, why):
+        cert = dataclasses.replace(self.CERT, **edit)
+        assert verify_lemma_b_certificate(self.SPAN, cert) == (False, why)
 
 
 SMALL_INTERVAL = make_interval_grid(30)
@@ -317,17 +372,29 @@ INTERVAL_11 = make_interval_grid(10)
 AFFINE_11 = FunctionSpan(tuple(named_function(n, INTERVAL_11) for n in ("const1", "x")))
 
 
-def _affine_11_cli_labels(tmp_path, capsys) -> list[str]:
-    """Run `korovkinlab choquet` on AFFINE_11 in process; check that it
-    exits 0 with no error line, and return its labels."""
+# {1, z} on a 25-point disc: the rim is Boundary, the rest NotDetected
+DISC_25 = make_disc_grid(3, 8)
+DISC_AFFINE = FunctionSpan(tuple(named_function(n, DISC_25) for n in ("const1", "z")))
+
+# each span with the CLI's description of its space
+_CLI_SPANS = {
+    "interval": (AFFINE_11, {"kind": "interval", "m": 10}),
+    "disc": (DISC_AFFINE, {"kind": "disc", "rings": 3, "per_ring": 8}),
+}
+
+
+def _choquet_cli_labels(tmp_path, capsys, space="interval") -> list[str]:
+    """Run `korovkinlab choquet` on one of `_CLI_SPANS` in process;
+    check that it exits 0 with no error line, and return its labels."""
     import json
 
     from korovkinlab.cli import main
 
+    span, grid = _CLI_SPANS[space]
     cfg = {
         "version": 1,
-        "spaces": {"I": {"kind": "interval", "m": 10}},
-        "spans": {"A": {"space": "I", "basis": ["const1", "x"]}},
+        "spaces": {"I": grid},
+        "spans": {"A": {"space": "I", "basis": [f.name for f in span.basis]}},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -335,6 +402,23 @@ def _affine_11_cli_labels(tmp_path, capsys) -> list[str]:
     assert capsys.readouterr().err == ""
     with open(tmp_path / "choquet.csv") as fh:
         return [line.split(",")[2] for line in fh.read().splitlines()[1:]]
+
+
+def _perturb_x(res, rng):
+    res.x = res.x + rng.normal(scale=1e-3, size=res.x.size)
+
+
+def _raise_optimum(res, rng):
+    res.x[-1] += 0.5 * abs(res.x[-1])
+
+
+def _pin_just_off(res, rng):
+    # the pin reads 1 + 2 PEAK_TOL, so the loop renormalizes it
+    res.x = np.r_[res.x[:-1] * (1.0 + 2 * PEAK_TOL), res.x[-1]]
+
+
+# edits of HiGHS's optimal answer, each given the answer and a seeded generator
+_ADVERSARIES = {"perturbed_x": _perturb_x, "raised_optimum": _raise_optimum, "pin_just_off": _pin_just_off}
 
 
 class TestLyingBackend:
@@ -348,7 +432,7 @@ class TestLyingBackend:
         for p in est.points:
             assert p.label is Classification.INDETERMINATE
             assert p.note == f"peak LP at point {p.index} returned status 2: The problem is infeasible."
-        assert _affine_11_cli_labels(tmp_path, capsys) == ["Indeterminate"] * 11
+        assert _choquet_cli_labels(tmp_path, capsys) == ["Indeterminate"] * 11
 
     def test_a_repeated_answer_ends_in_the_round_cap(self, monkeypatch):
         # h = 1 with margin 0.5 every round: the far points violate it, and
@@ -368,6 +452,42 @@ class TestLyingBackend:
         est = estimate_choquet_boundary(AFFINE_11, 0.2)
         assert {p.label for p in est.points} == {Classification.INDETERMINATE}
         assert {p.note for p in est.points} == {"LP backend error: synthetic fault"}
+
+    def test_an_unknown_status_is_indeterminate(self, monkeypatch):
+        odd = SimpleNamespace(status=4, x=None, message="Numerical difficulties.")
+        _lie(monkeypatch, lambda highs, lp: odd)
+        est = estimate_choquet_boundary(AFFINE_11, 0.2)
+        assert {p.label for p in est.points} == {Classification.INDETERMINATE}
+        assert {p.note for p in est.points} == {"LP backend returned status 4: Numerical difficulties."}
+
+    @pytest.mark.parametrize("space", ["interval", "disc"])
+    @pytest.mark.parametrize("adversary", sorted(_ADVERSARIES))
+    def test_every_boundary_certificate_passes_the_direct_check(
+        self, adversary, space, monkeypatch, tmp_path, capsys
+    ):
+        lies = []
+
+        def lie():
+            # a fresh seed per run, so that the CLI run below meets the same lies
+            rng = np.random.default_rng(7)
+
+            def answer(highs, lp):
+                res = highs()
+                if res.status == 0:
+                    _ADVERSARIES[adversary](res, rng)
+                    lies.append(1)
+                return res
+
+            return answer
+
+        _lie(monkeypatch, lie())
+        span = _CLI_SPANS[space][0]
+        est = estimate_choquet_boundary(span)
+        boundary = [p for p in est.points if p.label is Classification.BOUNDARY]
+        assert lies and boundary
+        assert all(_direct_peak_check(span, p.certificate) for p in boundary)
+        _lie(monkeypatch, lie())
+        assert _choquet_cli_labels(tmp_path, capsys, space) == [p.label.value for p in est.points]
 
     @pytest.mark.xfail(
         strict=True,
@@ -403,7 +523,7 @@ class TestPeakPinRecovery:
         for p in ends:
             assert re.fullmatch(rf"peak pin drifted to 0\.2[0-9]* at point {p.index}", p.note)
         assert {p.label for p in est.points[1:-1]} == {Classification.NOT_DETECTED}
-        labels = _affine_11_cli_labels(tmp_path, capsys)
+        labels = _choquet_cli_labels(tmp_path, capsys)
         assert labels == ["Indeterminate"] + ["NotDetected"] * 9 + ["Indeterminate"]
 
 
@@ -466,37 +586,68 @@ class TestWorkingSetLoop:
     def test_labels_do_not_depend_on_directions(self, basis, monkeypatch):
         import korovkinlab.choquet as choquet_mod
 
-        g = make_disc_grid(3, 8)
+        # 8 and 32 starting points are fewer than the 64 other points, so
+        # each start leaves the exact-phase cuts a different share of the work
+        g = make_disc_grid(4, 16)
         span = FunctionSpan(tuple(named_function(n, g) for n in basis))
         labels = []
-        for k in (4, 16, 32):
-            monkeypatch.setattr(choquet_mod, "_START_PHASES", k)
+        for k in (8, 32, 128):
+            monkeypatch.setattr(choquet_mod, "_START_POINTS", k)
             est = estimate_choquet_boundary(span)
             labels.append([p.label for p in est.points])
         assert labels[0] == labels[1] == labels[2]
 
-    def test_small_real_grid_solves_one_lp_per_search(self, monkeypatch):
+    # real spans: each point fits the starting working set, so one LP
+    # settles each search, and each LP count here is pinned
+    @pytest.mark.parametrize(
+        "grid, basis, counts, lps",
+        [
+            (INTERVAL, ("const1", "x"), (2, 99), 100),
+            (INTERVAL, ("const1", "x", "x^3"), (101, 0), 101),
+            (make_box_grid(2, 8), ("const1", "coord 1", "coord 2"), (4, 77), 78),
+        ],
+        ids=["interval_101", "cubic_101", "box_2x8"],
+    )
+    def test_small_real_grid_solves_one_lp_per_search(self, grid, basis, counts, lps, monkeypatch):
         import korovkinlab.choquet as choquet_mod
 
-        counts = {"lp": 0, "search": 0}
+        calls = {"lp": 0, "search": 0}
         real_solve, real_search = choquet_mod._solve, choquet_mod._peak_search
 
         def solve(*args, **kwargs):
-            counts["lp"] += 1
+            calls["lp"] += 1
             return real_solve(*args, **kwargs)
 
         def search(*args, **kwargs):
-            counts["search"] += 1
+            calls["search"] += 1
             return real_search(*args, **kwargs)
 
         monkeypatch.setattr(choquet_mod, "_solve", solve)
         monkeypatch.setattr(choquet_mod, "_peak_search", search)
-        # {1, x} holds no (x - x0)^2, so every point goes to the LP; its 101
-        # points fit the starting working set, so one LP settles each search
-        span = FunctionSpan(tuple(named_function(n, INTERVAL) for n in ("const1", "x")))
+        # no span here holds d(., x0)^2, so every search goes to the LP
+        span = FunctionSpan(tuple(named_function(n, grid) for n in basis))
         est = estimate_choquet_boundary(span)
-        assert est.counts() == {"Boundary": 2, "NotDetected": 99, "Indeterminate": 0}
-        assert counts["search"] > 0 and counts["lp"] == counts["search"]
+        assert est.counts() == {"Boundary": counts[0], "NotDetected": counts[1], "Indeterminate": 0}
+        assert calls["lp"] == calls["search"] == lps
+
+    def test_a_complex_span_starts_from_the_real_working_set(self, monkeypatch):
+        # every field starts from the phases 0 and pi, here at 128 of the
+        # 256 other points; the exact-phase cuts then need few rounds
+        g = make_disc_grid(8, 32)
+        span = FunctionSpan(tuple(named_function(n, g) for n in ("const1", "z")))
+        lps = _count_lps(monkeypatch)
+        est = estimate_choquet_boundary(span)
+        assert est.counts() == {"Boundary": 32, "NotDetected": 225, "Indeterminate": 0}
+        assert len(lps) <= 240
+
+    def test_the_fejer_preset_scan_solves_one_lp(self, monkeypatch, tmp_path, capsys):
+        # {1, z} on the 144-point circle: one orbit, settled by its first LP
+        from korovkinlab.cli import main
+
+        lps = _count_lps(monkeypatch)
+        assert main(["choquet", "--preset", "example43_fejer", "--out", str(tmp_path)]) == 0
+        assert "{'Boundary': 144, 'NotDetected': 0, 'Indeterminate': 0}" in capsys.readouterr().out
+        assert len(lps) == 1
 
 
 # one grid of each factory kind, and clouds, with a span that holds
